@@ -7,11 +7,18 @@
 //! 2. `q` is symmetrically quantized to INT8.
 //! 3. Each resident block's INT8 expansion comes from the head's
 //!    [`DequantTile`] cache — the pure-integer INT4/2 → INT8
-//!    dequantization runs once per block per generation instead of once
-//!    per decode step — and scores come from the fused INT8 dot kernel.
+//!    dequantization runs once per block for as long as the block stays
+//!    resident instead of once per decode step — and scores come from
+//!    the fused INT8 GEMM kernel.
 //! 4. SAS replaces FP32 exponentiation (evaluated over the whole score
 //!    tile with threshold-skip short-circuiting); the probability row is
 //!    INT8 re-quantized for the `P⁸·V⁸` product, exactly as in prefill.
+//!
+//! One kernel serves both plain and grouped-query decode:
+//! [`turbo_attend_group_into`] attends `G` query rows that share the
+//! cache, looking each tile up once and running one `G`-row GEMM per
+//! tile for scores and one for `P·V`. [`turbo_attend_cache_into`] is its
+//! `G = 1` call.
 //!
 //! The hot path is **zero-allocation** in steady state: all intermediate
 //! buffers live in a caller-owned [`Scratch`] arena (the convenience
@@ -25,9 +32,9 @@
 
 use std::cell::RefCell;
 
-use crate::scratch::Scratch;
+use crate::scratch::{RowState, Scratch};
 use turbo_kvcache::{DequantTile, HeadKvCache};
-use turbo_quant::symmetric::quantize_slice_sym_into;
+use turbo_quant::quantize_row_sym_into;
 use turbo_runtime::Runtime;
 use turbo_softmax::Sas;
 use turbo_tensor::matmul_i8_transposed_b_into;
@@ -159,13 +166,9 @@ pub fn turbo_decode_step_on(
 /// Panics if `q.len()` differs from the cache head dimension or the cache
 /// is empty.
 pub fn turbo_attend_cache(q: &[f32], cache: &HeadKvCache, sas: &Sas) -> Vec<f32> {
-    thread_local! {
-        static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
-    }
-    SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
+    with_thread_scratch(|scratch| {
         let mut out = Vec::new();
-        turbo_attend_cache_into(q, cache, sas, &mut scratch, &mut out);
+        turbo_attend_cache_into(q, cache, sas, scratch, &mut out);
         out
     })
 }
@@ -173,7 +176,8 @@ pub fn turbo_attend_cache(q: &[f32], cache: &HeadKvCache, sas: &Sas) -> Vec<f32>
 /// As [`turbo_attend_cache`], with caller-owned buffers: all
 /// intermediates live in `scratch` and the output is written into `out`.
 /// Zero heap allocations once `scratch`/`out` have warmed to the cache's
-/// shape and the tile cache holds the resident blocks.
+/// shape and the tile cache holds the resident blocks. This is the
+/// one-row call of [`turbo_attend_group_into`].
 ///
 /// # Panics
 ///
@@ -185,8 +189,53 @@ pub fn turbo_attend_cache_into(
     scratch: &mut Scratch,
     out: &mut Vec<f32>,
 ) {
+    turbo_attend_group_into(&[q], cache, sas, scratch, out);
+}
+
+/// Attends a whole query group — the `G` query heads that share one KV
+/// head under GQA — over `cache` in one pass, returning one output row
+/// per query. Uses a thread-local [`Scratch`] arena.
+///
+/// Row `i` is bit-identical to `turbo_attend_cache(qs[i], cache, sas)`.
+///
+/// # Panics
+///
+/// As [`turbo_attend_group_into`].
+pub fn turbo_attend_group(qs: &[&[f32]], cache: &HeadKvCache, sas: &Sas) -> Vec<Vec<f32>> {
+    with_thread_scratch(|scratch| {
+        let mut out = Vec::new();
+        turbo_attend_group_into(qs, cache, sas, scratch, &mut out);
+        out.chunks_exact(cache.head_dim())
+            .map(<[f32]>::to_vec)
+            .collect()
+    })
+}
+
+/// The grouped decode kernel: attends the `G = qs.len()` query rows over
+/// the cache, writing their outputs row-major (`G × d`) into `out`.
+///
+/// Each resident tile is looked up in the tile cache once and feeds one
+/// `G × rows` integer score GEMM and one `G × d` integer `P·V` GEMM for
+/// the whole group; the open buffer's value codes are transposed once.
+/// Every query row keeps its own quantization scale and online-softmax
+/// state, and every float operation runs in the same per-row order as a
+/// one-row call, so row `i` is bit-identical to attending `qs[i]` alone.
+///
+/// # Panics
+///
+/// Panics if `qs` is empty, any row's length differs from the cache head
+/// dimension, or the cache is empty.
+pub fn turbo_attend_group_into(
+    qs: &[&[f32]],
+    cache: &HeadKvCache,
+    sas: &Sas,
+    scratch: &mut Scratch,
+    out: &mut Vec<f32>,
+) {
     let d = cache.head_dim();
-    assert_eq!(q.len(), d, "query width mismatch");
+    let g = qs.len();
+    assert!(g > 0, "need at least one query row");
+    assert!(qs.iter().all(|q| q.len() == d), "query width mismatch");
     assert!(!cache.is_empty(), "cannot attend to an empty cache");
 
     let scale = 1.0 / (d as f32).sqrt();
@@ -198,37 +247,30 @@ pub fn turbo_attend_cache_into(
         pv,
         vt,
         o,
+        rows: state,
     } = scratch;
-    let s_q = quantize_slice_sym_into(q, q8);
-
+    q8.clear();
+    q8.resize(g * d, 0);
+    state.clear();
+    for (q, q8_row) in qs.iter().zip(q8.chunks_exact_mut(d)) {
+        state.push(RowState::new(quantize_row_sym_into(q, q8_row)));
+    }
     o.clear();
-    o.resize(d, 0.0);
-    let mut m = f32::NEG_INFINITY;
-    let mut l = 0.0f32;
+    o.resize(g * d, 0.0);
+    let mut bufs = TileBufs { si, p, p8, pv };
 
-    // Resident progressive blocks: memoized integer dequantization.
-    let n_blocks = cache.resident_blocks().len();
-    for b in 0..n_blocks {
+    // Resident progressive blocks: memoized integer dequantization, one
+    // lookup per block for the whole group.
+    for b in 0..cache.resident_blocks().len() {
         let tile: std::sync::Arc<DequantTile> = cache.resident_tile(b);
-        attend_tile(
-            q8,
-            s_q,
-            scale,
-            tile.k_codes(),
-            tile.k_scale(),
-            tile.vt_codes(),
-            tile.v_scale(),
-            tile.rows(),
-            d,
-            sas,
-            si,
-            p,
-            p8,
-            pv,
-            o,
-            &mut m,
-            &mut l,
-        );
+        let view = TileView {
+            k_codes: tile.k_codes(),
+            k_scale: tile.k_scale(),
+            vt_codes: tile.vt_codes(),
+            v_scale: tile.v_scale(),
+            rows: tile.rows(),
+        };
+        attend_tile(q8, scale, d, &view, sas, &mut bufs, o, state);
     }
 
     // Open INT8 buffer: codes are used in place (no snapshot clone); only
@@ -237,115 +279,150 @@ pub fn turbo_attend_cache_into(
         let kb = cache.key_buffer();
         let vb = cache.value_buffer();
         let rows = kb.len();
-        let v_codes = vb.codes();
         vt.clear();
         vt.resize(rows * d, 0);
-        for (r, v_row) in v_codes.chunks_exact(d).enumerate() {
+        for (r, v_row) in vb.codes().chunks_exact(d).enumerate() {
             for (c, &x) in v_row.iter().enumerate() {
                 vt[c * rows + r] = x;
             }
         }
-        attend_tile(
-            q8,
-            s_q,
-            scale,
-            kb.codes(),
-            kb.scale().expect("non-empty buffer has a scale"),
-            vt,
-            vb.scale().expect("non-empty buffer has a scale"),
+        let view = TileView {
+            k_codes: kb.codes(),
+            k_scale: kb.scale().expect("non-empty buffer has a scale"),
+            vt_codes: vt,
+            v_scale: vb.scale().expect("non-empty buffer has a scale"),
             rows,
-            d,
-            sas,
-            si,
-            p,
-            p8,
-            pv,
-            o,
-            &mut m,
-            &mut l,
-        );
+        };
+        attend_tile(q8, scale, d, &view, sas, &mut bufs, o, state);
     }
 
-    assert!(l > 0.0, "decode token attended to nothing");
-    let inv = 1.0 / l;
     out.clear();
-    out.extend(o.iter().map(|&x| x * inv));
+    for (st, o_row) in state.iter().zip(o.chunks_exact(d)) {
+        assert!(st.l > 0.0, "decode token attended to nothing");
+        let inv = 1.0 / st.l;
+        out.extend(o_row.iter().map(|&x| x * inv));
+    }
 }
 
-/// Fused single-row attention over one INT8 K/V tile, folded into the
-/// online-softmax state `(o, m, l)`.
+/// Runs `f` with this thread's decode [`Scratch`] arena.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+    }
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// One INT8 K/V tile as the fused kernel consumes it: key codes
+/// row-major (`rows × d`), value codes channel-major (`d × rows`).
+struct TileView<'a> {
+    k_codes: &'a [i8],
+    k_scale: f32,
+    vt_codes: &'a [i8],
+    v_scale: f32,
+    rows: usize,
+}
+
+/// The per-tile intermediates of [`attend_tile`], borrowed from the
+/// [`Scratch`] arena.
+struct TileBufs<'a> {
+    si: &'a mut Vec<i32>,
+    p: &'a mut Vec<f32>,
+    p8: &'a mut Vec<i8>,
+    pv: &'a mut Vec<i32>,
+}
+
+/// Fused attention of `G` query rows over one INT8 K/V tile, folded into
+/// each row's online-softmax state (`o` row, `m`, `l`).
 ///
-/// Bit-identical to the original `matmul → Matrix → online_update` chain:
-/// * scores stay in raw `i32` through the SIMD-dispatched
-///   `q⁸ · (K⁸)ᵀ` GEMM (associative integer accumulation), and the row
-///   max is taken over the integer sums — `i32 → f32` conversion and the
-///   positive `s_q·s_k/√d` scale are weakly monotone, so the scaled
-///   integer max *is* the f32 row max the old code folded;
-/// * SAS consumes the codes plus scale directly via
+/// Bit-identical, row by row, to the original single-row
+/// `matmul → Matrix → online_update` chain:
+/// * scores stay in raw `i32` through one SIMD-dispatched
+///   `Q⁸ · (K⁸)ᵀ` GEMM (exact integer accumulation, so sharing the GEMM
+///   across rows changes no sum), and each row's max is taken over its
+///   integer sums — `i32 → f32` conversion and the positive
+///   `s_q·s_k/√d` scale are weakly monotone, so the scaled integer max
+///   *is* the f32 row max the old code folded;
+/// * SAS consumes each row's codes plus scale directly via
 ///   `exp_scaled_row_into`, which evaluates the exact
 ///   `code as f32 * s_scale - m_new` expression per element (vectorized
 ///   when the evaluator qualifies), zeroing exactly the entries
 ///   `Sas::exp` zeroes;
-/// * the probability row is re-quantized with the same `max|p|/119` fold
-///   and the integer `P⁸·V⁸` product consumes the pre-transposed value
-///   codes the old code rebuilt per call.
+/// * each probability row is re-quantized with its own `max|p|/119`
+///   fold, and one integer `P⁸·V⁸` GEMM consumes the pre-transposed
+///   value codes for every row at once.
+///
+/// A row whose running max stays `−∞` (possible only for a non-finite
+/// query scale) contributes nothing: its probability codes are zero and
+/// its state and output row are left untouched.
 #[allow(clippy::too_many_arguments)]
 fn attend_tile(
     q8: &[i8],
-    s_q: f32,
     scale: f32,
-    k_codes: &[i8],
-    k_scale: f32,
-    vt_codes: &[i8],
-    v_scale: f32,
-    rows: usize,
     d: usize,
+    tile: &TileView<'_>,
     sas: &Sas,
-    si: &mut Vec<i32>,
-    p: &mut Vec<f32>,
-    p8: &mut Vec<i8>,
-    pv: &mut Vec<i32>,
+    bufs: &mut TileBufs<'_>,
     o: &mut [f32],
-    m: &mut f32,
-    l: &mut f32,
+    state: &mut [RowState],
 ) {
-    debug_assert_eq!(k_codes.len(), rows * d, "K tile shape mismatch");
-    debug_assert_eq!(vt_codes.len(), rows * d, "V tile shape mismatch");
+    let g = state.len();
+    let rows = tile.rows;
+    debug_assert_eq!(tile.k_codes.len(), rows * d, "K tile shape mismatch");
+    debug_assert_eq!(tile.vt_codes.len(), rows * d, "V tile shape mismatch");
 
-    // Fused integer score kernel: one 1 × rows GEMM against the key
+    // Fused integer score kernel: one G × rows GEMM against the key
     // tile; the scores never leave i32 until SAS consumes them.
-    let s_scale = s_q * k_scale * scale;
-    matmul_i8_transposed_b_into(q8, k_codes, 1, d, rows, si);
+    matmul_i8_transposed_b_into(q8, tile.k_codes, g, d, rows, bufs.si);
 
-    let row_max = match si.iter().max() {
-        Some(&mx) => mx as f32 * s_scale,
-        None => f32::NEG_INFINITY,
-    };
-    let m_new = m.max(row_max);
-    if m_new == f32::NEG_INFINITY {
-        // Tile contributed nothing (cannot happen with finite scores);
-        // the original code also left (o, l) unchanged here.
-        return;
+    bufs.p.clear();
+    bufs.p.resize(g * rows, 0.0);
+    bufs.p8.clear();
+    bufs.p8.resize(g * rows, 0);
+    let per_row = bufs
+        .si
+        .chunks_exact(rows)
+        .zip(bufs.p.chunks_exact_mut(rows))
+        .zip(bufs.p8.chunks_exact_mut(rows));
+    for (st, ((s_row, p_row), p8_row)) in state.iter_mut().zip(per_row) {
+        let s_scale = st.s_q * tile.k_scale * scale;
+        let row_max = match s_row.iter().max() {
+            Some(&mx) => mx as f32 * s_scale,
+            None => f32::NEG_INFINITY,
+        };
+        let m_new = st.m.max(row_max);
+        st.live = m_new != f32::NEG_INFINITY;
+        if !st.live {
+            // Tile contributed nothing (cannot happen with finite
+            // scores); the original code also left (o, l) unchanged.
+            continue;
+        }
+        st.corr = if st.m == f32::NEG_INFINITY {
+            0.0
+        } else {
+            sas.exp(st.m - m_new)
+        };
+        let row_sum = sas.exp_scaled_row_into(s_row, s_scale, m_new, p_row);
+        st.l = st.l * st.corr + row_sum;
+        st.m = m_new;
+        // Quantize the probability row (Algorithm 1: s_P = max|P̃|/119).
+        let s_p = quantize_row_sym_into(p_row, p8_row);
+        st.pv_scale = s_p * tile.v_scale;
     }
-    let corr = if *m == f32::NEG_INFINITY {
-        0.0
-    } else {
-        sas.exp(*m - m_new)
-    };
 
-    p.clear();
-    p.resize(rows, 0.0);
-    let row_sum = sas.exp_scaled_row_into(si, s_scale, m_new, p);
-    *l = *l * corr + row_sum;
-    *m = m_new;
-
-    // Quantize the probability row (Algorithm 1: s_P = max|P̃|/119) and
-    // run the integer P·V product against the pre-transposed values.
-    let s_p = quantize_slice_sym_into(p, p8);
-    matmul_i8_transposed_b_into(p8, vt_codes, 1, rows, d, pv);
-    let pv_scale = s_p * v_scale;
-    for (oc, &x) in o.iter_mut().zip(pv.iter()) {
-        *oc = *oc * corr + x as f32 * pv_scale;
+    // One integer P·V product for the group against the pre-transposed
+    // values.
+    matmul_i8_transposed_b_into(bufs.p8, tile.vt_codes, g, rows, d, bufs.pv);
+    for ((st, o_row), pv_row) in state
+        .iter()
+        .zip(o.chunks_exact_mut(d))
+        .zip(bufs.pv.chunks_exact(d))
+    {
+        if !st.live {
+            continue;
+        }
+        for (oc, &x) in o_row.iter_mut().zip(pv_row) {
+            *oc = *oc * st.corr + x as f32 * st.pv_scale;
+        }
     }
 }
 

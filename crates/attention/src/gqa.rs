@@ -8,12 +8,20 @@
 //! * at decode time one integer dequantization of a KV block serves the
 //!   whole query group — amortizing exactly the cost TurboAttention
 //!   already minimizes.
+//!
+//! Decode runs one task per KV head: the task appends the head's new
+//! `(k, v)` row, then attends the group's `G` query rows in one pass
+//! ([`turbo_attend_group`]). Each resident tile is looked up once and
+//! feeds one `G × rows` score GEMM and one `G × d` `P·V` GEMM; the open
+//! buffer's values are transposed once. Every query row keeps its own
+//! quantization scale and online-softmax state, so each output is
+//! bit-identical to attending that query head alone.
 
 use crate::api::TurboAttention;
-use crate::decode::turbo_attend_cache;
+use crate::decode::turbo_attend_group;
 use crate::head_select::{select_two_bit_heads, HeadStats, SelectionMethod};
 use crate::prefill::turbo_prefill_head;
-use turbo_kvcache::LayerKvCache;
+use turbo_kvcache::{HeadKvCache, LayerKvCache};
 use turbo_quant::BitWidth;
 use turbo_tensor::Matrix;
 
@@ -166,10 +174,13 @@ impl TurboAttention {
     }
 
     /// As [`TurboAttention::decode_layer_gqa`], but on an explicit
-    /// runtime: the per-KV-head appends stay serial (they mutate the
-    /// shared cache), then the per-query-head attends fan out as pooled
-    /// read-only tasks. Index-ordered results are bit-identical at any
-    /// worker count.
+    /// runtime. Each KV head is one pooled task: it appends its `(k, v)`
+    /// row (so a buffer flush compresses on the pool too), then attends
+    /// its whole query group in one grouped pass over the cache
+    /// ([`turbo_attend_group`]). Index-ordered results are bit-identical
+    /// at any worker count, and each query head's output is bit-identical
+    /// to [`turbo_attend_cache`](crate::decode::turbo_attend_cache) on
+    /// the same cache.
     ///
     /// # Panics
     ///
@@ -187,13 +198,16 @@ impl TurboAttention {
         assert_eq!(ks.len(), layout.kv_heads, "one key row per KV head");
         assert_eq!(vs.len(), layout.kv_heads, "one value row per KV head");
         assert_eq!(layer.num_heads(), layout.kv_heads, "cache head mismatch");
-        for kv in 0..layout.kv_heads {
-            layer.head_mut(kv).append(ks[kv], vs[kv]);
-        }
-        let layer: &LayerKvCache = layer;
-        rt.par_map_indexed(layout.q_heads, |q| {
-            turbo_attend_cache(qs[q], layer.head(layout.kv_head_of(q)), self.sas())
+        let g = layout.group_size();
+        let sas = self.sas();
+        let mut heads: Vec<(usize, &mut HeadKvCache)> = layer.iter_mut().enumerate().collect();
+        rt.par_map_mut(&mut heads, |(kv, cache)| {
+            cache.append(ks[*kv], vs[*kv]);
+            turbo_attend_group(&qs[*kv * g..(*kv + 1) * g], cache, sas)
         })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 
@@ -263,47 +277,94 @@ mod tests {
 
     #[test]
     fn pooled_gqa_is_bit_identical_at_any_worker_count() {
-        let layout = GqaLayout::new(8, 2);
-        let mut rng = TensorRng::new(4);
-        let (n, d) = (48usize, 16usize);
-        let qs: Vec<Matrix> = (0..8).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
-        let ks: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
-        let vs: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
-        let engine = TurboAttention::default();
-        let serial_rt = turbo_runtime::Runtime::with_workers(1);
-        let (outs_base, mut cache_base) =
-            engine.prefill_layer_gqa_on(&serial_rt, layout, &qs, &ks, &vs, 1);
-        let q_rows: Vec<&[f32]> = qs.iter().map(|m| m.row(0)).collect();
-        let kv_rows: Vec<&[f32]> = ks.iter().map(|m| m.row(0)).collect();
-        let dec_base = engine.decode_layer_gqa_on(
-            &serial_rt,
-            layout,
-            &q_rows,
-            &kv_rows,
-            &kv_rows,
-            &mut cache_base,
-        );
-        for workers in [2usize, 8] {
-            let rt = turbo_runtime::Runtime::with_workers(workers);
-            let (outs, mut cache) = engine.prefill_layer_gqa_on(&rt, layout, &qs, &ks, &vs, 1);
-            assert_eq!(outs_base, outs, "prefill diverged at {workers} workers");
-            for kv in 0..layout.kv_heads {
-                // Compare before decode mutates the caches.
+        use crate::decode::turbo_attend_cache;
+
+        let (n, d, kv_heads, steps) = (48usize, 16usize, 2usize, 40usize);
+        // n_b = 16: 40 decode steps cross two buffer flushes.
+        let engine = TurboAttention::new(TurboConfig {
+            buffer_capacity: 16,
+            ..TurboConfig::default()
+        });
+        for g in [1usize, 4, 8] {
+            let layout = GqaLayout::new(g * kv_heads, kv_heads);
+            let mut rng = TensorRng::new(4 + g as u64);
+            let qs: Vec<Matrix> = (0..layout.q_heads)
+                .map(|_| rng.normal(n + steps, d, 0.0, 1.0))
+                .collect();
+            let ks: Vec<Matrix> = (0..kv_heads)
+                .map(|_| rng.normal(n + steps, d, 0.0, 1.0))
+                .collect();
+            let vs: Vec<Matrix> = (0..kv_heads)
+                .map(|_| rng.normal(n + steps, d, 0.0, 1.0))
+                .collect();
+            let prompt =
+                |ms: &[Matrix]| -> Vec<Matrix> { ms.iter().map(|m| m.row_block(0, n)).collect() };
+            let (pq, pk, pv) = (prompt(&qs), prompt(&ks), prompt(&vs));
+            let serial_rt = turbo_runtime::Runtime::with_workers(1);
+            let (outs_base, mut cache_base) =
+                engine.prefill_layer_gqa_on(&serial_rt, layout, &pq, &pk, &pv, 1);
+            let pools: Vec<turbo_runtime::Runtime> =
+                [2usize, 8].map(turbo_runtime::Runtime::with_workers).into();
+            let mut caches = Vec::new();
+            for rt in &pools {
+                let (outs, cache) = engine.prefill_layer_gqa_on(rt, layout, &pq, &pk, &pv, 1);
                 assert_eq!(
-                    cache_base.head(kv).config(),
-                    cache.head(kv).config(),
-                    "head {kv} config diverged"
+                    outs_base,
+                    outs,
+                    "G={g}: prefill diverged at {} workers",
+                    rt.workers()
                 );
+                caches.push(cache);
             }
-            let dec =
-                engine.decode_layer_gqa_on(&rt, layout, &q_rows, &kv_rows, &kv_rows, &mut cache);
-            assert_eq!(dec_base, dec, "decode diverged at {workers} workers");
-            for kv in 0..layout.kv_heads {
-                assert_eq!(
-                    cache_base.head(kv).dequantize_all(),
-                    cache.head(kv).dequantize_all(),
-                    "head {kv} cache contents diverged"
+            for t in n..n + steps {
+                let q_rows: Vec<&[f32]> = qs.iter().map(|m| m.row(t)).collect();
+                let k_rows: Vec<&[f32]> = ks.iter().map(|m| m.row(t)).collect();
+                let v_rows: Vec<&[f32]> = vs.iter().map(|m| m.row(t)).collect();
+                let dec_base = engine.decode_layer_gqa_on(
+                    &serial_rt,
+                    layout,
+                    &q_rows,
+                    &k_rows,
+                    &v_rows,
+                    &mut cache_base,
                 );
+                for (q, out) in dec_base.iter().enumerate() {
+                    let head = cache_base.head(layout.kv_head_of(q));
+                    let alone = turbo_attend_cache(q_rows[q], head, engine.sas());
+                    assert_eq!(
+                        &alone, out,
+                        "G={g} step {t}: query head {q} != per-head attend"
+                    );
+                }
+                for (rt, cache) in pools.iter().zip(&mut caches) {
+                    let dec =
+                        engine.decode_layer_gqa_on(rt, layout, &q_rows, &k_rows, &v_rows, cache);
+                    assert_eq!(
+                        dec_base,
+                        dec,
+                        "G={g} step {t}: diverged at {} workers",
+                        rt.workers()
+                    );
+                }
+            }
+            for kv in 0..kv_heads {
+                assert!(
+                    cache_base.head(kv).resident_blocks().len()
+                        >= n.div_ceil(engine.config().block_c) + 2,
+                    "G={g}: the run must cross two flushes"
+                );
+                for cache in &caches {
+                    assert_eq!(
+                        cache_base.head(kv).config(),
+                        cache.head(kv).config(),
+                        "G={g}: head {kv} config diverged"
+                    );
+                    assert_eq!(
+                        cache_base.head(kv).dequantize_all(),
+                        cache.head(kv).dequantize_all(),
+                        "G={g}: head {kv} cache contents diverged"
+                    );
+                }
             }
         }
     }

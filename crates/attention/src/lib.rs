@@ -60,8 +60,9 @@ pub mod splitk;
 pub use api::{TurboAttention, TurboConfig};
 pub use capability::{capability_table, Capability, TechniqueRow};
 pub use decode::{
-    splitk_wins, turbo_attend_cache, turbo_attend_cache_into, turbo_decode_head,
-    turbo_decode_head_into, turbo_decode_step, turbo_decode_step_on, SPLITK_MIN_TOKENS,
+    splitk_wins, turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group,
+    turbo_attend_group_into, turbo_decode_head, turbo_decode_head_into, turbo_decode_step,
+    turbo_decode_step_on, SPLITK_MIN_TOKENS,
 };
 pub use multilayer::{
     multilayer_episode_pipelined, multilayer_episode_pipelined_on, multilayer_episode_serialized,

@@ -3,26 +3,41 @@
 //! A counting global allocator wraps the system allocator; the tests
 //! warm a cache + scratch arena, then pin the exact number of heap
 //! allocations performed by a run of decode steps to **zero**. The
+//! counter is thread-local, so libtest running the tests on parallel
+//! threads cannot leak one test's setup into another's window. The
 //! assertions are active in debug builds (the default `cargo test`
 //! profile); release builds still execute the loops as a smoke test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-use turbo_attention::{turbo_attend_cache_into, turbo_decode_head_into, Scratch};
+use turbo_attention::{
+    turbo_attend_cache_into, turbo_attend_group_into, turbo_decode_head_into, Scratch,
+};
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
 use turbo_quant::BitWidth;
 use turbo_softmax::Sas;
 use turbo_tensor::TensorRng;
 
-/// Counts every allocation routed through the global allocator.
+/// Counts every allocation routed through the global allocator, per
+/// thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: touching it never
+    // allocates, so the allocator may use it.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down; such
+    // allocations belong to no test window.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,12 +46,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn populated_cache(seed: u64, n: usize, d: usize, buffer_capacity: usize) -> HeadKvCache {
@@ -140,6 +156,44 @@ fn decode_steps_are_allocation_free_between_flush_boundaries() {
     assert_eq!(
         allocated, 0,
         "steady-state decode must not allocate ({allocated} allocations over 32 steps)"
+    );
+    #[cfg(not(debug_assertions))]
+    let _ = allocated;
+}
+
+/// Grouped attend (the GQA decode kernel): four query rows sharing one
+/// cache go through one pass per tile. Once the arena is sized for the
+/// group and the tile cache is warm, the loop must not allocate.
+#[test]
+fn grouped_attend_loop_is_allocation_free_once_warm() {
+    const G: usize = 4;
+    let d = 32;
+    let cache = populated_cache(31, 200, d, 64);
+    let sas = Sas::paper_default();
+    let mut rng = TensorRng::new(32);
+    let queries: Vec<Vec<f32>> = (0..32 * G)
+        .map(|_| (0..d).map(|_| rng.standard_normal()).collect())
+        .collect();
+    let groups: Vec<Vec<&[f32]>> = queries
+        .chunks_exact(G)
+        .map(|g| g.iter().map(Vec::as_slice).collect())
+        .collect();
+
+    let mut scratch = Scratch::for_group(&cache, G);
+    let mut out = Vec::with_capacity(G * d);
+    // Warmup: builds the resident dequant tiles.
+    turbo_attend_group_into(&groups[0], &cache, &sas, &mut scratch, &mut out);
+
+    let before = allocations();
+    for qs in &groups {
+        turbo_attend_group_into(qs, &cache, &sas, &mut scratch, &mut out);
+    }
+    let allocated = allocations() - before;
+    assert_eq!(out.len(), G * d);
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        allocated, 0,
+        "warm grouped attend loop must not allocate ({allocated} allocations over 32 steps)"
     );
     #[cfg(not(debug_assertions))]
     let _ = allocated;

@@ -12,11 +12,14 @@
 //!
 //! Correctness does not depend on the cache: `dequantize_to_int8` is a
 //! deterministic pure function of the block, so a cached tile is
-//! bit-identical to a freshly built one. Invalidation is by *generation*:
-//! [`HeadKvCache`](crate::HeadKvCache) bumps a monotonic counter whenever
-//! its resident-block list changes (buffer flush, prefill append, middle
-//! eviction) and the counter is part of the cache key, so stale tiles can
-//! never be returned — they are purged eagerly to release memory.
+//! bit-identical to a freshly built one. Resident blocks are immutable
+//! once pushed, so a buffer flush or prefill append — which only adds a
+//! block at the next index — leaves every cached tile valid, and each
+//! block is dequantized once for its lifetime. Invalidation is by
+//! *generation*: [`HeadKvCache`](crate::HeadKvCache) bumps a monotonic
+//! counter when block indices shift (middle eviction), and the counter is
+//! part of the cache key, so stale tiles can never be returned — they are
+//! purged eagerly to release memory.
 //!
 //! The cache is bounded by a byte budget with least-recently-used
 //! eviction, and reports hit/miss/evict events both through local

@@ -47,9 +47,11 @@ pub struct HeadKvCache {
     k_buf: Int8Buffer,
     v_buf: Int8Buffer,
     resident_tokens: usize,
-    /// Monotonic counter bumped whenever the resident-block list changes
-    /// (flush, prefill append, eviction). Part of the tile-cache key, so
-    /// a stale [`DequantTile`] can never be served.
+    /// Monotonic counter bumped whenever resident-block indices shift
+    /// (middle eviction). Part of the tile-cache key, so a stale
+    /// [`DequantTile`] can never be served. Pushing a block (flush,
+    /// prefill append) keeps it: every earlier index still names the
+    /// same immutable block.
     generation: u64,
     tile_cache: TileCacheCell,
 }
@@ -261,7 +263,6 @@ impl HeadKvCache {
             self.config.group_size,
         ));
         self.resident_tokens += k.rows();
-        self.bump_generation();
     }
 
     /// Forces the open buffer to compress into resident blocks even if it
@@ -300,7 +301,6 @@ impl HeadKvCache {
         self.resident_tokens += self.k_buf.len();
         self.k_buf.clear();
         self.v_buf.clear();
-        self.bump_generation();
         Ok(())
     }
 
@@ -358,15 +358,17 @@ impl HeadKvCache {
         evicted
     }
 
-    /// Invalidates the tile cache after any resident-block mutation.
+    /// Invalidates the tile cache after resident-block indices shift.
     fn bump_generation(&mut self) {
         self.generation += 1;
         let generation = self.generation;
         self.tile_cache.with(|c| c.purge_generations_below(generation));
     }
 
-    /// The current resident-block generation (bumped on every flush,
-    /// prefill append, or eviction).
+    /// The current resident-block generation. Only
+    /// [`HeadKvCache::evict_middle`] bumps it, because only eviction
+    /// shifts block indices; a flush or prefill append pushes a new block
+    /// and leaves every cached tile valid.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -376,8 +378,10 @@ impl HeadKvCache {
     ///
     /// Output is bit-identical to calling `dequantize_to_int8()` on the
     /// K/V blocks directly (plus the V transpose): the tile is a pure
-    /// function of the block contents and the generation key guarantees
-    /// a cached tile was built from exactly the current blocks.
+    /// function of the block contents, blocks are immutable once pushed,
+    /// and the generation key changes whenever an index could name a
+    /// different block, so a cached tile was built from exactly block
+    /// `b`.
     ///
     /// # Panics
     ///
@@ -677,30 +681,47 @@ mod tests {
     }
 
     #[test]
-    fn mutations_bump_generation_and_invalidate_tiles() {
+    fn tiles_survive_pushes_and_die_on_eviction() {
         let mut rng = TensorRng::new(42);
         let data = rng.normal(64, 4, 0.0, 1.0);
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
+        c.append_prefill_block(&data.row_block(0, 8), &data.row_block(0, 8));
         let g0 = c.generation();
-        for t in 0..8 {
+        let tile = c.resident_tile(0);
+        // Further flushes push blocks without touching earlier indices.
+        for t in 8..40 {
             c.append(data.row(t), data.row(t));
         }
-        assert!(c.generation() > g0, "flush must bump");
-        c.resident_tile(0);
-        assert_eq!(c.tile_cache_stats().entries, 1);
-        for t in 8..64 {
-            c.append(data.row(t), data.row(t));
+        assert_eq!(c.resident_blocks().len(), 5);
+        assert_eq!(c.generation(), g0, "a flush must not bump");
+        let again = c.resident_tile(0);
+        assert!(Arc::ptr_eq(&tile, &again), "block 0's tile must survive flushes");
+        assert_eq!(again.k_codes(), c.resident_blocks()[0].dequantize_to_int8().codes());
+
+        // So does a prefill block append (on a fresh cache: prefill
+        // precedes decode).
+        let mut p = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
+        p.append_prefill_block(&data.row_block(0, 8), &data.row_block(0, 8));
+        let first = p.resident_tile(0);
+        p.append_prefill_block(&data.row_block(8, 8), &data.row_block(8, 8));
+        assert_eq!(p.generation(), 0, "a prefill append must not bump");
+        let kept = p.resident_tile(0);
+        assert!(Arc::ptr_eq(&first, &kept), "tile must survive a prefill append");
+        assert_eq!(kept.k_codes(), p.resident_blocks()[0].dequantize_to_int8().codes());
+        let v8 = p.resident_value_blocks()[0].dequantize_to_int8();
+        assert_eq!(kept.v_scale(), v8.scale());
+
+        // Eviction shifts indices: it bumps and empties the tile cache.
+        for b in 0..c.resident_blocks().len() {
+            c.resident_tile(b);
         }
-        // Each flush purged the prior generation's tiles.
-        assert_eq!(c.tile_cache_stats().entries, 0);
-        let g1 = c.generation();
-        c.resident_tile(0);
+        assert_eq!(c.tile_cache_stats().entries, 5);
         c.evict_middle(24, 1);
-        assert!(c.generation() > g1, "eviction must bump");
+        assert!(c.generation() > g0, "eviction must bump");
         assert_eq!(c.tile_cache_stats().entries, 0);
         // Tiles for the post-eviction layout still serve correctly.
-        let tile = c.resident_tile(0);
-        assert_eq!(tile.k_codes(), c.resident_blocks()[0].dequantize_to_int8().codes());
+        let tile = c.resident_tile(1);
+        assert_eq!(tile.k_codes(), c.resident_blocks()[1].dequantize_to_int8().codes());
     }
 
     #[test]

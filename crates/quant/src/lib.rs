@@ -52,4 +52,7 @@ pub use error::{quant_error_channelwise, quant_error_tokenwise, QuantErrorReport
 pub use packing::PackedCodes;
 pub use progressive::{ProgressiveBlock, QuantError};
 pub use rotation::{fht, hadamard_rotate};
-pub use symmetric::{quantize_slice_sym, quantize_slice_sym_into, SymQuantized, SYM_INT8_DIVISOR};
+pub use symmetric::{
+    quantize_row_sym_into, quantize_slice_sym, quantize_slice_sym_into, SymQuantized,
+    SYM_INT8_DIVISOR,
+};

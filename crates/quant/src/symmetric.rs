@@ -165,14 +165,26 @@ pub fn quantize_slice_sym(x: &[f32]) -> (Vec<i8>, f32) {
 /// scale to [`quantize_slice_sym`] and to [`SymQuantized::quantize`] on a
 /// matrix with the same element order.
 pub fn quantize_slice_sym_into(x: &[f32], out: &mut Vec<i8>) -> f32 {
+    out.clear();
+    out.resize(x.len(), 0);
+    quantize_row_sym_into(x, out)
+}
+
+/// As [`quantize_slice_sym_into`], into a fixed-length slice: the row
+/// form fused kernels use to quantize one row of a row-major block in
+/// place. Bit-identical codes and scale.
+///
+/// # Panics
+///
+/// Panics if `x` and `out` differ in length.
+pub fn quantize_row_sym_into(x: &[f32], out: &mut [i8]) -> f32 {
+    assert_eq!(x.len(), out.len(), "row length mismatch");
     let abs_max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
     let scale = if abs_max == 0.0 {
         1.0
     } else {
         abs_max / SYM_INT8_DIVISOR
     };
-    out.clear();
-    out.resize(x.len(), 0);
     encode_sym(x, scale, out);
     scale
 }

@@ -51,6 +51,12 @@ echo "==> sharded-serving smoke (crash-cut re-sharding, 16k-token acceptance epi
 TURBO_SHARD_TOKENS=16384 TURBO_RESHARD_EPISODES=8 \
   cargo test -q -p turbo-integration-tests --test resharding
 
+echo "==> end-to-end benchmark smoke (every perfbench workload at smoke size)"
+# decode_long_gqa's smoke shape (4 query heads on 1 KV head) drives the
+# grouped GQA decode path end to end, with its rel_err and recovery
+# checks; the tests also check BENCHMARK.json against the metric names.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> bench regression check (smoke: schema + gated-row coverage vs BENCH_attention.json)"
 # Full-measurement median gating (>25% decode/prefill regression fails)
 # runs via `scripts/bench.sh --check` without TURBO_BENCH_SMOKE; under
