@@ -19,8 +19,9 @@
 
 use turbo_kvcache::HeadKvCache;
 
-/// Reusable buffer arena for [`turbo_attend_group_into`]
-/// (crate::decode::turbo_attend_group_into) and friends.
+/// Reusable buffer arena for
+/// [`turbo_attend_group_into`](crate::decode::turbo_attend_group_into)
+/// and friends.
 ///
 /// Construct once (optionally pre-sized with [`Scratch::for_cache`] or
 /// [`Scratch::for_group`]) and pass to every decode step; after the

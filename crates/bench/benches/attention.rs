@@ -115,10 +115,23 @@ fn bench_decode(c: &mut Criterion) {
     // the reported "WAL tax" was mostly clone/drop traffic — ~10× on the
     // layer set — not durability.
     const EPISODE: usize = 256;
-    let durable = {
-        let mut d = turbo_kvcache::DurableHeadCache::from_cache(turbo.clone());
-        d.checkpoint();
-        d
+    // A durable set holding the same 256-token prefix as `turbo`,
+    // checkpointed so the WAL starts empty.
+    let durable_set = |heads: usize| {
+        let mut s = turbo_kvcache::DurableLayerSet::new(
+            1,
+            heads,
+            D,
+            KvCacheConfig::default(),
+            Box::new(turbo_kvcache::NeverCheckpoint),
+        );
+        for t in 0..N {
+            let kr: Vec<&[f32]> = vec![k.row(t); heads];
+            let vr: Vec<&[f32]> = vec![v.row(t); heads];
+            s.try_append_token(&kr, &vr, None).expect("prefill");
+        }
+        s.checkpoint(None);
+        s
     };
     {
         let mut cache = turbo.clone();
@@ -136,70 +149,29 @@ fn bench_decode(c: &mut Criterion) {
         });
     }
     {
-        let mut d = durable.clone();
+        // One head behind the write-ahead log: a 1-layer × 1-head set.
+        let single = durable_set(1);
+        let mut s = single.clone();
         let mut tok = 0usize;
         g.bench_function("turbo_decode_step_with_wal", |b| {
             b.iter(|| {
-                d.try_append(k.row(0), v.row(0)).expect("decode append");
+                s.try_append_token(&[k.row(0)], &[v.row(0)], None)
+                    .expect("decode append");
                 tok += 1;
                 if tok == EPISODE {
                     tok = 0;
-                    d.checkpoint();
-                    d = durable.clone();
+                    s.checkpoint(None);
+                    s = single.clone();
                 }
-                turbo_attend_cache(black_box(q.row(0)), d.cache(), &sas)
+                turbo_attend_cache(black_box(q.row(0)), s.layer(0).head(0), &sas)
             })
         });
     }
-    // Durability at model scale: 8 heads receive the token's K/V rows.
-    // The per-head baseline logs 8 WAL records per token (one flush per
-    // head); the layer-level group commit logs one record carrying all 8
-    // heads. Both rows append to all 8 caches and attend on head 0, so
-    // the delta between them is purely the logging path.
+    // Durability at model scale: 8 heads receive the token's K/V rows,
+    // and the layer-level group commit logs one record carrying all 8.
+    // The row appends to all 8 caches and attends on head 0.
     const HEADS: usize = 8;
-    let head_wals: Vec<turbo_kvcache::DurableHeadCache> = (0..HEADS)
-        .map(|_| {
-            let mut d = turbo_kvcache::DurableHeadCache::from_cache(turbo.clone());
-            d.checkpoint();
-            d
-        })
-        .collect();
-    let layer_set = {
-        let mut s = turbo_kvcache::DurableLayerSet::new(
-            1,
-            HEADS,
-            D,
-            KvCacheConfig::default(),
-            Box::new(turbo_kvcache::NeverCheckpoint),
-        );
-        for t in 0..N {
-            let kr: Vec<&[f32]> = vec![k.row(t); HEADS];
-            let vr: Vec<&[f32]> = vec![v.row(t); HEADS];
-            s.try_append_token(&kr, &vr, None).expect("prefill");
-        }
-        s.checkpoint(None);
-        s
-    };
-    {
-        let mut ds = head_wals.clone();
-        let mut tok = 0usize;
-        g.bench_function("turbo_decode_step_8head_head_wals", |b| {
-            b.iter(|| {
-                for d in ds.iter_mut() {
-                    d.try_append(k.row(0), v.row(0)).expect("decode append");
-                }
-                tok += 1;
-                if tok == EPISODE {
-                    tok = 0;
-                    for d in ds.iter_mut() {
-                        d.checkpoint();
-                    }
-                    ds = head_wals.clone();
-                }
-                turbo_attend_cache(black_box(q.row(0)), ds[0].cache(), &sas)
-            })
-        });
-    }
+    let layer_set = durable_set(HEADS);
     let kr: Vec<&[f32]> = vec![k.row(0); HEADS];
     let vr: Vec<&[f32]> = vec![v.row(0); HEADS];
     {

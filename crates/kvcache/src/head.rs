@@ -115,8 +115,8 @@ impl HeadKvCache {
         config: KvCacheConfig,
         k_blocks: Vec<ProgressiveBlock>,
         v_blocks: Vec<ProgressiveBlock>,
-        mut k_buf: Int8Buffer,
-        mut v_buf: Int8Buffer,
+        k_buf: Int8Buffer,
+        v_buf: Int8Buffer,
     ) -> Self {
         assert_eq!(k_blocks.len(), v_blocks.len(), "K/V block count mismatch");
         let mut resident_tokens = 0usize;
@@ -128,8 +128,8 @@ impl HeadKvCache {
         }
         assert_eq!(k_buf.len(), v_buf.len(), "K/V buffer length mismatch");
         assert_eq!(k_buf.channels(), d, "buffer channel mismatch");
-        k_buf.reserve_rows(eager_reserve_rows(&config));
-        v_buf.reserve_rows(eager_reserve_rows(&config));
+        // No eager reservation here: `d` and `buffer_capacity` may come
+        // from storage, so recovered buffers grow on demand instead.
         // Recovery (WAL replay, deserialization) starts with a cold tile
         // cache: the rebuilt blocks get a fresh generation-0 identity, so
         // nothing from a previous life of the cache can be served.

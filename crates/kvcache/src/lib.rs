@@ -59,8 +59,5 @@ pub use persist::layer_wal::{
     LayerWalReplayReport, LayerWriteAheadLog, NeverCheckpoint, RecordBudget, ReplayBudget,
     ENV_CKPT_POLICY,
 };
-pub use persist::wal::{
-    replay_wal, DurableHeadCache, RecoverOutcome, WalReplayReport, WriteAheadLog,
-};
-pub use persist::{frame_boundaries, recover_head_cache, serialize_head_cache_v1, PersistError};
+pub use persist::{frame_boundaries, recover_head_cache, PersistError};
 pub use stats::{MemoryStats, RecoveryReport, ScrubReport};

@@ -8,15 +8,17 @@
 //!
 //! ```text
 //! magic "TKVC" | version u16 | head_dim u32 | bits u8 | group u32 | n_b u32
-//! | n_blocks u32 | blocks (K,V interleaved) | K buffer | V buffer
+//! | n_blocks u32 | crc32(header)
+//! | blocks (K,V interleaved) | K buffer | V buffer
 //! ```
 //!
-//! All integers little-endian. Format **v2** (current) appends a CRC32
-//! checksum after every serialized block and buffer, covering that
-//! element's own bytes, so storage-level corruption is detected
-//! element-by-element instead of producing a plausible-but-wrong cache.
-//! Format **v1** (no checksums) remains readable; [`serialize_head_cache_v1`]
-//! still writes it for compatibility tests.
+//! All integers little-endian. Format **v3** is the only version. A
+//! CRC32 seals the fixed header, and another follows every serialized
+//! block and buffer, covering that element's own bytes, so storage-level
+//! corruption is detected element by element instead of producing a
+//! plausible-but-wrong cache. The header CRC is checked before any
+//! header field is trusted, so a corrupted length can never size an
+//! allocation.
 //!
 //! Deserialization never panics on malformed input — every structural
 //! violation surfaces as a [`PersistError`]. For payloads where the tail
@@ -31,7 +33,6 @@ use turbo_quant::{BitWidth, PackedCodes, ProgressiveBlock};
 use turbo_robust::{crc32, HealthEvent, HealthStats};
 
 pub mod layer_wal;
-pub mod wal;
 
 /// Serializes `src` as little-endian f32s straight into `dst`
 /// (`dst.len() == 4 * src.len()`). Bulk fixed-width stores instead of
@@ -45,10 +46,8 @@ pub(crate) fn fill_rows_le(dst: &mut [u8], src: &[f32]) {
 }
 
 const MAGIC: &[u8; 4] = b"TKVC";
-/// Current format: per-element CRC32 checksums.
-const VERSION: u16 = 2;
-/// Legacy checksum-free format, still readable.
-const VERSION_V1: u16 = 1;
+/// The format version: a checksummed header and per-element checksums.
+const VERSION: u16 = 3;
 
 /// Errors produced when decoding a serialized cache.
 #[derive(Debug, PartialEq, Eq)]
@@ -143,62 +142,41 @@ fn write_buffer(w: &mut Writer, b: &Int8Buffer) {
     w.bytes(&raw);
 }
 
-/// Writes one block, appending a CRC32 over its own bytes when the
-/// format carries checksums (v2).
-fn write_block_checked(w: &mut Writer, b: &ProgressiveBlock, checksums: bool) {
-    let start = w.buf.len();
-    write_block(w, b);
-    if checksums {
-        let crc = crc32(&w.buf[start..]);
-        w.u32(crc);
-    }
+/// Appends a CRC32 over everything written since `start`.
+fn seal(w: &mut Writer, start: usize) {
+    let crc = crc32(&w.buf[start..]);
+    w.u32(crc);
 }
 
-/// Writes one buffer, appending a CRC32 over its own bytes when the
-/// format carries checksums (v2).
-fn write_buffer_checked(w: &mut Writer, b: &Int8Buffer, checksums: bool) {
-    let start = w.buf.len();
-    write_buffer(w, b);
-    if checksums {
-        let crc = crc32(&w.buf[start..]);
-        w.u32(crc);
-    }
-}
-
-fn serialize_with_version(cache: &HeadKvCache, version: u16) -> Vec<u8> {
-    let checksums = version >= 2;
+/// Serializes a head cache to a compact binary payload (format v3).
+pub fn serialize_head_cache(cache: &HeadKvCache) -> Vec<u8> {
     let mut w = Writer::new();
     w.buf.extend_from_slice(MAGIC);
-    w.u16(version);
+    w.u16(VERSION);
     w.u32(cache.head_dim() as u32);
     let cfg = cache.config();
     w.u8(bits_tag(cfg.bits));
     w.u32(cfg.group_size as u32);
     w.u32(cfg.buffer_capacity as u32);
     w.u32(cache.resident_blocks().len() as u32);
+    seal(&mut w, 0);
     for (kb, vb) in cache
         .resident_blocks()
         .iter()
         .zip(cache.resident_value_blocks())
     {
-        write_block_checked(&mut w, kb, checksums);
-        write_block_checked(&mut w, vb, checksums);
+        for b in [kb, vb] {
+            let start = w.buf.len();
+            write_block(&mut w, b);
+            seal(&mut w, start);
+        }
     }
-    write_buffer_checked(&mut w, cache.key_buffer(), checksums);
-    write_buffer_checked(&mut w, cache.value_buffer(), checksums);
+    for b in [cache.key_buffer(), cache.value_buffer()] {
+        let start = w.buf.len();
+        write_buffer(&mut w, b);
+        seal(&mut w, start);
+    }
     w.buf
-}
-
-/// Serializes a head cache to a compact binary payload in the current
-/// (v2, checksummed) format.
-pub fn serialize_head_cache(cache: &HeadKvCache) -> Vec<u8> {
-    serialize_with_version(cache, VERSION)
-}
-
-/// Serializes in the legacy v1 (checksum-free) format — kept so
-/// compatibility with old snapshots stays testable.
-pub fn serialize_head_cache_v1(cache: &HeadKvCache) -> Vec<u8> {
-    serialize_with_version(cache, VERSION_V1)
 }
 
 // ------------------------------------------------------------- reading --
@@ -347,37 +325,29 @@ fn read_buffer(r: &mut Reader<'_>, d: usize) -> Result<Int8Buffer, PersistError>
     Ok(Int8Buffer::from_parts(codes, rows, d, scale, clamped))
 }
 
-/// Reads one block and, for checksummed formats, verifies the CRC32
-/// stored after it against the bytes just consumed.
-fn read_block_checked(
-    r: &mut Reader<'_>,
-    checksums: bool,
-) -> Result<ProgressiveBlock, PersistError> {
+/// Checks the CRC32 stored at the read position against the bytes
+/// consumed since `start`.
+fn check_seal(r: &mut Reader<'_>, start: usize, what: &'static str) -> Result<(), PersistError> {
+    let actual = crc32(&r.buf[start..r.pos]);
+    if r.u32()? != actual {
+        return Err(PersistError::Corrupt(what));
+    }
+    Ok(())
+}
+
+/// Reads one block and verifies the CRC32 stored after it.
+fn read_block_checked(r: &mut Reader<'_>) -> Result<ProgressiveBlock, PersistError> {
     let start = r.pos;
     let block = read_block(r)?;
-    if checksums {
-        let actual = crc32(&r.buf[start..r.pos]);
-        if r.u32()? != actual {
-            return Err(PersistError::Corrupt("block checksum mismatch"));
-        }
-    }
+    check_seal(r, start, "block checksum mismatch")?;
     Ok(block)
 }
 
-/// Reads one buffer and, for checksummed formats, verifies its CRC32.
-fn read_buffer_checked(
-    r: &mut Reader<'_>,
-    d: usize,
-    checksums: bool,
-) -> Result<Int8Buffer, PersistError> {
+/// Reads one buffer and verifies the CRC32 stored after it.
+fn read_buffer_checked(r: &mut Reader<'_>, d: usize) -> Result<Int8Buffer, PersistError> {
     let start = r.pos;
     let buf = read_buffer(r, d)?;
-    if checksums {
-        let actual = crc32(&r.buf[start..r.pos]);
-        if r.u32()? != actual {
-            return Err(PersistError::Corrupt("buffer checksum mismatch"));
-        }
-    }
+    check_seal(r, start, "buffer checksum mismatch")?;
     Ok(buf)
 }
 
@@ -386,32 +356,35 @@ struct Header {
     d: usize,
     config: KvCacheConfig,
     n_blocks: usize,
-    checksums: bool,
 }
 
+/// Reads the header, checking magic, then version, then the header CRC,
+/// and only then the fields themselves.
 fn read_header(r: &mut Reader<'_>) -> Result<Header, PersistError> {
+    let start = r.pos;
     if r.take(4)? != MAGIC {
         return Err(PersistError::BadMagic);
     }
     let version = r.u16()?;
-    if version != VERSION && version != VERSION_V1 {
+    if version != VERSION {
         return Err(PersistError::UnsupportedVersion(version));
     }
-    let checksums = version >= 2;
     let d = r.u32()? as usize;
+    let bits_tag = r.u8()?;
+    let group_size = r.u32()? as usize;
+    let buffer_capacity = r.u32()? as usize;
+    let n_blocks = r.u32()? as usize;
+    check_seal(r, start, "header checksum mismatch")?;
     if d == 0 {
         return Err(PersistError::Corrupt("zero head dimension"));
     }
-    let bits = bits_from_tag(r.u8()?)?;
+    let bits = bits_from_tag(bits_tag)?;
     if bits == BitWidth::Int8 {
         return Err(PersistError::Corrupt("resident cache cannot be INT8"));
     }
-    let group_size = r.u32()? as usize;
-    let buffer_capacity = r.u32()? as usize;
     if group_size == 0 || buffer_capacity == 0 {
         return Err(PersistError::Corrupt("zero config field"));
     }
-    let n_blocks = r.u32()? as usize;
     // Each block is at least ~21 bytes; bound before allocating.
     if n_blocks > r.remaining() / 21 {
         return Err(PersistError::Truncated);
@@ -424,7 +397,6 @@ fn read_header(r: &mut Reader<'_>) -> Result<Header, PersistError> {
             buffer_capacity,
         },
         n_blocks,
-        checksums,
     })
 }
 
@@ -432,10 +404,9 @@ fn read_header(r: &mut Reader<'_>) -> Result<Header, PersistError> {
 fn read_block_pair(
     r: &mut Reader<'_>,
     d: usize,
-    checksums: bool,
 ) -> Result<(ProgressiveBlock, ProgressiveBlock), PersistError> {
-    let kb = read_block_checked(r, checksums)?;
-    let vb = read_block_checked(r, checksums)?;
+    let kb = read_block_checked(r)?;
+    let vb = read_block_checked(r)?;
     if kb.cols() != d || vb.cols() != d {
         return Err(PersistError::Corrupt("block channel mismatch"));
     }
@@ -445,13 +416,12 @@ fn read_block_pair(
     Ok((kb, vb))
 }
 
-/// Decodes a payload produced by [`serialize_head_cache`] (v2) or
-/// [`serialize_head_cache_v1`] (v1).
+/// Decodes a payload produced by [`serialize_head_cache`].
 ///
 /// # Errors
 ///
 /// Returns a [`PersistError`] describing the first structural violation
-/// found — including per-element checksum mismatches for v2 payloads;
+/// found — including header and per-element checksum mismatches;
 /// malformed input never panics.
 pub fn deserialize_head_cache(payload: &[u8]) -> Result<HeadKvCache, PersistError> {
     let mut r = Reader::new(payload);
@@ -459,12 +429,12 @@ pub fn deserialize_head_cache(payload: &[u8]) -> Result<HeadKvCache, PersistErro
     let mut k_blocks = Vec::with_capacity(h.n_blocks);
     let mut v_blocks = Vec::with_capacity(h.n_blocks);
     for _ in 0..h.n_blocks {
-        let (kb, vb) = read_block_pair(&mut r, h.d, h.checksums)?;
+        let (kb, vb) = read_block_pair(&mut r, h.d)?;
         k_blocks.push(kb);
         v_blocks.push(vb);
     }
-    let k_buf = read_buffer_checked(&mut r, h.d, h.checksums)?;
-    let v_buf = read_buffer_checked(&mut r, h.d, h.checksums)?;
+    let k_buf = read_buffer_checked(&mut r, h.d)?;
+    let v_buf = read_buffer_checked(&mut r, h.d)?;
     if k_buf.len() != v_buf.len() {
         return Err(PersistError::Corrupt("K/V buffer length mismatch"));
     }
@@ -483,8 +453,7 @@ pub fn deserialize_head_cache(payload: &[u8]) -> Result<HeadKvCache, PersistErro
 /// mismatch, structural violation, or truncation); everything before it
 /// becomes the recovered cache with empty tail buffers, and the
 /// [`RecoveryReport`] says how many tokens survived so the serving layer
-/// knows the suffix to re-prefill. Works for v1 payloads too — without
-/// checksums, detection relies on the structural validation only.
+/// knows the suffix to re-prefill.
 ///
 /// Records [`HealthEvent::CorruptBlock`] per dropped block pair and one
 /// [`HealthEvent::PartialRecovery`] per salvage in `health` when given.
@@ -504,7 +473,7 @@ pub fn recover_head_cache(
     let mut valid_tokens = 0usize;
     let mut damaged = false;
     for _ in 0..h.n_blocks {
-        match read_block_pair(&mut r, h.d, h.checksums) {
+        match read_block_pair(&mut r, h.d) {
             Ok((kb, vb)) => {
                 valid_tokens += kb.rows();
                 k_blocks.push(kb);
@@ -520,8 +489,8 @@ pub fn recover_head_cache(
     let mut v_buf = Int8Buffer::new(h.d);
     if !damaged {
         match (
-            read_buffer_checked(&mut r, h.d, h.checksums),
-            read_buffer_checked(&mut r, h.d, h.checksums),
+            read_buffer_checked(&mut r, h.d),
+            read_buffer_checked(&mut r, h.d),
         ) {
             (Ok(kb), Ok(vb)) if kb.len() == vb.len() => {
                 valid_tokens += kb.len();
@@ -566,14 +535,14 @@ pub fn frame_boundaries(payload: &[u8]) -> Result<Vec<usize>, PersistError> {
     let h = read_header(&mut r)?;
     let mut out = vec![r.pos];
     for _ in 0..h.n_blocks {
-        read_block_checked(&mut r, h.checksums)?;
+        read_block_checked(&mut r)?;
         out.push(r.pos);
-        read_block_checked(&mut r, h.checksums)?;
+        read_block_checked(&mut r)?;
         out.push(r.pos);
     }
-    read_buffer_checked(&mut r, h.d, h.checksums)?;
+    read_buffer_checked(&mut r, h.d)?;
     out.push(r.pos);
-    read_buffer_checked(&mut r, h.d, h.checksums)?;
+    read_buffer_checked(&mut r, h.d)?;
     out.push(r.pos);
     Ok(out)
 }
@@ -713,29 +682,16 @@ mod tests {
     }
 
     #[test]
-    fn v1_payloads_still_round_trip() {
-        let cache = populated(8, 50);
-        let v1 = serialize_head_cache_v1(&cache);
-        let back = HeadKvCache::from_bytes(&v1).unwrap();
-        assert_eq!(back.len(), cache.len());
-        assert_eq!(back.dequantize_all(), cache.dequantize_all());
-        // v1 is strictly smaller (no checksums), v2 is the default.
-        let v2 = cache.to_bytes();
-        assert!(v1.len() < v2.len());
-        assert_eq!(v2[4], 2, "default format must be v2");
-        assert_eq!(v1[4], 1);
-    }
-
-    #[test]
-    fn v2_checksums_catch_payload_bit_flips() {
-        // In v1, flips inside packed code bytes decoded "successfully" to
-        // a silently different cache. v2 must reject every single-bit
-        // flip anywhere after the header's version field.
+    fn v3_checksums_catch_every_bit_flip() {
+        // Every byte of the payload, header included, sits under a CRC:
+        // a single-bit flip anywhere must be rejected or change nothing
+        // observable.
         let cache = populated(9, 40);
         let bytes = cache.to_bytes();
+        assert_eq!(bytes[4], 3, "the format is v3");
         let mut caught = 0usize;
         let mut survived = 0usize;
-        for i in 6..bytes.len() {
+        for i in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0x01;
             match HeadKvCache::from_bytes(&corrupted) {
@@ -752,6 +708,28 @@ mod tests {
         }
         assert_eq!(survived, 0, "{survived} silent corruptions slipped through");
         assert!(caught > 0);
+    }
+
+    #[test]
+    fn checksummed_header_with_huge_fields_never_aborts() {
+        // A header whose CRC is valid but whose `d` and `n_b` are
+        // enormous, followed by no body: decoding must fail or succeed,
+        // never size an allocation from those fields.
+        let mut header = Vec::new();
+        header.extend_from_slice(MAGIC);
+        header.extend_from_slice(&VERSION.to_le_bytes());
+        header.extend_from_slice(&u32::MAX.to_le_bytes()); // d
+        header.push(4); // bits
+        header.extend_from_slice(&8u32.to_le_bytes()); // group
+        header.extend_from_slice(&u32::MAX.to_le_bytes()); // n_b
+        header.extend_from_slice(&0u32.to_le_bytes()); // n_blocks
+        let crc = crc32(&header);
+        header.extend_from_slice(&crc.to_le_bytes());
+        assert!(HeadKvCache::from_bytes(&header).is_err());
+        if let Ok((back, report)) = recover_head_cache(&header, None) {
+            assert!(back.is_empty());
+            assert!(!report.complete);
+        }
     }
 
     #[test]

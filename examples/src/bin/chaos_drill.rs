@@ -2,8 +2,8 @@
 //! bring it back, and prints the exactly-once ledger.
 //!
 //! Three acts:
-//!   1. a durable cache takes a mid-stream crash (the WAL torn at an
-//!      arbitrary byte offset) and recovers a bit-identical prefix,
+//!   1. a durable single-head set takes a mid-stream crash (the WAL torn
+//!      at an arbitrary byte offset) and recovers a bit-identical prefix,
 //!   2. a seeded chaos plan — kills, a graceful restart, silent WAL rot,
 //!      a memory-pressure spike — runs against a 2-replica serving set
 //!      with circuit breakers, hedging, and failover retries,
@@ -15,44 +15,53 @@
 use turbo_gpusim::{
     run_replica_set, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
 };
-use turbo_kvcache::{DurableHeadCache, KvCacheConfig, WriteAheadLog};
+use turbo_kvcache::{DurableLayerSet, KvCacheConfig, LayerWriteAheadLog, NeverCheckpoint};
 use turbo_quant::BitWidth;
 use turbo_robust::{ChaosConfig, ChaosPlan, HealthEvent, HealthStats};
 use turbo_tensor::TensorRng;
 
 fn main() {
-    // 1. Crash a durable cache mid-write and recover it. 96 tokens go
-    //    in, a checkpoint lands at 48, and the crash tears the WAL
-    //    roughly two thirds of the way through a record.
+    // 1. Crash a durable single-head set mid-write and recover it. 96
+    //    tokens go in, a checkpoint lands at 48, and the crash tears the
+    //    WAL roughly two thirds of the way through a record.
     let cfg = KvCacheConfig {
         bits: BitWidth::Int4,
         group_size: 16,
         buffer_capacity: 16,
     };
     let data = TensorRng::new(12).normal(96, 8, 0.0, 1.0);
-    let mut durable = DurableHeadCache::new(8, cfg);
+    let mut durable = DurableLayerSet::new(1, 1, 8, cfg, Box::new(NeverCheckpoint));
     for t in 0..96 {
         if t == 48 {
-            durable.checkpoint();
+            durable.checkpoint(None);
         }
         let row = data.row(t);
-        durable.try_append(row, row).expect("append");
+        durable.try_append_token(&[row], &[row], None).expect("append");
     }
     let (snap, mut wal) = durable.durable_state();
-    let boundaries = WriteAheadLog::record_boundaries(&wal);
+    let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
     let torn_at = boundaries[boundaries.len() * 2 / 3] + 5; // mid-record
     wal.truncate(torn_at);
     let health = HealthStats::new();
-    let (back, outcome) =
-        DurableHeadCache::recover(&snap, &wal, Some(&health)).expect("snapshot anchors recovery");
+    let (back, outcome) = DurableLayerSet::recover(
+        1,
+        1,
+        8,
+        cfg,
+        Box::new(NeverCheckpoint),
+        &snap,
+        &wal,
+        Some(&health),
+    )
+    .expect("checkpoint anchors recovery");
     println!(
-        "1. crash at WAL byte {torn_at}: snapshot 48 + {} replayed appends \
+        "1. crash at WAL byte {torn_at}: checkpoint 48 + {} replayed appends \
          = {} of 96 tokens back, {} torn bytes dropped",
         outcome.wal.map_or(0, |w| w.appends),
-        back.cache().len(),
+        back.tokens(),
         outcome.wal.map_or(0, |w| w.dropped_bytes),
     );
-    assert_eq!(back.cache().len(), outcome.tokens);
+    assert_eq!(back.tokens(), outcome.tokens);
 
     // 2. A chaos episode against a replica set: the plan is pure data
     //    drawn from a seed; the router handles the rest.

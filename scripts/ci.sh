@@ -13,6 +13,9 @@ cargo test -q
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> rustdoc with warnings denied (dangling intra-doc links fail)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> runtime tests under a 2-worker cap (contention path)"
 TURBO_RUNTIME_THREADS=2 cargo test -q -p turbo-runtime
 

@@ -1,19 +1,16 @@
-//! Crash-consistency acceptance tests for the WAL-backed durable cache.
+//! Crash-consistency acceptance tests for the durable layer set.
 //!
 //! The contract under test: recovery from *any* torn combination of
-//! snapshot and write-ahead log yields a cache bit-identical to some
-//! valid prefix of the original token stream — K and V never desync, no
-//! token is half-applied, and the result is deterministic. The first
-//! test enumerates every crash point of a 288-token episode (every WAL
-//! record boundary plus eight intra-record byte offsets per record); the
-//! second drives the same contract across both snapshot format versions
-//! at every framing boundary.
+//! checkpoint and write-ahead log yields every cell bit-identical to one
+//! common prefix of the original token stream — K and V never desync, no
+//! head runs ahead of another, no token is half-applied, and the result
+//! is deterministic. The persisted head snapshot inside a checkpoint is
+//! tested on its own at every framing boundary.
 
 use turbo_attention::{multilayer_episode_pipelined_on, multilayer_episode_serialized};
 use turbo_kvcache::{
-    frame_boundaries, recover_head_cache, serialize_head_cache_v1, DurableHeadCache,
-    DurableLayerSet, HeadKvCache, KvCacheConfig, LayerWriteAheadLog, NeverCheckpoint,
-    WriteAheadLog,
+    frame_boundaries, recover_head_cache, DurableLayerSet, HeadKvCache, KvCacheConfig,
+    LayerWriteAheadLog, NeverCheckpoint,
 };
 use turbo_quant::BitWidth;
 use turbo_robust::FaultInjector;
@@ -36,195 +33,52 @@ enum Op {
     Flush,
 }
 
-const TOKENS: usize = 288;
-const CHECKPOINT_AT: usize = 32;
 const FLUSH_EVERY: usize = 13;
 
+/// Corrupting or truncating a head snapshot at (and around) every
+/// framing boundary must never panic and must always recover a valid
+/// prefix.
 #[test]
-fn every_wal_crash_point_recovers_a_bit_identical_prefix() {
-    let d = 8;
-    let mut rng = TensorRng::new(0xC0A5);
-    let kd = rng.normal(TOKENS, d, 0.0, 1.0);
-    let vd = rng.normal(TOKENS, d, 0.0, 1.0);
-
-    // Drive the episode: appends with periodic explicit flushes, one
-    // checkpoint early on so the WAL carries most of the stream.
-    let mut durable = DurableHeadCache::new(d, cfg());
-    let mut post_ops: Vec<Op> = Vec::new(); // ops the WAL holds
-    for t in 0..TOKENS {
-        if t == CHECKPOINT_AT {
-            durable.checkpoint();
-        }
-        durable.try_append(kd.row(t), vd.row(t)).unwrap();
-        if t >= CHECKPOINT_AT {
-            post_ops.push(Op::Append(t));
-        }
-        if (t + 1) % FLUSH_EVERY == 0 {
-            let logged = durable.cache().buffer_len() > 0;
-            durable.try_flush().unwrap();
-            if t >= CHECKPOINT_AT && logged {
-                post_ops.push(Op::Flush);
-            }
-        }
-    }
-    let (snap, wal) = durable.durable_state();
-    assert_eq!(
-        durable.wal().records(),
-        post_ops.len(),
-        "the op log must mirror the WAL exactly"
-    );
-
-    let boundaries = WriteAheadLog::record_boundaries(&wal);
-    assert_eq!(boundaries.len(), post_ops.len() + 1);
-    assert_eq!(*boundaries.last().unwrap(), wal.len());
-    // The acceptance bar: at least 256 tokens flow through the WAL.
-    const { assert!(TOKENS - CHECKPOINT_AT >= 256) };
-
-    // `check` asserts that cutting the WAL at `cut` bytes recovers a
-    // cache bit-identical to `reference` (serialized-state equality),
-    // with K/V row counts in lockstep.
-    let check = |cut: usize, reference: &HeadKvCache, expect_tokens: usize| {
-        let (back, outcome) = DurableHeadCache::recover(&snap, &wal[..cut], None)
-            .expect("a clean snapshot anchors recovery at any WAL cut");
-        let (k, v) = back.cache().dequantize_all();
-        assert_eq!(k.rows(), v.rows(), "K/V desynced at cut {cut}");
-        assert_eq!(back.cache().len(), expect_tokens, "cut {cut}");
-        assert_eq!(outcome.tokens, expect_tokens, "cut {cut}");
-        assert_eq!(
-            back.cache().to_bytes(),
-            reference.to_bytes(),
-            "recovered state is not bit-identical to the stream prefix at cut {cut}"
-        );
-    };
-
-    // Reference advanced in lockstep: first the pre-checkpoint stream
-    // (the snapshot's contents), then one WAL op per boundary.
-    let mut reference = HeadKvCache::new(d, cfg());
-    for t in 0..CHECKPOINT_AT {
-        reference.try_append(kd.row(t), vd.row(t)).unwrap();
-        if (t + 1) % FLUSH_EVERY == 0 {
-            reference.try_flush().unwrap();
-        }
-    }
-
-    // Cuts inside the WAL header: the whole log drops, the snapshot
-    // alone survives.
-    for cut in 0..boundaries[0] {
-        check(cut, &reference, CHECKPOINT_AT);
-    }
-
-    let mut tokens = CHECKPOINT_AT;
-    for (n, pair) in std::iter::once(None)
-        .chain(post_ops.iter().map(Some))
-        .zip(boundaries.iter())
-        .enumerate()
-    {
-        let (op, &boundary) = pair;
-        if let Some(op) = op {
-            match *op {
-                Op::Append(t) => {
-                    reference.try_append(kd.row(t), vd.row(t)).unwrap();
-                    tokens += 1;
-                }
-                Op::Flush => reference.try_flush().unwrap(),
-            }
-        }
-        // The clean frame boundary itself...
-        check(boundary, &reference, tokens);
-        // ...and eight torn cuts inside the *next* record, all of which
-        // must fall back to exactly this boundary's state.
-        if n + 1 < boundaries.len() {
-            let next = boundaries[n + 1];
-            for j in 1..=8usize {
-                let cut = boundary + j * (next - boundary) / 9;
-                if cut > boundary && cut < next {
-                    check(cut, &reference, tokens);
-                }
-            }
-        }
-    }
-    assert_eq!(tokens, TOKENS, "the full episode must replay at the end");
-}
-
-/// Corrupting or truncating a snapshot at (and around) every framing
-/// boundary, in both format versions, must never panic and must always
-/// recover a valid prefix — with or without a WAL replayed on top.
-#[test]
-fn snapshot_framing_boundaries_recover_cleanly_across_versions() {
+fn snapshot_framing_boundaries_recover_cleanly() {
     let d = 6;
     let mut rng = TensorRng::new(0xF2A2);
-    let data = rng.normal(48, d, 0.0, 1.0);
+    let data = rng.normal(44, d, 0.0, 1.0);
     let mut cache = HeadKvCache::new(d, cfg());
     for t in 0..44 {
         // 44 = 5 sealed blocks of 8 plus a 4-row partial buffer.
         cache.try_append(data.row(t), data.row(t)).unwrap();
     }
 
-    // A WAL continuing the stream past the snapshot.
-    let mut durable = DurableHeadCache::from_cache(cache.clone());
-    for t in 44..48 {
-        durable.try_append(data.row(t), data.row(t)).unwrap();
-    }
-    let (_, wal) = durable.durable_state();
-
-    let v2 = cache.to_bytes();
-    let v1 = serialize_head_cache_v1(&cache);
-    for (version, payload) in [("v2", &v2), ("v1", &v1)] {
-        let boundaries = frame_boundaries(payload).expect("clean payload frames");
-        assert_eq!(*boundaries.last().unwrap(), payload.len());
-        for &b in &boundaries {
-            // Truncate exactly on the boundary and one byte to each side.
-            for cut in [b.saturating_sub(1), b, (b + 1).min(payload.len())] {
-                let torn = &payload[..cut];
-                if let Ok((salvaged, report)) = recover_head_cache(torn, None) {
-                    assert_eq!(salvaged.len(), report.valid_tokens, "{version} cut {cut}");
-                    let (k, v) = salvaged.dequantize_all();
-                    assert_eq!(k.rows(), v.rows(), "{version} cut {cut}");
-                    assert!(report.valid_tokens <= 44);
-                }
-                // The durable path must hold the same contract with the
-                // WAL replayed on top of the damaged snapshot.
-                if let Ok((back, outcome)) = DurableHeadCache::recover(torn, &wal, None) {
-                    let (k, v) = back.cache().dequantize_all();
-                    assert_eq!(k.rows(), v.rows(), "{version} cut {cut}");
-                    assert_eq!(back.cache().len(), outcome.tokens);
-                    assert!(outcome.tokens <= 48);
-                    if !outcome.snapshot.complete {
-                        assert!(
-                            outcome.wal.is_none(),
-                            "{version} cut {cut}: a torn snapshot must drop the WAL"
-                        );
-                    }
-                }
+    let payload = cache.to_bytes();
+    let boundaries = frame_boundaries(&payload).expect("clean payload frames");
+    assert_eq!(*boundaries.last().unwrap(), payload.len());
+    for &b in &boundaries {
+        // Truncate exactly on the boundary and one byte to each side.
+        for cut in [b.saturating_sub(1), b, (b + 1).min(payload.len())] {
+            if let Ok((salvaged, report)) = recover_head_cache(&payload[..cut], None) {
+                assert_eq!(salvaged.len(), report.valid_tokens, "cut {cut}");
+                let (k, v) = salvaged.dequantize_all();
+                assert_eq!(k.rows(), v.rows(), "cut {cut}");
+                assert!(report.valid_tokens <= 44);
             }
-            // Corrupt one byte just past the boundary (inside the next
-            // frame) and recover: never a panic, always a valid prefix.
-            if b < payload.len() {
-                let mut bad = payload.clone();
-                bad[b] ^= 0x5A;
-                if let Ok((salvaged, report)) = recover_head_cache(&bad, None) {
-                    assert_eq!(salvaged.len(), report.valid_tokens, "{version} corrupt @{b}");
-                    let (k, v) = salvaged.dequantize_all();
-                    assert_eq!(k.rows(), v.rows());
-                }
-                if let Ok((back, _)) = DurableHeadCache::recover(&bad, &wal, None) {
-                    let (k, v) = back.cache().dequantize_all();
-                    assert_eq!(k.rows(), v.rows(), "{version} corrupt @{b}");
-                }
+        }
+        // Corrupt one byte just past the boundary (inside the next
+        // frame) and recover: never a panic, always a valid prefix.
+        if b < payload.len() {
+            let mut bad = payload.clone();
+            bad[b] ^= 0x5A;
+            if let Ok((salvaged, report)) = recover_head_cache(&bad, None) {
+                assert_eq!(salvaged.len(), report.valid_tokens, "corrupt @{b}");
+                let (k, v) = salvaged.dequantize_all();
+                assert_eq!(k.rows(), v.rows());
             }
         }
     }
 
-    // Sanity: the undamaged payloads recover everything.
-    let (full, report) = recover_head_cache(&v2, None).unwrap();
+    // Sanity: the undamaged payload recovers everything.
+    let (full, report) = recover_head_cache(&payload, None).unwrap();
     assert!(report.complete);
     assert_eq!(full.len(), 44);
-    let (full1, report1) = recover_head_cache(&v1, None).unwrap();
-    assert!(report1.complete);
-    assert_eq!(full1.len(), 44);
-    let (back, outcome) = DurableHeadCache::recover(&v2, &wal, None).unwrap();
-    assert!(outcome.clean);
-    assert_eq!(back.cache().len(), 48);
 }
 
 /// Crash-point exhaustiveness for the layer-level group-commit WAL: a
@@ -626,37 +480,47 @@ fn pipelined_crash_cut_replays_same_wal_prefix_as_serialized() {
 }
 
 /// The recovered prefix is usable, not just structurally coherent: a
-/// rebuilt cache accepts further appends and dequantizes to the same
-/// values as an uninterrupted cache over the same stream.
+/// rebuilt 1-layer × 1-head set accepts further tokens and dequantizes
+/// to the same values as an uninterrupted cache over the same stream.
 #[test]
-fn recovered_prefix_resumes_the_stream_seamlessly() {
+fn layer_wal_recovered_prefix_resumes_the_stream_seamlessly() {
     let d = 4;
     let mut rng = TensorRng::new(0xBEEF);
     let data: Matrix = rng.normal(64, d, 0.0, 1.0);
-    let mut durable = DurableHeadCache::new(d, cfg());
+    let mut set = DurableLayerSet::new(1, 1, d, cfg(), Box::new(NeverCheckpoint));
     for t in 0..40 {
         if t == 24 {
-            durable.checkpoint();
+            set.checkpoint(None);
         }
-        durable.try_append(data.row(t), data.row(t)).unwrap();
+        set.try_append_token(&[data.row(t)], &[data.row(t)], None).unwrap();
     }
-    let (snap, wal) = durable.durable_state();
+    let (snap, wal) = set.durable_state();
     // Tear mid-record, recover, and finish the stream on the survivor.
-    let boundaries = WriteAheadLog::record_boundaries(&wal);
+    let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
     let cut = (boundaries[7] + boundaries[8]) / 2;
-    let (mut back, outcome) = DurableHeadCache::recover(&snap, &wal[..cut], None).unwrap();
+    let (mut back, outcome) = DurableLayerSet::recover(
+        1,
+        1,
+        d,
+        cfg(),
+        Box::new(NeverCheckpoint),
+        &snap,
+        &wal[..cut],
+        None,
+    )
+    .unwrap();
     let resumed_from = outcome.tokens;
     assert_eq!(resumed_from, 24 + 7, "seven WAL records survive the tear");
     for t in resumed_from..64 {
-        back.try_append(data.row(t), data.row(t)).unwrap();
+        back.try_append_token(&[data.row(t)], &[data.row(t)], None).unwrap();
     }
     let mut uninterrupted = HeadKvCache::new(d, cfg());
     for t in 0..64 {
         uninterrupted.try_append(data.row(t), data.row(t)).unwrap();
     }
-    assert_eq!(back.cache().len(), 64);
+    assert_eq!(back.tokens(), 64);
     assert_eq!(
-        back.cache().dequantize_all(),
+        back.layer(0).head(0).dequantize_all(),
         uninterrupted.dequantize_all(),
         "the resumed stream must be value-identical to an uninterrupted one"
     );

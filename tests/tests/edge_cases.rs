@@ -263,80 +263,3 @@ fn persist_deserialization_survives_arbitrary_byte_mutations() {
         "suspiciously many corrupt payloads decoded: {decoded_ok}/512"
     );
 }
-
-#[test]
-fn wal_recovery_survives_arbitrary_byte_mutations() {
-    // The WAL sibling of the persist fuzz loop above: every mutation of
-    // a valid write-ahead log must yield a clean recovery to some valid
-    // prefix of the token stream — never a panic, never a desynced K/V
-    // pair, never more tokens than were written.
-    use turbo_kvcache::DurableHeadCache;
-    use turbo_robust::FaultInjector;
-
-    let mut rng = TensorRng::new(0xF0A4);
-    let data = rng.normal(37, 6, 0.0, 1.0);
-    let mut durable = DurableHeadCache::new(
-        6,
-        KvCacheConfig {
-            bits: BitWidth::Int4,
-            group_size: 8,
-            buffer_capacity: 8,
-        },
-    );
-    for t in 0..37 {
-        if t == 16 {
-            durable.checkpoint();
-        }
-        durable.try_append(data.row(t), data.row(t)).unwrap();
-        if (t + 1) % 7 == 0 {
-            durable.try_flush().unwrap();
-        }
-    }
-    let (snap, clean_wal) = durable.durable_state();
-
-    let mut inj = FaultInjector::new(0xF024);
-    let mut complete_despite_damage = 0usize;
-    for round in 0..512 {
-        let mut wal = clean_wal.clone();
-        let damaged = match round % 4 {
-            // Byte corruption anywhere (the WAL header included).
-            0 | 1 => {
-                let n = 1 + inj.pick(8);
-                !inj.corrupt_bytes(&mut wal, n).is_empty()
-            }
-            // Truncation to a strictly shorter prefix.
-            2 => {
-                inj.truncate_bytes(&mut wal);
-                wal.len() < clean_wal.len()
-            }
-            // Both.
-            _ => {
-                inj.truncate_bytes(&mut wal);
-                if !wal.is_empty() {
-                    let n = 1 + inj.pick(4);
-                    inj.corrupt_bytes(&mut wal, n);
-                }
-                true
-            }
-        };
-        let (back, outcome) = DurableHeadCache::recover(&snap, &wal, None)
-            .expect("a clean snapshot anchors recovery under any WAL damage");
-        // Whatever survived is a coherent prefix: K/V in lockstep and
-        // never longer than the original stream.
-        let (k, v) = back.cache().dequantize_all();
-        assert_eq!(k.rows(), v.rows(), "round {round}");
-        assert_eq!(back.cache().len(), outcome.tokens, "round {round}");
-        assert!(outcome.tokens >= 16, "the snapshot prefix always survives");
-        assert!(outcome.tokens <= 37, "round {round}: tokens from nowhere");
-        if damaged && outcome.clean {
-            complete_despite_damage += 1;
-        }
-    }
-    // Every WAL byte sits under a CRC32 frame, so damage that still
-    // replays as a complete log should be vanishingly rare (only a
-    // truncation landing exactly on the final boundary qualifies).
-    assert!(
-        complete_despite_damage <= 8,
-        "suspiciously many damaged WALs replayed clean: {complete_despite_damage}/512"
-    );
-}

@@ -11,9 +11,7 @@ use turbo_gpusim::{
     simulate_serving_robust, uniform_workload, AttnMethod, GpuSpec, ModelGeometry, ServingPolicy,
 };
 use turbo_kvcache::persist::{deserialize_head_cache, serialize_head_cache};
-use turbo_kvcache::{
-    recover_head_cache, serialize_head_cache_v1, HeadKvCache, KvCacheConfig, PagedKvPool,
-};
+use turbo_kvcache::{recover_head_cache, HeadKvCache, KvCacheConfig, PagedKvPool};
 use turbo_quant::BitWidth;
 use turbo_robust::{FaultInjector, HealthEvent, HealthStats};
 use turbo_tensor::TensorRng;
@@ -167,22 +165,6 @@ fn truncated_payloads_salvage_whole_blocks_without_panicking() {
             assert!(report.valid_tokens <= 64);
         }
     }
-}
-
-#[test]
-fn v1_payloads_without_checksums_still_round_trip() {
-    let cache = filled_head_cache(0xFA09, 40, 8);
-    let v1 = serialize_head_cache_v1(&cache);
-    let back = deserialize_head_cache(&v1).expect("v1 must stay readable");
-    assert_eq!(back.len(), cache.len());
-    let (k_old, v_old) = cache.dequantize_all();
-    let (k_new, v_new) = back.dequantize_all();
-    assert_eq!(k_old, k_new);
-    assert_eq!(v_old, v_new);
-    // And the recovery path treats a clean v1 payload as complete.
-    let (_, report) = recover_head_cache(&v1, None).unwrap();
-    assert!(report.complete);
-    assert_eq!(report.valid_tokens, 40);
 }
 
 #[test]
