@@ -7,7 +7,8 @@ use std::hint::black_box;
 use turbo_attention::{
     flash_attention, multilayer_episode_pipelined_on, multilayer_episode_serialized,
     naive_attention, splitk_wins, turbo_attend_cache, turbo_attend_cache_into,
-    turbo_attend_cache_splitk, turbo_attend_cache_splitk_on, turbo_prefill_head, Masking,
+    turbo_attend_cache_splitk, turbo_attend_cache_splitk_on, turbo_attend_group_into,
+    turbo_prefill_head, Masking,
     Scratch, TurboAttention, SPLITK_MIN_TOKENS,
 };
 use turbo_quant::BitWidth;
@@ -221,10 +222,14 @@ fn bench_decode(c: &mut Criterion) {
 
 /// Integer micro-kernels, scalar arm vs the detected dispatch arm, on
 /// the shapes the fused sweeps actually run (64-wide dot for QK^T at
-/// d=64; a 64×64×64 tile GEMM). On a machine without vector support the
-/// two rows coincide; the delta is the per-call win the SIMD layer buys
-/// before any fusion. These rows are recorded for the trend, not gated —
-/// the end-to-end prefill/decode rows above are the gate.
+/// d=64; a 64×64×64 tile GEMM; the grouped-decode GEMMs of G=4 query
+/// rows at d=128 over a 64-row tile, scores 4×128×64 and `P·V`
+/// 4×64×128, and their one-row twin at d=64), plus one G=4 grouped
+/// attend over 1024 cached tokens at d=128 beside its G=1 twin. On a
+/// machine without vector support the scalar and dispatched rows
+/// coincide; the delta is the per-call win the SIMD layer buys before
+/// any fusion. These rows are recorded for the trend, not gated — the
+/// end-to-end prefill/decode rows above are the gate.
 fn bench_i8_kernels(c: &mut Criterion) {
     use turbo_tensor::simd::{dot_i8_on, matmul_i8t_on};
     use turbo_tensor::{simd_level, SimdLevel};
@@ -260,6 +265,63 @@ fn bench_i8_kernels(c: &mut Criterion) {
             black_box(out[0])
         })
     });
+    // Grouped decode at d = 128: G × d query codes against a 64-row key
+    // tile, then G × 64 probability codes against the d × 64 values.
+    const GD: usize = 128;
+    let qa = mk(4 * GD, &mut rng);
+    let tile = mk(64 * GD, &mut rng);
+    for (name, arm) in [
+        ("matmul_4x128x64/scalar", SimdLevel::Scalar),
+        ("matmul_4x128x64/dispatched", level),
+    ] {
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                matmul_i8t_on(arm, black_box(&qa), black_box(&tile), 4, GD, 64, &mut out);
+                black_box(out[0])
+            })
+        });
+    }
+    let pa = mk(4 * 64, &mut rng);
+    g.bench_function("matmul_4x64x128/dispatched", |bch| {
+        bch.iter(|| {
+            matmul_i8t_on(level, black_box(&pa), black_box(&tile), 4, 64, GD, &mut out);
+            black_box(out[0])
+        })
+    });
+    g.bench_function("matmul_1x64x64/dispatched", |bch| {
+        bch.iter(|| {
+            matmul_i8t_on(level, black_box(&a), black_box(&gb), 1, D, 64, &mut out);
+            black_box(out[0])
+        })
+    });
+
+    let ctx = rng.normal(1024, GD, 0.0, 1.0);
+    let mut cache = HeadKvCache::new(GD, KvCacheConfig::default());
+    for t in 0..ctx.rows() {
+        cache.append(ctx.row(t), ctx.row(t));
+    }
+    let qs = rng.normal(4, GD, 0.0, 1.0);
+    let sas = Sas::paper_default();
+    let mut scratch = Scratch::new();
+    let mut attended = Vec::new();
+    for (name, group) in [
+        ("attend_group_g4_ctx1024", 4),
+        ("attend_group_g1_ctx1024", 1),
+    ] {
+        let rows: Vec<&[f32]> = (0..group).map(|i| qs.row(i)).collect();
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                turbo_attend_group_into(
+                    black_box(&rows),
+                    &cache,
+                    &sas,
+                    &mut scratch,
+                    &mut attended,
+                );
+                black_box(attended[0])
+            })
+        });
+    }
     g.finish();
 }
 

@@ -8,8 +8,8 @@
 //! * [`matmul_i8`] / [`matmul_i8_transposed_b`] — `i8 × i8 → i32`
 //!   accumulation: the numerics of an INT8 tensor-core MMA (IMMA). `i32`
 //!   accumulation cannot overflow for the dimensions used in attention
-//!   (`|a·b| ≤ 127² · k`, safe up to [`DOT_I8_MAX_LEN`] ≈ 2¹⁷ — *not*
-//!   unbounded; longer reductions must go through [`dot_i8_wide`]).
+//!   (`|a·b| ≤ 128² · k`, safe up to [`DOT_I8_MAX_LEN`] just below 2¹⁷ —
+//!   *not* unbounded; longer reductions must go through [`dot_i8_wide`]).
 //!
 //! The integer dot/GEMM kernels dispatch once per process to an
 //! explicit-SIMD arm (see [`crate::simd`]); every arm is bit-identical
@@ -22,16 +22,17 @@ use crate::simd;
 /// Largest slice length the `i32`-accumulating integer kernels accept
 /// before a debug assertion fires.
 ///
-/// Every product is bounded by `127² = 16129`, so a length-`k` dot is
-/// bounded by `16129 · k`; the exact wrap point is
-/// `⌊(2³¹−1)/16129⌋ = 133 151`. We pin the guard at the power of two
-/// below it (`2¹⁷ = 131 072`) so the bound is memorable and leaves
-/// headroom. The SIMD arms are *stricter* than scalar about partial
-/// sums (AVX2 lanes accumulate `k/8` products each, NEON `k/4`), so a
-/// length that passes this bound is safe on every arm. Callers with
+/// Every product is bounded by `(−128)² = 16384 = 2¹⁴`, so a length-`k`
+/// dot, and every partial sum of it, is bounded by `2¹⁴ · k`; the largest
+/// `k` that keeps this within `i32` is `⌊(2³¹−1)/2¹⁴⌋ = 131 071`. At
+/// `2¹⁷ = 131 072` a dot of all −128 reaches exactly 2³¹ and wraps. The
+/// scalar and AVX2 arms never leave `i32`: every partial sum they form is
+/// a sum of a subset of the products. The VNNI arm's biased partial sums
+/// may wrap, but wrapping `i32` arithmetic is exact modulo 2³², so its
+/// corrected result is exact whenever the true sum fits. Callers with
 /// longer reductions (e.g. full-channel statistics over 100k+ token
 /// contexts) must use [`dot_i8_wide`], which chunks into `i64`.
-pub const DOT_I8_MAX_LEN: usize = 131_072;
+pub const DOT_I8_MAX_LEN: usize = 131_071;
 
 /// Exact `f32` GEMM: `C = A · B`.
 ///
@@ -195,14 +196,18 @@ pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
 /// than [`DOT_I8_MAX_LEN`]: the slices are processed in
 /// `DOT_I8_MAX_LEN`-sized chunks through the dispatched `i32` kernel
 /// and the per-chunk sums accumulate in `i64` (exact for any
-/// representable slice length, since `16129 · 2⁶³⁻¹⁴` is unreachable).
+/// representable slice length, since `2¹⁴ · 2⁶³⁻¹⁴` is unreachable).
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn dot_i8_wide(a: &[i8], b: &[i8]) -> i64 {
+    dot_i8_wide_on(simd::simd_level(), a, b)
+}
+
+/// [`dot_i8_wide`] on an explicit arm.
+fn dot_i8_wide_on(level: simd::SimdLevel, a: &[i8], b: &[i8]) -> i64 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    let level = simd::simd_level();
     a.chunks(DOT_I8_MAX_LEN)
         .zip(b.chunks(DOT_I8_MAX_LEN))
         .map(|(ca, cb)| simd::dot_i8_on(level, ca, cb) as i64)
@@ -226,10 +231,10 @@ pub fn matmul_i8_transposed_b(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) 
 /// Allocation-free [`matmul_i8_transposed_b`]: writes the `m × n` result
 /// into `out` (cleared and refilled; no reallocation once `out` has
 /// capacity). The SIMD arm is resolved once up front
-/// ([`simd::matmul_i8t_on`]) rather than per inner dot; on AVX2 a
-/// four-output micro-kernel shares each widened `a` chunk across four
-/// `b` rows. Bit-identical to the scalar twin because integer adds are
-/// exact.
+/// ([`simd::matmul_i8t_on`]) rather than per inner dot; on x86 a
+/// register-blocked micro-kernel computes two `a` rows by four `b` rows
+/// at a time, on `vpdpbusd` where the CPU has AVX-VNNI. Bit-identical to
+/// the scalar twin because integer sums are exact.
 ///
 /// # Panics
 ///
@@ -424,6 +429,25 @@ mod tests {
             .map(|(&x, &y)| x as i64 * y as i64)
             .sum();
         assert_eq!(dot_i8_wide(&a2, &b2), reference);
+    }
+
+    #[test]
+    fn wide_dot_is_exact_at_the_chunk_edge() {
+        // All −128 is the largest product, 2¹⁴: one full chunk is the
+        // largest sum an i32 chunk may hold, and at 2¹⁷ elements it
+        // would reach exactly 2³¹.
+        let k = DOT_I8_MAX_LEN;
+        let a = vec![-128i8; 2 * k];
+        for len in [k, k + 1, 2 * k] {
+            let want = 16_384i64 * len as i64;
+            for level in [simd::SimdLevel::Scalar, simd::simd_level()] {
+                assert_eq!(
+                    dot_i8_wide_on(level, &a[..len], &a[..len]),
+                    want,
+                    "{level:?} len {len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! dispatch differences.
 //!
 //! Bit-identity is cheap for the integer kernels: `i8×i8→i32` products
-//! are exact and integer addition is associative, so any lane split gives
-//! the same sums (as long as nothing overflows — see
-//! [`crate::matmul::DOT_I8_MAX_LEN`]). The floating-point kernels are
+//! are exact and wrapping `i32` addition is associative, so any lane split
+//! or bias correction gives the same sum modulo 2³² — the exact sum
+//! whenever it fits in `i32`, which [`crate::matmul::DOT_I8_MAX_LEN`]
+//! guarantees. The floating-point kernels are
 //! engineered for it: every lane performs the *same operations in the
 //! same order* as the scalar twin (no FMA contraction, true division
 //! instead of reciprocal multiplication, explicit round-half-away-from-
@@ -36,8 +37,9 @@ pub enum SimdLevel {
     /// Portable scalar kernels — the always-correct reference arm.
     Scalar,
     /// 256-bit AVX2 kernels (x86-64): widening `i8→i16→i32` integer
-    /// dot/matmul via `pmaddwd`, plus vectorized SAS exponentiation and
-    /// symmetric INT8 encode.
+    /// dot via `pmaddwd`, a register-blocked integer GEMM (on `vpdpbusd`
+    /// when the CPU also has AVX-VNNI), plus vectorized SAS
+    /// exponentiation and symmetric INT8 encode.
     Avx2,
     /// 128-bit NEON kernels (aarch64): widening `vmull_s8` +
     /// `vpadalq_s16` integer dot/matmul (four `b` rows per sweep),
@@ -140,9 +142,14 @@ pub fn dot_i8_on(level: SimdLevel, a: &[i8], b: &[i8]) -> i32 {
 /// result into `out` (cleared and refilled; no reallocation once `out`
 /// has capacity). `a` is `m × k`, `b` is `n × k`, both row-major.
 ///
-/// The AVX2 arm processes four `b` rows per sweep so each `a` chunk is
-/// loaded once per four outputs; results are bit-identical to the scalar
-/// twin because every `i32` partial sum is exact.
+/// The AVX2 arm runs a register-blocked micro-kernel: each block of two
+/// `a` rows by four `b` rows keeps eight accumulators in registers, so
+/// every loaded `b` chunk feeds both `a` rows and every `a` chunk four
+/// `b` rows. The tails of `m`, `n` and `k` are handled inside the kernel.
+/// On a CPU with AVX-VNNI (detected once per process) the same blocks use
+/// `vpdpbusd` on `b + 128` and subtract `128 · Σa` once per `a` row;
+/// otherwise they use `pmaddwd` on sign-extended `i16`. Both match the
+/// scalar twin bit for bit for every `k ≤ `[`DOT_I8_MAX_LEN`](crate::matmul::DOT_I8_MAX_LEN).
 ///
 /// # Panics
 ///
@@ -174,9 +181,15 @@ pub fn matmul_i8t_on(
         SimdLevel::Avx2 => {
             assert!(level.available(), "AVX2 not available on this machine");
             out.resize(m * n, 0);
-            // SAFETY: AVX2 support verified at runtime above; `out` was
-            // just sized to exactly m*n.
-            unsafe { x86::matmul_i8t_avx2(a, b, m, k, n, out) }
+            // SAFETY: AVX2 support verified at runtime above, AVX-VNNI by
+            // `has_avx_vnni`; `out` was just sized to exactly m*n.
+            unsafe {
+                if x86::has_avx_vnni() {
+                    x86::matmul_i8t_vnni(a, b, m, k, n, out)
+                } else {
+                    x86::matmul_i8t_avx2(a, b, m, k, n, out)
+                }
+            }
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => {
@@ -353,6 +366,7 @@ mod x86 {
     //! loop conditions.
 
     use std::arch::x86_64::*;
+    use std::sync::OnceLock;
 
     /// Sign-extend 16 `i8` from each operand and multiply-accumulate
     /// pairs into 8 `i32` lanes (`pmaddwd`): 16 exact products per step.
@@ -403,6 +417,328 @@ mod x86 {
         }
     }
 
+    /// Whether the CPU has AVX-VNNI (`vpdpbusd` on 256-bit registers),
+    /// detected once per process and cached like [`super::simd_level`].
+    pub(super) fn has_avx_vnni() -> bool {
+        static VNNI: OnceLock<bool> = OnceLock::new();
+        *VNNI.get_or_init(|| is_x86_feature_detected!("avxvnni"))
+    }
+
+    /// Four accumulators reduced to their four sums, in order.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn reduce4(a: __m256i, b: __m256i, c: __m256i, d: __m256i) -> __m128i {
+        let h = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
+        _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1))
+    }
+
+    /// Bytes of `k` the widest GEMM step consumes, and so the length of
+    /// the zero-padded tail buffers.
+    const KC_MAX: usize = 32;
+
+    /// One arm of the register-blocked `C = A · Bᵀ` micro-kernel: how a
+    /// step of `KC` bytes of `k` feeds an `MR × NR` block of accumulators.
+    ///
+    /// Each accumulator holds eight `i32` partial sums of one output. After
+    /// the last step the driver reduces them and subtracts the row's
+    /// [`row_offset`](GemmArm::row_offset). The methods are
+    /// `#[inline(always)]` without `#[target_feature]`: they compile into
+    /// the `#[target_feature]` entry point of their arm, which enables the
+    /// instructions they use.
+    trait GemmArm {
+        /// Bytes of `k` one [`step`](GemmArm::step) consumes.
+        const KC: usize;
+
+        /// Adds the products of the `KC` bytes at `a[r] + o` and `b[c] + o`
+        /// into `acc[r][c]`.
+        ///
+        /// Written with plain loops, not closures over arrays: an
+        /// out-of-line closure would call the intrinsics without the
+        /// entry point's features.
+        ///
+        /// # Safety
+        ///
+        /// Every pointer plus `o` must be valid for a `KC`-byte read, and
+        /// the CPU must support the arm's instructions.
+        unsafe fn step<const MR: usize, const NR: usize>(
+            acc: &mut [[__m256i; NR]; MR],
+            a: &[*const i8; MR],
+            b: &[*const i8; NR],
+            o: usize,
+        );
+
+        /// What every output of one `a` row subtracts after reduction. The
+        /// row is `steps` full steps at `a` followed by one step at `tail`.
+        ///
+        /// # Safety
+        ///
+        /// `a` must be valid for `steps · KC` bytes, `tail` for `KC`, and
+        /// the CPU must support the arm's instructions.
+        unsafe fn row_offset(a: *const i8, steps: usize, tail: *const i8) -> i32;
+    }
+
+    /// The AVX2 arm: sign-extend 16 bytes to `i16` and multiply-accumulate
+    /// pairs with `pmaddwd`. Exact for every `i8`, −128 included: a pair
+    /// sums to at most `2 · 128² = 2¹⁵`.
+    struct Madd;
+
+    impl GemmArm for Madd {
+        const KC: usize = 16;
+
+        #[inline(always)]
+        unsafe fn step<const MR: usize, const NR: usize>(
+            acc: &mut [[__m256i; NR]; MR],
+            a: &[*const i8; MR],
+            b: &[*const i8; NR],
+            o: usize,
+        ) {
+            // SAFETY: the caller guarantees 16 readable bytes at each
+            // pointer plus `o`, and AVX2.
+            unsafe {
+                let mut va = [_mm256_setzero_si256(); MR];
+                for (v, &p) in va.iter_mut().zip(a) {
+                    *v = _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(o) as *const __m128i));
+                }
+                for (c, &p) in b.iter().enumerate() {
+                    let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(o) as *const __m128i));
+                    for (acc_row, &va_r) in acc.iter_mut().zip(&va) {
+                        acc_row[c] = _mm256_add_epi32(acc_row[c], _mm256_madd_epi16(va_r, vb));
+                    }
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn row_offset(_: *const i8, _: usize, _: *const i8) -> i32 {
+            0
+        }
+    }
+
+    /// The AVX-VNNI arm: `vpdpbusd` multiplies unsigned by signed bytes and
+    /// adds four products into each `i32` lane, 32 products per step.
+    ///
+    /// `b` is biased to unsigned with `b ^ 0x80`, which is `b + 128`, so
+    /// every output gains `128 · Σa` over its `a` row;
+    /// [`row_offset`](GemmArm::row_offset) returns that term once per row.
+    /// All sums wrap modulo 2³², so the corrected result is exact whenever
+    /// the true sum fits in `i32`, which
+    /// [`DOT_I8_MAX_LEN`](crate::matmul::DOT_I8_MAX_LEN) guarantees.
+    struct Vnni;
+
+    impl GemmArm for Vnni {
+        const KC: usize = 32;
+
+        #[inline(always)]
+        unsafe fn step<const MR: usize, const NR: usize>(
+            acc: &mut [[__m256i; NR]; MR],
+            a: &[*const i8; MR],
+            b: &[*const i8; NR],
+            o: usize,
+        ) {
+            // SAFETY: the caller guarantees 32 readable bytes at each
+            // pointer plus `o`, and AVX2 + AVX-VNNI.
+            unsafe {
+                let bias = _mm256_set1_epi8(-128);
+                let mut vb = [_mm256_setzero_si256(); NR];
+                for (v, &p) in vb.iter_mut().zip(b) {
+                    *v = _mm256_xor_si256(_mm256_loadu_si256(p.add(o) as *const __m256i), bias);
+                }
+                for (acc_row, &p) in acc.iter_mut().zip(a) {
+                    let va = _mm256_loadu_si256(p.add(o) as *const __m256i);
+                    for (x, &vb_c) in acc_row.iter_mut().zip(&vb) {
+                        *x = _mm256_dpbusd_avx_epi32(*x, vb_c, va);
+                    }
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn row_offset(a: *const i8, steps: usize, tail: *const i8) -> i32 {
+            // SAFETY: the caller guarantees the reads and AVX2 + AVX-VNNI.
+            unsafe {
+                // 0x80 as the unsigned operand: each lane sums 128 · a.
+                let bias = _mm256_set1_epi8(-128);
+                let mut acc = _mm256_setzero_si256();
+                for s in 0..steps {
+                    let va = _mm256_loadu_si256(a.add(s * Self::KC) as *const __m256i);
+                    acc = _mm256_dpbusd_avx_epi32(acc, bias, va);
+                }
+                let vt = _mm256_loadu_si256(tail as *const __m256i);
+                hsum_epi32(_mm256_dpbusd_avx_epi32(acc, bias, vt))
+            }
+        }
+    }
+
+    /// The `a` side of one block of `MR` output rows.
+    struct Panel<const MR: usize> {
+        /// First output row.
+        i0: usize,
+        /// Start of each `a` row.
+        row: [*const i8; MR],
+        /// Each row's `k % KC` tail bytes, copied into a zero-padded
+        /// `KC_MAX`-byte buffer.
+        tail: [*const i8; MR],
+        /// Each row's [`GemmArm::row_offset`].
+        offset: [i32; MR],
+    }
+
+    /// `C = A · Bᵀ` on arm `G`, two `a` rows by four `b` rows per block:
+    /// each loaded `b` chunk feeds both `a` rows and each `a` chunk four
+    /// `b` rows. An odd last row runs as a one-row block.
+    ///
+    /// # Safety
+    ///
+    /// `a` must be `m × k`, `b` `n × k` and `out` `m × n`, and the CPU must
+    /// support the arm's instructions.
+    #[inline(always)]
+    unsafe fn gemm<G: GemmArm>(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
+        debug_assert!(a.len() == m * k && b.len() == n * k && out.len() == m * n);
+        // The last `KC_MAX` bytes of `b` (all of it if shorter), followed
+        // by `KC_MAX` zero bytes: a tail read that would leave `b` reads
+        // the same bytes here instead.
+        let mut b_end = [0i8; 2 * KC_MAX];
+        let last = b.len().min(KC_MAX);
+        b_end[KC_MAX - last..KC_MAX].copy_from_slice(&b[b.len() - last..]);
+        let mut i = 0;
+        // SAFETY: forwarded from the caller; every block stays in rows
+        // `i..i + MR ≤ m`.
+        unsafe {
+            while i + 2 <= m {
+                rows::<G, 2>(a, b, &b_end, i, k, n, out);
+                i += 2;
+            }
+            if i < m {
+                rows::<G, 1>(a, b, &b_end, i, k, n, out);
+            }
+        }
+    }
+
+    /// Output rows `i0..i0 + MR` of [`gemm`], four columns per block and
+    /// the last `n % 4` one at a time.
+    ///
+    /// Each `a` row's `k % KC` tail is copied into a zero-padded buffer and
+    /// runs as one more full step. The `b` side of that step may read past
+    /// the end of its row into the next one: those bytes meet the zero
+    /// padding and add nothing, so only a read that would leave `b` is
+    /// served from `b_end`, the copy of its last bytes.
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm`], with `i0 + MR ≤ m`.
+    #[inline(always)]
+    unsafe fn rows<G: GemmArm, const MR: usize>(
+        a: &[i8],
+        b: &[i8],
+        b_end: &[i8; 2 * KC_MAX],
+        i0: usize,
+        k: usize,
+        n: usize,
+        out: &mut [i32],
+    ) {
+        let steps = k / G::KC;
+        let k_main = steps * G::KC;
+        let mut tail_buf = [[0i8; KC_MAX]; MR];
+        let mut p = Panel {
+            i0,
+            row: [std::ptr::null(); MR],
+            tail: [std::ptr::null(); MR],
+            offset: [0; MR],
+        };
+        for (r, buf) in tail_buf.iter_mut().enumerate() {
+            let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
+            buf[..k - k_main].copy_from_slice(&row[k_main..]);
+            p.row[r] = row.as_ptr();
+            p.tail[r] = buf.as_ptr();
+            // SAFETY: `row` holds `steps · KC` bytes before its tail, the
+            // tail buffer is `KC_MAX ≥ KC` bytes, and the caller
+            // guarantees the CPU features.
+            p.offset[r] = unsafe { G::row_offset(p.row[r], steps, p.tail[r]) };
+        }
+        let mut j = 0;
+        // SAFETY: forwarded from the caller; each block covers columns
+        // `j..j + NR ≤ n`.
+        unsafe {
+            while j + 4 <= n {
+                block::<G, MR, 4>(&p, b, b_end, j, k, n, out);
+                j += 4;
+            }
+            while j < n {
+                block::<G, MR, 1>(&p, b, b_end, j, k, n, out);
+                j += 1;
+            }
+        }
+    }
+
+    /// The `MR × NR` outputs of rows `p.i0..` and columns `j0..j0 + NR`.
+    ///
+    /// # Safety
+    ///
+    /// As [`rows`], with `j0 + NR ≤ n`.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)] // the a panel, both b views and the output geometry
+    unsafe fn block<G: GemmArm, const MR: usize, const NR: usize>(
+        p: &Panel<MR>,
+        b: &[i8],
+        b_end: &[i8; 2 * KC_MAX],
+        j0: usize,
+        k: usize,
+        n: usize,
+        out: &mut [i32],
+    ) {
+        let steps = k / G::KC;
+        let k_main = steps * G::KC;
+        let mut acc = [[_mm256_setzero_si256(); NR]; MR];
+        // SAFETY: full steps read bytes `s·KC..(s+1)·KC ≤ k` of rows that
+        // lie inside `a` and `b`; a tail read of `b` either ends inside
+        // `b` (checked) or starts at `start + KC_MAX - b.len()` in
+        // `b_end`, which lies in `KC_MAX - KC + 1..KC_MAX` since
+        // `b.len() - KC < start < b.len()`, so it ends inside `b_end`; the
+        // tail of `a` comes from its buffer. Output index
+        // `(p.i0 + r) · n + j0 + c` is below `m · n = out.len()` by the
+        // row and column bounds.
+        unsafe {
+            let mut brow = [b.as_ptr(); NR];
+            for (c, bp) in brow.iter_mut().enumerate() {
+                *bp = bp.add((j0 + c) * k);
+            }
+            for s in 0..steps {
+                G::step(&mut acc, &p.row, &brow, s * G::KC);
+            }
+            if k > k_main {
+                for (c, bp) in brow.iter_mut().enumerate() {
+                    let start = (j0 + c) * k + k_main;
+                    *bp = if start + G::KC <= b.len() {
+                        bp.add(k_main)
+                    } else {
+                        b_end.as_ptr().add(start + KC_MAX - b.len())
+                    };
+                }
+                G::step(&mut acc, &p.tail, &brow, 0);
+            }
+            for (r, acc_row) in acc.iter().enumerate() {
+                let dst = out.as_mut_ptr().add((p.i0 + r) * n + j0);
+                let off = p.offset[r];
+                if NR.is_multiple_of(4) {
+                    for c in (0..NR).step_by(4) {
+                        let v = reduce4(acc_row[c], acc_row[c + 1], acc_row[c + 2], acc_row[c + 3]);
+                        let v = _mm_sub_epi32(v, _mm_set1_epi32(off));
+                        _mm_storeu_si128(dst.add(c) as *mut __m128i, v);
+                    }
+                } else {
+                    for (c, &x) in acc_row.iter().enumerate() {
+                        *dst.add(c) = hsum_epi32(x).wrapping_sub(off);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The blocked micro-kernel on the AVX2 `pmaddwd` arm.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2; `a` must be `m × k`, `b` `n × k` and `out`
+    /// `m × n`.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn matmul_i8t_avx2(
         a: &[i8],
@@ -412,66 +748,28 @@ mod x86 {
         n: usize,
         out: &mut [i32],
     ) {
-        debug_assert_eq!(out.len(), m * n);
-        unsafe {
-            for i in 0..m {
-                let arow = a.as_ptr().add(i * k);
-                let orow = out.as_mut_ptr().add(i * n);
-                let mut j = 0;
-                // Four b-rows per sweep: each 16-wide a chunk is loaded
-                // (and widened) once per four outputs.
-                while j + 4 <= n {
-                    let b0 = b.as_ptr().add(j * k);
-                    let b1 = b.as_ptr().add((j + 1) * k);
-                    let b2 = b.as_ptr().add((j + 2) * k);
-                    let b3 = b.as_ptr().add((j + 3) * k);
-                    let mut acc0 = _mm256_setzero_si256();
-                    let mut acc1 = _mm256_setzero_si256();
-                    let mut acc2 = _mm256_setzero_si256();
-                    let mut acc3 = _mm256_setzero_si256();
-                    let mut t = 0;
-                    while t + 16 <= k {
-                        let va =
-                            _mm256_cvtepi8_epi16(_mm_loadu_si128(arow.add(t) as *const __m128i));
-                        let w = |p: *const i8| {
-                            _mm256_cvtepi8_epi16(_mm_loadu_si128(p as *const __m128i))
-                        };
-                        acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(va, w(b0.add(t))));
-                        acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(va, w(b1.add(t))));
-                        acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(va, w(b2.add(t))));
-                        acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(va, w(b3.add(t))));
-                        t += 16;
-                    }
-                    // Reduce the four accumulators to one [s0,s1,s2,s3].
-                    let h01 = _mm256_hadd_epi32(acc0, acc1);
-                    let h23 = _mm256_hadd_epi32(acc2, acc3);
-                    let h = _mm256_hadd_epi32(h01, h23);
-                    let s =
-                        _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1));
-                    let mut sums = [0i32; 4];
-                    _mm_storeu_si128(sums.as_mut_ptr() as *mut __m128i, s);
-                    while t < k {
-                        let av = *arow.add(t) as i32;
-                        sums[0] += av * *b0.add(t) as i32;
-                        sums[1] += av * *b1.add(t) as i32;
-                        sums[2] += av * *b2.add(t) as i32;
-                        sums[3] += av * *b3.add(t) as i32;
-                        t += 1;
-                    }
-                    *orow.add(j) = sums[0];
-                    *orow.add(j + 1) = sums[1];
-                    *orow.add(j + 2) = sums[2];
-                    *orow.add(j + 3) = sums[3];
-                    j += 4;
-                }
-                while j < n {
-                    let arow_s = std::slice::from_raw_parts(arow, k);
-                    let brow = std::slice::from_raw_parts(b.as_ptr().add(j * k), k);
-                    *orow.add(j) = dot_i8_avx2(arow_s, brow);
-                    j += 1;
-                }
-            }
-        }
+        // SAFETY: the caller checked the shapes; AVX2 is enabled here.
+        unsafe { gemm::<Madd>(a, b, m, k, n, out) }
+    }
+
+    /// The blocked micro-kernel on the AVX-VNNI `vpdpbusd` arm.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2 and AVX-VNNI; `a` must be `m × k`, `b`
+    /// `n × k` and `out` `m × n`.
+    #[target_feature(enable = "avx2,avxvnni")]
+    pub(super) unsafe fn matmul_i8t_vnni(
+        a: &[i8],
+        b: &[i8],
+        m: usize,
+        k: usize,
+        n: usize,
+        out: &mut [i32],
+    ) {
+        // SAFETY: the caller checked the shapes; AVX2 and AVX-VNNI are
+        // enabled here.
+        unsafe { gemm::<Vnni>(a, b, m, k, n, out) }
     }
 
     /// SAS constants pre-broadcast into registers.
@@ -983,28 +1281,85 @@ mod tests {
         }
     }
 
+    /// `(m, k, n)` shapes for the GEMM sweeps: every `m` in `1..=9` (the
+    /// two-row blocks and an odd last row), `k` around both step widths
+    /// (16 and 32 bytes) and `n` around the four-column blocks.
+    fn gemm_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        (1..=9).flat_map(|m| {
+            [0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 128, 130]
+                .into_iter()
+                .flat_map(move |k| [1, 2, 3, 4, 5, 7, 8, 13].map(|n| (m, k, n)))
+        })
+    }
+
+    /// Rows alternating between all −128 and all 127, starting at `first`.
+    fn extreme_rows(rows: usize, k: usize, first: usize) -> Vec<i8> {
+        (0..rows * k)
+            .map(|i| [-128, 127][(i / k.max(1) + first) % 2])
+            .collect()
+    }
+
+    /// Operand pairs for one shape: wrapping patterns (which hit both −128
+    /// and 127) and extreme rows, so every sign pairing of the extremes
+    /// meets on both operands.
+    fn gemm_inputs(m: usize, k: usize, n: usize) -> [(Vec<i8>, Vec<i8>); 2] {
+        [
+            (pattern_i8(m * k, 37, 11), pattern_i8(n * k, 91, 3)),
+            (extreme_rows(m, k, 0), extreme_rows(n, k, 1)),
+        ]
+    }
+
+    /// Checks one GEMM arm against the scalar twin over [`gemm_shapes`],
+    /// and at `k = DOT_I8_MAX_LEN` with worst-case operands, where the
+    /// VNNI arm's biased sums wrap and only its offset makes them exact.
+    fn assert_gemm_matches_scalar(
+        arm: &str,
+        gemm: impl Fn(&[i8], &[i8], usize, usize, usize) -> Vec<i32>,
+    ) {
+        let long = (3, crate::matmul::DOT_I8_MAX_LEN, 5);
+        for (m, k, n) in gemm_shapes().chain([long]) {
+            for (a, b) in gemm_inputs(m, k, n) {
+                let mut scalar = Vec::new();
+                matmul_i8t_on(SimdLevel::Scalar, &a, &b, m, k, n, &mut scalar);
+                assert_eq!(scalar, gemm(&a, &b, m, k, n), "{arm} shape ({m},{k},{n})");
+            }
+        }
+    }
+
     #[test]
     fn matmul_equivalence_at_ragged_shapes() {
         let Some(arm) = simd_arm() else { return };
-        for (m, k, n) in [
-            (1usize, 0usize, 1usize),
-            (1, 1, 1),
-            (3, 7, 5),
-            (2, 16, 4),
-            (4, 17, 6),
-            (5, 33, 7),
-            (1, 64, 9),
-            (8, 64, 8),
-            (3, 100, 13),
-        ] {
-            let a = pattern_i8(m * k, 37, 11);
-            let b = pattern_i8(n * k, 91, 3);
-            let mut scalar = Vec::new();
-            let mut simd = Vec::new();
-            matmul_i8t_on(SimdLevel::Scalar, &a, &b, m, k, n, &mut scalar);
-            matmul_i8t_on(arm, &a, &b, m, k, n, &mut simd);
-            assert_eq!(scalar, simd, "shape ({m},{k},{n})");
+        assert_gemm_matches_scalar("dispatched", |a, b, m, k, n| {
+            let mut out = Vec::new();
+            matmul_i8t_on(arm, a, b, m, k, n, &mut out);
+            out
+        });
+    }
+
+    /// Both x86 GEMM arms called directly, whichever one dispatch picks.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn x86_gemm_arms_match_scalar() {
+        if !SimdLevel::Avx2.available() {
+            eprintln!("x86_gemm_arms_match_scalar: no AVX2, both x86 arms skipped");
+            return;
         }
+        assert_gemm_matches_scalar("avx2", |a, b, m, k, n| {
+            let mut out = vec![0; m * n];
+            // SAFETY: AVX2 checked above; the sweep builds consistent shapes.
+            unsafe { x86::matmul_i8t_avx2(a, b, m, k, n, &mut out) };
+            out
+        });
+        if !x86::has_avx_vnni() {
+            eprintln!("x86_gemm_arms_match_scalar: no AVX-VNNI, the VNNI arm skipped");
+            return;
+        }
+        assert_gemm_matches_scalar("vnni", |a, b, m, k, n| {
+            let mut out = vec![0; m * n];
+            // SAFETY: AVX2 and AVX-VNNI checked above; consistent shapes.
+            unsafe { x86::matmul_i8t_vnni(a, b, m, k, n, &mut out) };
+            out
+        });
     }
 
     #[test]

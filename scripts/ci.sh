@@ -19,10 +19,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> runtime tests under a 2-worker cap (contention path)"
 TURBO_RUNTIME_THREADS=2 cargo test -q -p turbo-runtime
 
+echo "==> kernel tests in release (intrinsics arms at the benchmark's optimisation level)"
+cargo test --release -q -p turbo-tensor -p turbo-attention
+
 echo "==> kernel tests with SIMD force-disabled (scalar-fallback coverage)"
-# The equivalence tests pin both dispatch arms in-process, but the
-# dispatched *call sites* (quant encode, SAS rows, attention sweeps)
-# only exercise the scalar fallback when detection says so — force it.
+# The equivalence tests pin every arm the machine has in-process (on
+# x86: scalar, the AVX2 GEMM and, where the CPU has it, the AVX-VNNI
+# GEMM), but the dispatched *call sites* (quant encode, SAS rows,
+# attention sweeps) only exercise the scalar fallback when detection
+# says so — force it.
 TURBO_SIMD=0 cargo test -q -p turbo-tensor -p turbo-softmax -p turbo-quant -p turbo-attention
 
 echo "==> chaos smoke (64 seeded episodes, 2 replicas)"
