@@ -53,15 +53,12 @@ pub use replica::{
     ReplicaSetConfig, ReplicaSetStats,
 };
 pub use sched::{
-    simulate_serving_continuous, simulate_serving_continuous_on,
-    simulate_serving_continuous_paged, simulate_serving_continuous_streamed,
-    simulate_serving_pipelined, simulate_serving_pipelined_on, Queue, Scheduler, SchedulerConfig,
-    SchedulerStats, StepRecord, TokenEvent,
+    simulate_serving_continuous, simulate_serving_continuous_streamed, Queue, Scheduler,
+    SchedulerConfig, SchedulerStats, StepRecord, TokenEvent,
 };
 pub use serving::{
-    simulate_serving, simulate_serving_batched, simulate_serving_batched_on,
-    simulate_serving_robust, simulate_serving_robust_paged, uniform_workload, RequestSpec,
-    RobustServingStats, ServingPolicy, ServingStats, WorkloadSpec,
+    simulate_serving, simulate_serving_robust, simulate_serving_robust_paged, uniform_workload,
+    RequestSpec, RobustServingStats, ServingPolicy, ServingStats, WorkloadSpec,
 };
 pub use shard::{
     run_sharded_episode, run_sharded_episode_on, ShardMap, ShardRange, ShardedConfig,

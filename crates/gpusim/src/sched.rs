@@ -37,10 +37,12 @@
 //!
 //! The scheduler sits on the same paged-KV-pool `try_*` hot path as the
 //! serialized engine (fork on admission, append per token, release on
-//! finish; any cache fault degrades to a rejection) and its decode steps
-//! evaluate per-sequence kernel latencies as pooled `turbo_runtime`
-//! tasks, bit-identical at any worker count — the property suite pins
-//! [`SchedulerStats`] equality across 1/2/8 workers.
+//! finish; any cache fault degrades to a rejection). It is one serial
+//! loop, like TGI's router: a decode step costs the kernel model's
+//! latency at the batch's longest context, so there is nothing to
+//! parallelise inside a step. Worker-count bit-identity is pinned where
+//! real parallel work runs: the replica set's `par_map`, the shard
+//! pipelines and `turbo_attention::multilayer`.
 //!
 //! `simulate_serving_robust*` (and therefore `gpusim::replica`,
 //! `gpusim::fleet`, the chaos/crash soaks, and the exactly-once ledger)
@@ -54,10 +56,8 @@ use crate::kernels::{decode_latency, prefill_latency};
 use crate::memory::fits_in_memory;
 use crate::method::AttnMethod;
 use crate::serving::{RequestSpec, RobustServingStats, ServingPolicy};
-use std::sync::Mutex;
 use turbo_kvcache::{PagedKvPool, SeqId};
 use turbo_robust::{percentile, HealthEvent, HealthStats};
-use turbo_runtime::{LayerPipeline, WorkClass};
 
 /// Batch-formation budgets of the continuous-batching scheduler (the
 /// TGI `Queue` knobs).
@@ -244,28 +244,6 @@ fn record(health: Option<&HealthStats>, event: HealthEvent) {
     }
 }
 
-/// Incremental attention cost of prefilling `chunk` prompt tokens on top
-/// of `ctx` resident ones, against an explicit geometry: the cost-model
-/// delta plus a per-chunk kernel launch. The monolithic path passes the
-/// whole model; the pipelined per-layer tasks pass a single-layer
-/// geometry and sum. The per-chunk weight pass (`linear_time`) is
-/// whole-model either way, so the caller adds it once.
-fn chunk_attn_cost(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    ctx: usize,
-    chunk: usize,
-) -> f64 {
-    let full = prefill_latency(gpu, geom, method, 1, ctx + chunk);
-    if ctx == 0 {
-        full.total()
-    } else {
-        let prev = prefill_latency(gpu, geom, method, 1, ctx);
-        (full.total() - prev.total()).max(0.0) + full.launch
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 struct Seq {
     req: usize,
@@ -289,13 +267,7 @@ pub struct Scheduler<'a> {
     policy: &'a ServingPolicy,
     cfg: SchedulerConfig,
     paged: Option<(&'a mut PagedKvPool, SeqId)>,
-    rt: Option<&'a turbo_runtime::Runtime>,
     health: Option<&'a HealthStats>,
-    /// When set, every step's prefill and decode costs are issued as
-    /// per-`(sequence, layer)` [`LayerPipeline`] tasks and joined once
-    /// (see [`Scheduler::step_costs_pipelined`]); when clear, the
-    /// monolithic whole-model cost formulas run inline.
-    pipelined: bool,
 
     now: f64,
     next_arrival: usize,
@@ -328,7 +300,6 @@ impl<'a> Scheduler<'a> {
     /// Panics on caller errors: empty/unsorted `requests`, a
     /// non-positive backoff or HBM fraction in `policy`, or degenerate
     /// budgets in `policy.sched`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         gpu: &GpuSpec,
         geom: &'a ModelGeometry,
@@ -336,7 +307,6 @@ impl<'a> Scheduler<'a> {
         requests: &'a [RequestSpec],
         policy: &'a ServingPolicy,
         paged: Option<(&'a mut PagedKvPool, SeqId)>,
-        rt: Option<&'a turbo_runtime::Runtime>,
         health: Option<&'a HealthStats>,
     ) -> Self {
         assert!(!requests.is_empty(), "no requests to serve");
@@ -369,9 +339,7 @@ impl<'a> Scheduler<'a> {
             policy,
             cfg: policy.sched,
             paged,
-            rt,
             health,
-            pipelined: false,
             now: 0.0,
             next_arrival: 0,
             queue: Queue::new(),
@@ -396,16 +364,6 @@ impl<'a> Scheduler<'a> {
     /// The waiting queue (for inspection in tests/harnesses).
     pub fn queue(&self) -> &Queue {
         &self.queue
-    }
-
-    /// Switches this scheduler to the pipelined step: all layers' prefill
-    /// and decode work is issued as tagged [`LayerPipeline`] tasks and
-    /// joined once per step. With a runtime attached the layer tasks run
-    /// pooled; without one the same pipeline runs serially in issue
-    /// order — the two are bit-identical at any worker count.
-    pub fn with_pipelined_steps(mut self) -> Self {
-        self.pipelined = true;
-        self
     }
 
     /// Current simulated time.
@@ -599,105 +557,14 @@ impl<'a> Scheduler<'a> {
     /// Summed over a whole prompt this equals the monolithic prefill
     /// plus the honest re-launch/re-stream overhead of chunking.
     fn chunk_cost(&self, ctx: usize, chunk: usize) -> f64 {
-        chunk_attn_cost(&self.gpu, self.geom, self.method, ctx, chunk)
-            + linear_time(&self.gpu, self.geom, 1, chunk)
-    }
-
-    /// Computes one step's prefill and decode costs by issuing every
-    /// layer's work as tagged [`LayerPipeline`] tasks and joining once.
-    ///
-    /// Each `(sequence, layer)` pair becomes one task — prompt chunks as
-    /// [`WorkClass::PrefillChunk`], decode steps as
-    /// [`WorkClass::DecodeStep`] — chained along the layer axis (layer
-    /// `l` of a sequence depends on its own layer `l-1`) and fully
-    /// independent across sequences, so layer `k+1` of one sequence
-    /// overlaps layer `k` of another inside the single join. Every task
-    /// is a pure cost-model evaluation writing its own slot, and the
-    /// folds below run in fixed sequence-major, layer-ascending order,
-    /// so the result is bit-identical at any worker count — including
-    /// the serial reference used when no runtime is attached.
-    ///
-    /// The decomposition evaluates the kernel model at `layers = 1` and
-    /// sums across layers. The model is mathematically linear in the
-    /// layer count, but floating-point addition does not distribute
-    /// bit-for-bit, so this path is its own reference and is compared
-    /// against the monolithic [`Scheduler::step`] costs only up to
-    /// rounding (the tests pin a tight relative tolerance). Per-chunk
-    /// and per-step weight passes (`linear_time`) are whole-model by
-    /// construction and are added once outside the pipeline.
-    fn step_costs_pipelined(&self, grants: &[(usize, usize)], decode_ctx: &[usize]) -> (f64, f64) {
-        let layers = self.geom.layers.max(1);
-        let geom1 = ModelGeometry {
-            layers: 1,
-            ..*self.geom
-        };
-        let gpu = self.gpu;
-        let method = self.method;
-        let decode_batch = decode_ctx.len();
-
-        // Resolve grant shapes before the tasks borrow anything.
-        let grant_shapes: Vec<(usize, usize)> = grants
-            .iter()
-            .map(|&(idx, chunk)| (self.running[idx].ctx, chunk))
-            .collect();
-
-        let pcells: Vec<Mutex<f64>> = (0..grant_shapes.len() * layers)
-            .map(|_| Mutex::new(0.0))
-            .collect();
-        let dcells: Vec<Mutex<f64>> = (0..decode_ctx.len() * layers)
-            .map(|_| Mutex::new(0.0))
-            .collect();
-
-        let mut pipeline = LayerPipeline::new();
-        for (i, &(ctx, chunk)) in grant_shapes.iter().enumerate() {
-            let mut prev = None;
-            for l in 0..layers {
-                let cell = &pcells[i * layers + l];
-                let deps: Vec<_> = prev.into_iter().collect();
-                prev = Some(pipeline.task(WorkClass::PrefillChunk, l, &deps, move || {
-                    *cell.lock().unwrap() = chunk_attn_cost(&gpu, &geom1, method, ctx, chunk);
-                }));
-            }
-        }
-        for (j, &ctx) in decode_ctx.iter().enumerate() {
-            let mut prev = None;
-            for l in 0..layers {
-                let cell = &dcells[j * layers + l];
-                let deps: Vec<_> = prev.into_iter().collect();
-                prev = Some(pipeline.task(WorkClass::DecodeStep, l, &deps, move || {
-                    *cell.lock().unwrap() =
-                        decode_latency(&gpu, &geom1, method, decode_batch, ctx).total();
-                }));
-            }
-        }
-        match self.rt {
-            Some(rt) => pipeline.run_on(rt),
-            None => pipeline.run_serial(),
-        };
-
-        let prefill_time: f64 = grant_shapes
-            .iter()
-            .enumerate()
-            .map(|(i, &(_, chunk))| {
-                (0..layers)
-                    .map(|l| *pcells[i * layers + l].lock().unwrap())
-                    .sum::<f64>()
-                    + linear_time(&gpu, self.geom, 1, chunk)
-            })
-            .sum();
-        let decode_time = if decode_batch == 0 {
-            0.0
+        let full = prefill_latency(&self.gpu, self.geom, self.method, 1, ctx + chunk);
+        let attn = if ctx == 0 {
+            full.total()
         } else {
-            let attn = (0..decode_ctx.len())
-                .map(|j| {
-                    (0..layers)
-                        .map(|l| *dcells[j * layers + l].lock().unwrap())
-                        .sum::<f64>()
-                })
-                .fold(0.0f64, f64::max);
-            attn + linear_time(&gpu, self.geom, decode_batch, 1)
+            let prev = prefill_latency(&self.gpu, self.geom, self.method, 1, ctx);
+            (full.total() - prev.total()).max(0.0) + full.launch
         };
-        (prefill_time, decode_time)
+        attn + linear_time(&self.gpu, self.geom, 1, chunk)
     }
 
     /// Runs one engine step (admission + fused prefill/decode), emitting
@@ -743,9 +610,7 @@ impl<'a> Scheduler<'a> {
             }
             if s.remaining_prefill > 0 {
                 let chunk = s.remaining_prefill.min(self.cfg.prefill_chunk).min(budget);
-                if !self.pipelined {
-                    prefill_time += self.chunk_cost(s.ctx, chunk);
-                }
+                prefill_time += self.chunk_cost(s.ctx, chunk);
                 grants.push((idx, chunk));
                 budget -= chunk;
             }
@@ -753,40 +618,18 @@ impl<'a> Scheduler<'a> {
         let prefill_tokens: usize = grants.iter().map(|&(_, c)| c).sum();
 
         // One decode step for every sequence past its prompt. The step
-        // finishes with its slowest member; the cost model is monotone
-        // in context, so the pooled max is bitwise the serial
-        // longest-context latency at any worker count.
-        let decode_ctx: Vec<usize> = self
+        // finishes with its slowest member: the cost model is monotone
+        // in context, so that is the longest-context latency.
+        let (decode_batch, max_ctx) = self
             .running
             .iter()
             .filter(|s| s.remaining_prefill == 0)
-            .map(|s| s.ctx)
-            .collect();
-        let decode_batch = decode_ctx.len();
-        let decode_time = if self.pipelined {
-            // Pipelined step: all layers' prefill-chunk and decode work
-            // issued as tagged tasks, one join for the whole step.
-            let (p, d) = self.step_costs_pipelined(&grants, &decode_ctx);
-            prefill_time = p;
-            d
-        } else if decode_batch == 0 {
+            .fold((0usize, 0usize), |(n, m), s| (n + 1, m.max(s.ctx)));
+        let decode_time = if decode_batch == 0 {
             0.0
         } else {
-            let attn = match self.rt {
-                Some(rt) => rt
-                    .par_map(&decode_ctx, |&ctx| {
-                        decode_latency(&self.gpu, self.geom, self.method, decode_batch, ctx)
-                            .total()
-                    })
-                    .into_iter()
-                    .fold(0.0f64, f64::max),
-                None => {
-                    let max_ctx = decode_ctx.iter().copied().fold(0, usize::max);
-                    decode_latency(&self.gpu, self.geom, self.method, decode_batch, max_ctx)
-                        .total()
-                }
-            };
-            attn + linear_time(&self.gpu, self.geom, decode_batch, 1)
+            decode_latency(&self.gpu, self.geom, self.method, decode_batch, max_ctx).total()
+                + linear_time(&self.gpu, self.geom, decode_batch, 1)
         };
 
         self.now += prefill_time + decode_time;
@@ -991,11 +834,10 @@ pub(crate) fn run_continuous(
     requests: &[RequestSpec],
     policy: &ServingPolicy,
     paged: Option<(&mut PagedKvPool, SeqId)>,
-    rt: Option<&turbo_runtime::Runtime>,
     health: Option<&HealthStats>,
     mut sink: Option<&mut dyn FnMut(TokenEvent)>,
 ) -> SchedulerStats {
-    let mut sched = Scheduler::new(gpu, geom, method, requests, policy, paged, rt, health);
+    let mut sched = Scheduler::new(gpu, geom, method, requests, policy, paged, health);
     loop {
         // Fresh reborrow of the sink each iteration.
         let s = sink
@@ -1022,106 +864,7 @@ pub fn simulate_serving_continuous(
     policy: &ServingPolicy,
     health: Option<&HealthStats>,
 ) -> SchedulerStats {
-    run_continuous(gpu, geom, method, requests, policy, None, None, health, None)
-}
-
-/// As [`simulate_serving_continuous`], but decode-step kernel latencies
-/// are evaluated as pooled tasks on an explicit runtime (worker-count
-/// equivalence tests; stats are bit-identical at any worker count).
-pub fn simulate_serving_continuous_on(
-    rt: &turbo_runtime::Runtime,
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    health: Option<&HealthStats>,
-) -> SchedulerStats {
-    run_continuous(
-        gpu,
-        geom,
-        method,
-        requests,
-        policy,
-        None,
-        Some(rt),
-        health,
-        None,
-    )
-}
-
-/// As [`simulate_serving_continuous`], but every engine step issues all
-/// layers' prefill-chunk and decode work as tagged
-/// [`LayerPipeline`] tasks and joins once — this entry point is the
-/// serial reference for the pipelined scheduler (the tasks run in issue
-/// order on the caller's thread).
-///
-/// The per-layer cost decomposition is mathematically equal to the
-/// monolithic step but not bitwise (floating-point addition does not
-/// distribute over the layer sum), so compare pipelined runs against
-/// this reference, not against [`simulate_serving_continuous`].
-pub fn simulate_serving_pipelined(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    health: Option<&HealthStats>,
-) -> SchedulerStats {
-    let mut sched =
-        Scheduler::new(gpu, geom, method, requests, policy, None, None, health).with_pipelined_steps();
-    while sched.step(None) {}
-    sched.finish()
-}
-
-/// As [`simulate_serving_pipelined`], but the per-layer tasks run
-/// pooled on `rt`, letting one sequence's layer `k+1` overlap another
-/// sequence's layer `k` inside the step's single join. Stats are
-/// bit-identical to [`simulate_serving_pipelined`] at any worker count.
-pub fn simulate_serving_pipelined_on(
-    rt: &turbo_runtime::Runtime,
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    health: Option<&HealthStats>,
-) -> SchedulerStats {
-    let mut sched = Scheduler::new(gpu, geom, method, requests, policy, None, Some(rt), health)
-        .with_pipelined_steps();
-    while sched.step(None) {}
-    sched.finish()
-}
-
-/// As [`simulate_serving_continuous`], but every admitted request forks
-/// a real [`PagedKvPool`] sequence off `prefix` and all cache traffic
-/// goes through the pool's non-panicking `try_*` APIs — a fork error
-/// rejects the admission, an append error rejects the request
-/// mid-flight with zeroed output, and finish/truncation releases the
-/// fork. With a healthy pool the trajectory is identical to the
-/// unpooled run.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_serving_continuous_paged(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    pool: &mut PagedKvPool,
-    prefix: SeqId,
-    health: Option<&HealthStats>,
-) -> SchedulerStats {
-    run_continuous(
-        gpu,
-        geom,
-        method,
-        requests,
-        policy,
-        Some((pool, prefix)),
-        None,
-        health,
-        None,
-    )
+    run_continuous(gpu, geom, method, requests, policy, None, health, None)
 }
 
 /// As [`simulate_serving_continuous`], but every generated token is
@@ -1136,17 +879,7 @@ pub fn simulate_serving_continuous_streamed(
     sink: &mut dyn FnMut(TokenEvent),
     health: Option<&HealthStats>,
 ) -> SchedulerStats {
-    run_continuous(
-        gpu,
-        geom,
-        method,
-        requests,
-        policy,
-        None,
-        None,
-        health,
-        Some(sink),
-    )
+    run_continuous(gpu, geom, method, requests, policy, None, health, Some(sink))
 }
 
 #[cfg(test)]
@@ -1266,151 +999,6 @@ mod tests {
                 assert!(w[1].time > w[0].time);
             }
         }
-    }
-
-    #[test]
-    fn stats_bit_identical_across_worker_counts() {
-        let (gpu, geom) = setup();
-        let reqs = uniform_workload(24, 6.0, 1024, 32, 77);
-        let cfg = SchedulerConfig {
-            prefill_chunk: 384,
-            max_batch_prefill_tokens: 1536,
-            ..SchedulerConfig::default()
-        };
-        for method in [AttnMethod::FlashFp16, AttnMethod::Turbo { kv_bits: 3.0 }] {
-            let serial = simulate_serving_continuous(
-                &gpu,
-                &geom,
-                method,
-                &reqs,
-                &policy(cfg),
-                None,
-            );
-            for workers in [1usize, 2, 8] {
-                let rt = turbo_runtime::Runtime::with_workers(workers);
-                let pooled = simulate_serving_continuous_on(
-                    &rt,
-                    &gpu,
-                    &geom,
-                    method,
-                    &reqs,
-                    &policy(cfg),
-                    None,
-                );
-                assert_eq!(serial, pooled, "{workers} workers diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_stats_bit_identical_across_worker_counts() {
-        let (gpu, geom) = setup();
-        let reqs = uniform_workload(24, 6.0, 1024, 32, 77);
-        let cfg = SchedulerConfig {
-            prefill_chunk: 384,
-            max_batch_prefill_tokens: 1536,
-            ..SchedulerConfig::default()
-        };
-        for method in [AttnMethod::FlashFp16, AttnMethod::Turbo { kv_bits: 3.0 }] {
-            let serial =
-                simulate_serving_pipelined(&gpu, &geom, method, &reqs, &policy(cfg), None);
-            for workers in [1usize, 2, 8] {
-                let rt = turbo_runtime::Runtime::with_workers(workers);
-                let pooled = simulate_serving_pipelined_on(
-                    &rt,
-                    &gpu,
-                    &geom,
-                    method,
-                    &reqs,
-                    &policy(cfg),
-                    None,
-                );
-                assert_eq!(serial, pooled, "{workers} workers diverged");
-            }
-        }
-    }
-
-    #[test]
-    fn pipelined_step_costs_match_monolithic_within_rounding() {
-        // The per-layer decomposition is mathematically linear in the
-        // layer count; only floating-point rounding separates it from
-        // the monolithic formulas. The trajectories should agree step
-        // for step with durations within a tight relative tolerance.
-        let (gpu, geom) = setup();
-        let reqs = uniform_workload(16, 6.0, 768, 24, 19);
-        let cfg = SchedulerConfig {
-            prefill_chunk: 256,
-            max_batch_prefill_tokens: 1024,
-            ..SchedulerConfig::default()
-        };
-        let mono = simulate_serving_continuous(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &reqs,
-            &policy(cfg),
-            None,
-        );
-        let piped = simulate_serving_pipelined(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &reqs,
-            &policy(cfg),
-            None,
-        );
-        assert_eq!(mono.steps.len(), piped.steps.len());
-        for (m, p) in mono.steps.iter().zip(&piped.steps) {
-            assert_eq!(m.admitted, p.admitted, "step {}", m.index);
-            assert_eq!(m.prefill_tokens, p.prefill_tokens, "step {}", m.index);
-            assert_eq!(m.decode_batch, p.decode_batch, "step {}", m.index);
-            assert_eq!(m.finished, p.finished, "step {}", m.index);
-            let scale = m.duration.abs().max(1e-12);
-            assert!(
-                (m.duration - p.duration).abs() / scale < 1e-9,
-                "step {} duration {} vs {}",
-                m.index,
-                m.duration,
-                p.duration
-            );
-        }
-        assert_eq!(mono.serving.completed, piped.serving.completed);
-        let rel = (mono.serving.makespan - piped.serving.makespan).abs()
-            / mono.serving.makespan.max(1e-12);
-        assert!(rel < 1e-9, "makespan diverged by {rel}");
-    }
-
-    #[test]
-    fn pipelined_budgets_hold_and_ledger_accounts_all_requests() {
-        let (gpu, geom) = setup();
-        let reqs = uniform_workload(32, 6.0, 1024, 24, 41);
-        let cfg = SchedulerConfig {
-            prefill_chunk: 256,
-            max_batch_prefill_tokens: 768,
-            max_batch_total_tokens: 24_000,
-            max_batch_size: 12,
-            ..SchedulerConfig::default()
-        };
-        let rt = turbo_runtime::Runtime::with_workers(2);
-        let stats = simulate_serving_pipelined_on(
-            &rt,
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &reqs,
-            &policy(cfg),
-            None,
-        );
-        assert!(!stats.steps.is_empty());
-        for s in &stats.steps {
-            assert!(s.prefill_tokens <= cfg.max_batch_prefill_tokens);
-            assert!(s.reserved_tokens <= cfg.max_batch_total_tokens);
-            assert!(s.batch <= cfg.max_batch_size);
-        }
-        let ledger =
-            stats.serving.completed + stats.serving.truncated + stats.serving.rejected;
-        assert_eq!(ledger, reqs.len(), "every request must reach a terminal state");
-        assert_eq!(stats.streamed_tokens, stats.serving.generated_tokens);
     }
 
     #[test]

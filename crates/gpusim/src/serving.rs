@@ -1,4 +1,5 @@
-//! Continuous-batching serving simulator.
+//! Serving simulators: the serialized reference engine and the robust
+//! entry points over the continuous-batching scheduler.
 //!
 //! Figure 7a's "maximum throughput" is an offline number; production
 //! serving cares about *sustained load*: requests arrive over time, the
@@ -24,6 +25,10 @@
 //!   `waiting_served_ratio` admission policy, and streaming token
 //!   delivery. The `ServingPolicy` carries the scheduler budgets in
 //!   [`ServingPolicy::sched`].
+//!
+//! Both engines are single serial loops over the closed-form cost model,
+//! as TGI's router is one loop with budgets. Evaluating that arithmetic
+//! on a thread pool adds no fidelity, so neither has a pooled variant.
 
 use crate::endtoend::linear_time;
 use crate::geometry::ModelGeometry;
@@ -73,8 +78,9 @@ struct LiveSeq {
     ctx: usize,
 }
 
-/// Simulates serving `requests` (sorted by arrival) with continuous
-/// batching on the given device/model/method.
+/// Simulates serving `requests` (sorted by arrival) on the serialized
+/// reference engine: one request prefills at a time and preempts decode,
+/// then every admitted sequence decodes together, one token per step.
 ///
 /// # Panics
 ///
@@ -85,51 +91,6 @@ pub fn simulate_serving(
     geom: &ModelGeometry,
     method: AttnMethod,
     requests: &[RequestSpec],
-) -> ServingStats {
-    simulate_serving_impl(gpu, geom, method, requests, None)
-}
-
-/// Batched-decode variant of [`simulate_serving`] on the global runtime:
-/// each decode step groups the in-flight sequences and evaluates their
-/// per-sequence kernel latencies as pooled tasks (the continuous-batching
-/// shape — one task per sequence, step time = the slowest member), instead
-/// of collapsing the batch to its longest context up front.
-///
-/// Because the kernel cost model is monotone in context length, the step
-/// time equals the plain simulator's and the trajectory is identical —
-/// the test suite pins `simulate_serving_batched == simulate_serving` at
-/// 1, 2, and N workers.
-///
-/// # Panics
-///
-/// As [`simulate_serving`].
-pub fn simulate_serving_batched(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-) -> ServingStats {
-    simulate_serving_batched_on(turbo_runtime::global(), gpu, geom, method, requests)
-}
-
-/// As [`simulate_serving_batched`], but on an explicit runtime
-/// (worker-count equivalence tests).
-pub fn simulate_serving_batched_on(
-    rt: &turbo_runtime::Runtime,
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-) -> ServingStats {
-    simulate_serving_impl(gpu, geom, method, requests, Some(rt))
-}
-
-fn simulate_serving_impl(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    rt: Option<&turbo_runtime::Runtime>,
 ) -> ServingStats {
     assert!(!requests.is_empty(), "no requests to serve");
     for w in requests.windows(2) {
@@ -202,26 +163,12 @@ fn simulate_serving_impl(
         }
 
         if !live.is_empty() {
-            // One decode step for the whole live batch.
+            // One decode step for the whole live batch; it finishes with
+            // its longest-context member. `live` is non-empty here, but
+            // fold instead of `max().unwrap()` per the no-panic discipline.
             let batch = live.len();
-            let step = match rt {
-                // Batched path: one pooled task per in-flight sequence at
-                // its own context; the step finishes with its slowest
-                // member. The cost model is monotone in ctx, so this max
-                // is bitwise the serial longest-ctx latency.
-                Some(rt) => rt
-                    .par_map(&live, |s| {
-                        decode_latency(gpu, geom, method, batch, s.ctx).total()
-                    })
-                    .into_iter()
-                    .fold(0.0f64, f64::max),
-                None => {
-                    // `live` is non-empty here, but fold instead of
-                    // `max().unwrap()` per the no-panic discipline.
-                    let max_ctx = live.iter().map(|s| s.ctx).fold(0, usize::max);
-                    decode_latency(gpu, geom, method, batch, max_ctx).total()
-                }
-            };
+            let max_ctx = live.iter().map(|s| s.ctx).fold(0, usize::max);
+            let step = decode_latency(gpu, geom, method, batch, max_ctx).total();
             now += step + linear_time(gpu, geom, batch, 1);
             let mut still_live = Vec::with_capacity(live.len());
             for mut s in live.into_iter() {
@@ -388,7 +335,7 @@ pub fn simulate_serving_robust(
     policy: &ServingPolicy,
     health: Option<&HealthStats>,
 ) -> RobustServingStats {
-    simulate_serving_robust_impl(gpu, geom, method, requests, policy, None, health)
+    crate::sched::run_continuous(gpu, geom, method, requests, policy, None, health, None).serving
 }
 
 /// As [`simulate_serving_robust`], but every admitted request carries a
@@ -423,20 +370,8 @@ pub fn simulate_serving_robust_paged(
     prefix: SeqId,
     health: Option<&HealthStats>,
 ) -> RobustServingStats {
-    simulate_serving_robust_impl(gpu, geom, method, requests, policy, Some((pool, prefix)), health)
-}
-
-fn simulate_serving_robust_impl(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    paged: Option<(&mut PagedKvPool, SeqId)>,
-    health: Option<&HealthStats>,
-) -> RobustServingStats {
-    crate::sched::run_continuous(gpu, geom, method, requests, policy, paged, None, health, None)
-        .serving
+    let paged = Some((pool, prefix));
+    crate::sched::run_continuous(gpu, geom, method, requests, policy, paged, health, None).serving
 }
 
 /// A fully seed-deterministic open-loop workload description.
@@ -581,22 +516,6 @@ mod tests {
         let a = simulate_serving(&gpu, &geom, AttnMethod::FlashFp16, &workload());
         let b = simulate_serving(&gpu, &geom, AttnMethod::FlashFp16, &workload());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn batched_decode_matches_plain_simulation_at_any_worker_count() {
-        let (gpu, geom) = setup();
-        let reqs = workload();
-        for method in [AttnMethod::FlashFp16, AttnMethod::Turbo { kv_bits: 3.0 }] {
-            let plain = simulate_serving(&gpu, &geom, method, &reqs);
-            let batched = simulate_serving_batched(&gpu, &geom, method, &reqs);
-            assert_eq!(plain, batched);
-            for workers in [1usize, 2, 8] {
-                let rt = turbo_runtime::Runtime::with_workers(workers);
-                let out = simulate_serving_batched_on(&rt, &gpu, &geom, method, &reqs);
-                assert_eq!(plain, out, "{workers} workers diverged");
-            }
-        }
     }
 
     #[test]

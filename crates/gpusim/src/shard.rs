@@ -163,7 +163,10 @@ impl ShardMap {
                     r.start
                 ));
             }
-            cursor = r.end();
+            cursor = r
+                .start
+                .checked_add(r.len)
+                .ok_or_else(|| "slice end overflows".to_string())?;
         }
         if cursor != self.total_tokens {
             return Err(format!(
@@ -1315,6 +1318,28 @@ mod tests {
             bad[i] ^= 0x40;
             assert!(ShardMap::decode(&bad).is_err(), "flip at {i} must fail");
         }
+        // A well-framed map whose slice end overflows `usize` decodes
+        // (the CRC is valid) but must fail validation, not panic or wrap.
+        let overflow = ShardMap {
+            version: SHARD_MAP_VERSION,
+            epoch: 0,
+            total_tokens: 5,
+            assignments: vec![
+                ShardRange {
+                    shard: 0,
+                    start: 0,
+                    len: 5,
+                },
+                ShardRange {
+                    shard: 1,
+                    start: 5,
+                    len: usize::MAX,
+                },
+            ],
+        };
+        let decoded = ShardMap::decode(&overflow.encode()).unwrap();
+        assert_eq!(decoded, overflow);
+        assert!(decoded.validate(2).is_err(), "overflowing slice end must be rejected");
     }
 
     #[test]

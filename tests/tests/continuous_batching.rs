@@ -8,8 +8,6 @@
 //! * **Exact deadline sheds** — the ledger always balances, every
 //!   deadline event is mirrored in `HealthStats`, and truncations only
 //!   happen past the deadline.
-//! * **Worker-count bit-identity** — full `SchedulerStats` (per-step
-//!   records included) are identical at 1/2/8 runtime workers.
 //! * **Chaos through the new path** — replica kills with WAL tears and
 //!   rebuilds run on scheduler-backed serving with tight budgets, and
 //!   the exactly-once / zero-token-loss contracts still hold, bit-
@@ -18,9 +16,8 @@
 //!   scheduler, the regime the TurboAttention throughput claims target.
 
 use turbo_gpusim::{
-    run_replica_set, run_replica_set_on, simulate_serving_continuous,
-    simulate_serving_continuous_on, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig,
-    SchedulerConfig, ServingPolicy, WorkloadSpec,
+    run_replica_set, run_replica_set_on, simulate_serving_continuous, AttnMethod, GpuSpec,
+    ModelGeometry, ReplicaSetConfig, SchedulerConfig, ServingPolicy, WorkloadSpec,
 };
 use turbo_robust::{ChaosConfig, ChaosPlan, HealthEvent, HealthStats};
 
@@ -124,39 +121,6 @@ fn budgets_hold_on_every_step_across_seeded_episodes() {
             None,
         );
         assert_eq!(stats, again, "seed {seed}: episode must replay exactly");
-    }
-}
-
-#[test]
-fn scheduler_stats_bit_identical_across_1_2_8_workers() {
-    let (gpu, geom) = setup();
-    for ep in 0..6u64 {
-        let seed = 0x5EED_0100 + ep * 7;
-        let (_, policy, reqs) = episode(seed);
-        let serial = simulate_serving_continuous(
-            &gpu,
-            &geom,
-            AttnMethod::FlashFp16,
-            &reqs,
-            &policy,
-            None,
-        );
-        for workers in [1usize, 2, 8] {
-            let rt = turbo_runtime::Runtime::with_workers(workers);
-            let pooled = simulate_serving_continuous_on(
-                &rt,
-                &gpu,
-                &geom,
-                AttnMethod::FlashFp16,
-                &reqs,
-                &policy,
-                None,
-            );
-            assert_eq!(
-                serial, pooled,
-                "seed {seed}: {workers}-worker stats diverged"
-            );
-        }
     }
 }
 
