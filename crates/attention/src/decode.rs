@@ -35,7 +35,6 @@ use std::cell::RefCell;
 use crate::scratch::{RowState, Scratch};
 use turbo_kvcache::{DequantTile, HeadKvCache};
 use turbo_quant::quantize_row_sym_into;
-use turbo_runtime::Runtime;
 use turbo_softmax::Sas;
 use turbo_tensor::matmul_i8_transposed_b_into;
 
@@ -88,69 +87,6 @@ pub fn turbo_decode_head_into(
 
     cache.append(k_new, v_new);
     turbo_attend_cache_into(q_new, cache, sas, scratch, out);
-}
-
-/// Minimum cached tokens for split-K decode to beat the fused single-pass
-/// kernel. Below this, per-partition task dispatch and the partial-merge
-/// epilogue dominate: at 256 tokens split-K measures ~2.5× *slower* than
-/// [`turbo_attend_cache_into`] (5.68 µs vs 2.25 µs — see the
-/// `attention/decode_splitk_crossover` bench rows, which pin both sides
-/// of this threshold). Only past a few thousand resident tokens does the
-/// per-block work grow large enough to amortize the scheduling overhead.
-pub const SPLITK_MIN_TOKENS: usize = 2048;
-
-/// The split-K routing policy: split-K wins only when there are at least
-/// two workers to spread partitions over **and** the cache holds enough
-/// tokens ([`SPLITK_MIN_TOKENS`]) for per-partition work to dwarf task
-/// dispatch. Pure so the threshold is unit-testable without a pool.
-pub fn splitk_wins(cached_tokens: usize, workers: usize) -> bool {
-    workers >= 2 && cached_tokens >= SPLITK_MIN_TOKENS
-}
-
-/// One routed decode step: appends `(k_new, v_new)` and attends `q_new`
-/// over the cache, choosing between the fused single-pass kernel
-/// ([`turbo_attend_cache`]) and split-K
-/// ([`crate::splitk::turbo_attend_cache_splitk_on`]) via [`splitk_wins`].
-///
-/// The two kernels agree only approximately (split-K groups SAS rescale
-/// factors per partition), so routing trades a bounded numeric difference
-/// for throughput — the same trade `turbo_attend_cache_splitk` already
-/// documents.
-pub fn turbo_decode_step(
-    q_new: &[f32],
-    k_new: &[f32],
-    v_new: &[f32],
-    cache: &mut HeadKvCache,
-    sas: &Sas,
-) -> Vec<f32> {
-    turbo_decode_step_on(turbo_runtime::global(), q_new, k_new, v_new, cache, sas)
-}
-
-/// As [`turbo_decode_step`], on an explicit runtime (whose worker count
-/// feeds the routing decision).
-///
-/// # Panics
-///
-/// Panics if vector lengths don't match the cache's head dimension.
-pub fn turbo_decode_step_on(
-    rt: &Runtime,
-    q_new: &[f32],
-    k_new: &[f32],
-    v_new: &[f32],
-    cache: &mut HeadKvCache,
-    sas: &Sas,
-) -> Vec<f32> {
-    let d = cache.head_dim();
-    assert_eq!(q_new.len(), d, "query width mismatch");
-    assert_eq!(k_new.len(), d, "key width mismatch");
-    assert_eq!(v_new.len(), d, "value width mismatch");
-
-    cache.append(k_new, v_new);
-    if splitk_wins(cache.len(), rt.workers()) {
-        crate::splitk::turbo_attend_cache_splitk_on(rt, q_new, cache, sas)
-    } else {
-        turbo_attend_cache(q_new, cache, sas)
-    }
 }
 
 /// Attends a single query over an existing quantized cache *without*
@@ -607,68 +543,5 @@ mod tests {
         let sas = Sas::paper_default();
         let mut c = cache(4, BitWidth::Int4, 8);
         turbo_decode_head(&[0.0; 3], &[0.0; 4], &[0.0; 4], &mut c, &sas);
-    }
-
-    #[test]
-    fn splitk_routing_policy() {
-        // Worker gate: one worker never routes to split-K.
-        assert!(!splitk_wins(usize::MAX, 1));
-        // Length gate: short caches stay on the fused kernel. 256 tokens
-        // is the measured ~2.5× regression case the threshold exists for.
-        assert!(!splitk_wins(256, 8));
-        assert!(!splitk_wins(SPLITK_MIN_TOKENS - 1, 8));
-        assert!(splitk_wins(SPLITK_MIN_TOKENS, 2));
-        assert!(splitk_wins(1 << 20, 2));
-    }
-
-    #[test]
-    fn routed_step_below_threshold_is_bitwise_the_fused_path() {
-        let mut rng = TensorRng::new(68);
-        let d = 16;
-        let data = rng.normal(60, d, 0.0, 1.0);
-        let sas = Sas::paper_default();
-        let rt = turbo_runtime::Runtime::with_workers(8);
-        let mut routed = cache(d, BitWidth::Int4, 16);
-        let mut fused = routed.clone();
-        for t in 0..60 {
-            let a = turbo_decode_step_on(
-                &rt,
-                data.row(t),
-                data.row(t),
-                data.row(t),
-                &mut routed,
-                &sas,
-            );
-            let b = turbo_decode_head(data.row(t), data.row(t), data.row(t), &mut fused, &sas);
-            assert_eq!(a, b, "step {t}: short-cache routing left the fused path");
-        }
-    }
-
-    #[test]
-    fn routed_step_above_threshold_is_bitwise_the_splitk_path() {
-        let mut rng = TensorRng::new(69);
-        let d = 8;
-        let sas = Sas::paper_default();
-        let rt = turbo_runtime::Runtime::with_workers(2);
-        let mut c = cache(d, BitWidth::Int4, 64);
-        let fill = rng.normal(SPLITK_MIN_TOKENS - 1, d, 0.0, 1.0);
-        for t in 0..fill.rows() {
-            c.append(fill.row(t), fill.row(t));
-        }
-        let step = rng.normal(1, d, 0.0, 1.0);
-        let mut twin = c.clone();
-        let routed = turbo_decode_step_on(
-            &rt,
-            step.row(0),
-            step.row(0),
-            step.row(0),
-            &mut c,
-            &sas,
-        );
-        twin.append(step.row(0), step.row(0));
-        let splitk =
-            crate::splitk::turbo_attend_cache_splitk_on(&rt, step.row(0), &twin, &sas);
-        assert_eq!(routed, splitk, "long-cache routing must take split-K");
-        assert_eq!(c.len(), SPLITK_MIN_TOKENS);
     }
 }

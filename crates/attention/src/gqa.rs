@@ -69,36 +69,22 @@ impl GqaLayout {
 }
 
 impl TurboAttention {
-    /// GQA prefill: `qs` has one matrix per **query** head, `ks`/`vs` one
-    /// per **KV** head. Returns per-query-head outputs and the per-KV-head
-    /// quantized cache.
+    /// GQA prefill on `rt` (pass [`turbo_runtime::global()`] for the
+    /// default pool): `qs` has one matrix per **query** head, `ks`/`vs`
+    /// one per **KV** head. Returns per-query-head outputs and the
+    /// per-KV-head quantized cache.
     ///
     /// `n_two_bit` KV heads are demoted to INT2 by the priority metric.
+    ///
+    /// Every query head is one pooled task; group leaders build the
+    /// shared per-KV-head cache, the rest attend through scratch caches.
+    /// The index-ordered merge keeps outputs and cache contents
+    /// bit-identical at any worker count.
     ///
     /// # Panics
     ///
     /// Panics if the tensor counts don't match `layout` or shapes are
     /// inconsistent.
-    pub fn prefill_layer_gqa(
-        &self,
-        layout: GqaLayout,
-        qs: &[Matrix],
-        ks: &[Matrix],
-        vs: &[Matrix],
-        n_two_bit: usize,
-    ) -> (Vec<Matrix>, LayerKvCache) {
-        self.prefill_layer_gqa_on(turbo_runtime::global(), layout, qs, ks, vs, n_two_bit)
-    }
-
-    /// As [`TurboAttention::prefill_layer_gqa`], but on an explicit
-    /// runtime. Every query head is one pooled task; group leaders build
-    /// the shared per-KV-head cache, the rest attend through scratch
-    /// caches. The index-ordered merge keeps outputs and cache contents
-    /// bit-identical at any worker count.
-    ///
-    /// # Panics
-    ///
-    /// As [`TurboAttention::prefill_layer_gqa`].
     pub fn prefill_layer_gqa_on(
         &self,
         rt: &turbo_runtime::Runtime,
@@ -156,27 +142,13 @@ impl TurboAttention {
         (outs, LayerKvCache::from_heads(heads))
     }
 
-    /// GQA decode: appends one `(k, v)` row per KV head, then attends one
-    /// query row per query head against its group's shared cache.
+    /// GQA decode on `rt` (pass [`turbo_runtime::global()`] for the
+    /// default pool): appends one `(k, v)` row per KV head, then attends
+    /// one query row per query head against its group's shared cache.
     ///
-    /// # Panics
-    ///
-    /// Panics if row counts don't match `layout`.
-    pub fn decode_layer_gqa(
-        &self,
-        layout: GqaLayout,
-        qs: &[&[f32]],
-        ks: &[&[f32]],
-        vs: &[&[f32]],
-        layer: &mut LayerKvCache,
-    ) -> Vec<Vec<f32>> {
-        self.decode_layer_gqa_on(turbo_runtime::global(), layout, qs, ks, vs, layer)
-    }
-
-    /// As [`TurboAttention::decode_layer_gqa`], but on an explicit
-    /// runtime. Each KV head is one pooled task: it appends its `(k, v)`
-    /// row (so a buffer flush compresses on the pool too), then attends
-    /// its whole query group in one grouped pass over the cache
+    /// Each KV head is one pooled task: it appends its `(k, v)` row (so a
+    /// buffer flush compresses on the pool too), then attends its whole
+    /// query group in one grouped pass over the cache
     /// ([`turbo_attend_group`]). Index-ordered results are bit-identical
     /// at any worker count, and each query head's output is bit-identical
     /// to [`turbo_attend_cache`](crate::decode::turbo_attend_cache) on
@@ -184,7 +156,7 @@ impl TurboAttention {
     ///
     /// # Panics
     ///
-    /// As [`TurboAttention::decode_layer_gqa`].
+    /// Panics if row counts don't match `layout`.
     pub fn decode_layer_gqa_on(
         &self,
         rt: &turbo_runtime::Runtime,
@@ -243,7 +215,8 @@ mod tests {
         let ks: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
         let vs: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
         let engine = TurboAttention::new(TurboConfig::default());
-        let (outs, cache) = engine.prefill_layer_gqa(layout, &qs, &ks, &vs, 0);
+        let rt = turbo_runtime::global();
+        let (outs, cache) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 0);
         assert_eq!(outs.len(), 4);
         assert_eq!(cache.num_heads(), 2);
         assert_eq!(cache.len(), n);
@@ -264,10 +237,11 @@ mod tests {
         let ks: Vec<Matrix> = (0..2).map(|_| rng.normal(8, d, 0.0, 1.0)).collect();
         let vs: Vec<Matrix> = (0..2).map(|_| rng.normal(8, d, 0.0, 1.0)).collect();
         let engine = TurboAttention::default();
-        let (_, mut cache) = engine.prefill_layer_gqa(layout, &qs, &ks, &vs, 1);
+        let rt = turbo_runtime::global();
+        let (_, mut cache) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 1);
         let q_rows: Vec<&[f32]> = qs.iter().map(|m| m.row(0)).collect();
         let kv_rows: Vec<&[f32]> = ks.iter().map(|m| m.row(0)).collect();
-        let outs = engine.decode_layer_gqa(layout, &q_rows, &kv_rows, &kv_rows, &mut cache);
+        let outs = engine.decode_layer_gqa_on(rt, layout, &q_rows, &kv_rows, &kv_rows, &mut cache);
         assert_eq!(outs.len(), 4);
         assert_eq!(cache.len(), 9); // 8 prefill + 1 decoded, per KV head
                                     // Query heads sharing a KV head but with different queries should
@@ -381,7 +355,8 @@ mod tests {
         ];
         let vs: Vec<Matrix> = (0..2).map(|_| rng.normal(32, d, 0.0, 1.0)).collect();
         let engine = TurboAttention::default();
-        let (_, cache) = engine.prefill_layer_gqa(layout, &qs, &ks, &vs, 1);
+        let rt = turbo_runtime::global();
+        let (_, cache) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 1);
         assert_eq!(cache.head(0).config().bits, BitWidth::Int4);
         assert_eq!(cache.head(1).config().bits, BitWidth::Int2);
     }

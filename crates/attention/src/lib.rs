@@ -55,24 +55,20 @@ pub mod reference;
 pub mod ring;
 pub mod robust;
 pub mod scratch;
-pub mod splitk;
 
 pub use api::{TurboAttention, TurboConfig};
 pub use capability::{capability_table, Capability, TechniqueRow};
 pub use decode::{
-    splitk_wins, turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group,
-    turbo_attend_group_into, turbo_decode_head, turbo_decode_head_into, turbo_decode_step,
-    turbo_decode_step_on, SPLITK_MIN_TOKENS,
+    turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group, turbo_attend_group_into,
+    turbo_decode_head, turbo_decode_head_into,
 };
 pub use multilayer::{
-    multilayer_episode_pipelined, multilayer_episode_pipelined_on, multilayer_episode_serialized,
-    MultiLayerOutput,
+    multilayer_episode_pipelined_on, multilayer_episode_serialized, MultiLayerOutput,
 };
 pub use gqa::GqaLayout;
 pub use head_select::{select_two_bit_heads, HeadStats, SelectionMethod};
 pub use prefill::{turbo_prefill_head, turbo_prefill_head_pooled, PrefillOutput};
 pub use reference::{flash_attention, flash_attention_f16, naive_attention, Masking};
-pub use ring::{merge_shards, ring_prefill_exact, ring_prefill_turbo};
+pub use ring::{merge_shards, ring_prefill_exact_on, ring_prefill_turbo_on};
 pub use robust::{AttnError, PrecisionLevel, RobustAttention, RobustHeadCache};
 pub use scratch::Scratch;
-pub use splitk::{turbo_attend_cache_splitk, turbo_attend_cache_splitk_on, PartialAttention};

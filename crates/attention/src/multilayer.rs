@@ -335,10 +335,10 @@ pub fn multilayer_episode_serialized(
     run_episode(Mode::Serial, set, prompt, decode, sas, prefill_chunk, health)
 }
 
-/// Pipelined engine on an explicit runtime: the same DAG released to the
-/// pool with maximal overlap. Bit-identical to
-/// [`multilayer_episode_serialized`] — outputs, cache state, WAL bytes —
-/// at any worker count.
+/// Pipelined engine on `rt` (pass [`turbo_runtime::global()`] for the
+/// default pool): the same DAG released to the pool with maximal
+/// overlap. Bit-identical to [`multilayer_episode_serialized`] —
+/// outputs, cache state, WAL bytes — at any worker count.
 pub fn multilayer_episode_pipelined_on(
     rt: &Runtime,
     set: &mut DurableLayerSet,
@@ -350,26 +350,6 @@ pub fn multilayer_episode_pipelined_on(
 ) -> MultiLayerOutput {
     run_episode(
         Mode::Pipelined(rt),
-        set,
-        prompt,
-        decode,
-        sas,
-        prefill_chunk,
-        health,
-    )
-}
-
-/// As [`multilayer_episode_pipelined_on`], on the global runtime.
-pub fn multilayer_episode_pipelined(
-    set: &mut DurableLayerSet,
-    prompt: &Matrix,
-    decode: &Matrix,
-    sas: &Sas,
-    prefill_chunk: usize,
-    health: Option<&HealthStats>,
-) -> MultiLayerOutput {
-    multilayer_episode_pipelined_on(
-        turbo_runtime::global(),
         set,
         prompt,
         decode,

@@ -25,27 +25,15 @@ use turbo_runtime::Runtime;
 use turbo_tensor::Matrix;
 
 impl TurboAttention {
-    /// Parallel variant of [`TurboAttention::prefill_layer`] on the
-    /// global runtime: one pooled task per head, with nested row-block
-    /// tasks inside each head. Output and caches are bit-identical to
-    /// the serial path at any worker count.
+    /// Parallel variant of [`TurboAttention::prefill_layer`] on `rt`
+    /// (pass [`turbo_runtime::global()`] for the default pool): one
+    /// pooled task per head, with nested row-block tasks inside each
+    /// head. Output and caches are bit-identical to the serial path at
+    /// any worker count.
     ///
     /// # Panics
     ///
     /// As [`TurboAttention::prefill_layer`].
-    pub fn prefill_layer_parallel(
-        &self,
-        qs: &[Matrix],
-        ks: &[Matrix],
-        vs: &[Matrix],
-        bits_per_head: &[BitWidth],
-    ) -> (Vec<Matrix>, LayerKvCache) {
-        self.prefill_layer_parallel_on(turbo_runtime::global(), qs, ks, vs, bits_per_head)
-    }
-
-    /// As [`TurboAttention::prefill_layer_parallel`], but on an explicit
-    /// runtime — the hook the equivalence tests use to pin bit-identical
-    /// output at 1, 2, and N workers.
     pub fn prefill_layer_parallel_on(
         &self,
         rt: &Runtime,
@@ -95,24 +83,13 @@ impl TurboAttention {
         (outs, LayerKvCache::from_heads(caches))
     }
 
-    /// Parallel variant of [`TurboAttention::decode_layer`] on the global
-    /// runtime: appends and attends every head as a pooled task.
+    /// Parallel variant of [`TurboAttention::decode_layer`] on `rt`
+    /// (pass [`turbo_runtime::global()`] for the default pool): appends
+    /// and attends every head as a pooled task.
     ///
     /// # Panics
     ///
     /// As [`TurboAttention::decode_layer`].
-    pub fn decode_layer_parallel(
-        &self,
-        qs: &[&[f32]],
-        ks: &[&[f32]],
-        vs: &[&[f32]],
-        layer: &mut LayerKvCache,
-    ) -> Vec<Vec<f32>> {
-        self.decode_layer_parallel_on(turbo_runtime::global(), qs, ks, vs, layer)
-    }
-
-    /// As [`TurboAttention::decode_layer_parallel`], but on an explicit
-    /// runtime (worker-count equivalence tests).
     pub fn decode_layer_parallel_on(
         &self,
         rt: &Runtime,
@@ -165,7 +142,8 @@ mod tests {
         let (serial_out, serial_cache) = engine.prefill_layer(&qs, &ks, &vs, &bits);
 
         // Global pool (whatever size the machine gives us)...
-        let (par_out, par_cache) = engine.prefill_layer_parallel(&qs, &ks, &vs, &bits);
+        let (par_out, par_cache) =
+            engine.prefill_layer_parallel_on(turbo_runtime::global(), &qs, &ks, &vs, &bits);
         assert_eq!(serial_out, par_out);
         for h in 0..6 {
             assert_eq!(
@@ -202,7 +180,13 @@ mod tests {
         let serial = engine.decode_layer(&rows, &rows, &rows, &mut serial_cache);
 
         let (_, mut par_cache) = engine.prefill_layer(&qs, &ks, &vs, &bits);
-        let parallel = engine.decode_layer_parallel(&rows, &rows, &rows, &mut par_cache);
+        let parallel = engine.decode_layer_parallel_on(
+            turbo_runtime::global(),
+            &rows,
+            &rows,
+            &rows,
+            &mut par_cache,
+        );
         assert_eq!(serial, parallel);
         assert_eq!(serial_cache.len(), par_cache.len());
 

@@ -60,31 +60,20 @@ pub fn merge_shards(parts: &[(Matrix, Vec<f32>)]) -> Matrix {
     out
 }
 
-/// Exact sequence-parallel prefill: shards `k`/`v` into `shards`
-/// contiguous pieces, computes full-query partial attention per shard,
-/// and merges. Produces the same output as single-device
-/// [`crate::reference::flash_attention`] with `Masking::Full`.
+/// Exact sequence-parallel prefill on `rt` (pass
+/// [`turbo_runtime::global()`] for the default pool): shards `k`/`v`
+/// into `shards` contiguous pieces, computes full-query partial
+/// attention per shard, and merges. Produces the same output as
+/// single-device [`crate::reference::flash_attention`] with
+/// `Masking::Full`.
+///
+/// Each shard is one pooled task (one per simulated "device"); the
+/// index-ordered merge makes the result bit-identical at any worker
+/// count.
 ///
 /// # Panics
 ///
 /// Panics if `shards == 0` or exceeds the key count.
-pub fn ring_prefill_exact(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    shards: usize,
-    block: usize,
-) -> Matrix {
-    ring_prefill_exact_on(turbo_runtime::global(), q, k, v, shards, block)
-}
-
-/// As [`ring_prefill_exact`], but on an explicit runtime. Each shard is
-/// one pooled task (one per simulated "device"); the index-ordered merge
-/// makes the result bit-identical at any worker count.
-///
-/// # Panics
-///
-/// As [`ring_prefill_exact`].
 pub fn ring_prefill_exact_on(
     rt: &turbo_runtime::Runtime,
     q: &Matrix,
@@ -106,44 +95,19 @@ pub fn ring_prefill_exact_on(
     merge_shards(&parts)
 }
 
-/// Quantized sequence-parallel prefill: every shard runs the full
-/// TurboAttention Algorithm 1 (INT8 matmuls + SAS + cache write), then the
-/// shard outputs merge by logsumexp. Returns the merged output and the
-/// per-shard quantized caches (one per "device").
+/// Quantized sequence-parallel prefill on `rt` (pass
+/// [`turbo_runtime::global()`] for the default pool): every shard runs
+/// the full TurboAttention Algorithm 1 (INT8 matmuls + SAS + cache
+/// write), then the shard outputs merge by logsumexp. Returns the merged
+/// output and the per-shard quantized caches (one per "device").
+///
+/// Each shard (Algorithm 1 + its own cache write) is one pooled task;
+/// the index-ordered merge keeps the output and cache order
+/// bit-identical at any worker count.
 ///
 /// # Panics
 ///
 /// Panics if `shards == 0` or exceeds the key count.
-#[allow(clippy::too_many_arguments)]
-pub fn ring_prefill_turbo(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    shards: usize,
-    sas: &Sas,
-    block: usize,
-    cache_config: KvCacheConfig,
-) -> (Matrix, Vec<HeadKvCache>) {
-    ring_prefill_turbo_on(
-        turbo_runtime::global(),
-        q,
-        k,
-        v,
-        shards,
-        sas,
-        block,
-        cache_config,
-    )
-}
-
-/// As [`ring_prefill_turbo`], but on an explicit runtime. Each shard
-/// (Algorithm 1 + its own cache write) is one pooled task; the
-/// index-ordered merge keeps the output and cache order bit-identical
-/// at any worker count.
-///
-/// # Panics
-///
-/// As [`ring_prefill_turbo`].
 #[allow(clippy::too_many_arguments)]
 pub fn ring_prefill_turbo_on(
     rt: &turbo_runtime::Runtime,
@@ -194,7 +158,7 @@ mod tests {
         let (q, k, v) = qkv(1, 96, 16);
         let single = flash_attention(&q, &k, &v, Masking::Full, 32, 32);
         for shards in [1usize, 2, 3, 5, 96] {
-            let ring = ring_prefill_exact(&q, &k, &v, shards, 16);
+            let ring = ring_prefill_exact_on(turbo_runtime::global(), &q, &k, &v, shards, 16);
             assert!(
                 max_abs_error(&single, &ring) < 1e-4,
                 "{shards} shards diverged"
@@ -206,7 +170,7 @@ mod tests {
     fn ragged_shards_are_exact_too() {
         let (q, k, v) = qkv(2, 50, 8); // 50 keys over 4 shards: 13/13/13/11
         let single = naive_attention(&q, &k, &v, Masking::Full);
-        let ring = ring_prefill_exact(&q, &k, &v, 4, 8);
+        let ring = ring_prefill_exact_on(turbo_runtime::global(), &q, &k, &v, 4, 8);
         assert!(max_abs_error(&single, &ring) < 1e-4);
     }
 
@@ -221,7 +185,8 @@ mod tests {
         };
         let mut single_cache = HeadKvCache::new(16, cfg);
         let single = turbo_prefill_head(&q, &k, &v, Masking::Full, &sas, 16, 16, &mut single_cache);
-        let (ring, caches) = ring_prefill_turbo(&q, &k, &v, 4, &sas, 16, cfg);
+        let rt = turbo_runtime::global();
+        let (ring, caches) = ring_prefill_turbo_on(rt, &q, &k, &v, 4, &sas, 16, cfg);
         // Shard-local quantization scales differ slightly from the global
         // sweep, so allow a small tolerance.
         let rel = relative_error(&ring, &single.output);
@@ -241,7 +206,8 @@ mod tests {
             buffer_capacity: 16,
         };
         let exact = naive_attention(&q, &k, &v, Masking::Full);
-        let (ring, _) = ring_prefill_turbo(&q, &k, &v, 5, &sas, 16, cfg);
+        let rt = turbo_runtime::global();
+        let (ring, _) = ring_prefill_turbo_on(rt, &q, &k, &v, 5, &sas, 16, cfg);
         assert!(relative_error(&ring, &exact) < 0.06);
     }
 
@@ -273,7 +239,7 @@ mod tests {
     #[should_panic(expected = "more shards than keys")]
     fn too_many_shards_panics() {
         let (q, k, v) = qkv(6, 4, 4);
-        ring_prefill_exact(&q, &k, &v, 5, 4);
+        ring_prefill_exact_on(turbo_runtime::global(), &q, &k, &v, 5, 4);
     }
 
     #[test]
@@ -300,7 +266,8 @@ mod tests {
                 assert_eq!(a.dequantize_all(), b.dequantize_all());
             }
         }
-        // And the default entry point (global runtime) agrees too.
-        assert_eq!(exact_base, ring_prefill_exact(&q, &k, &v, 5, 16));
+        // And the global runtime agrees too.
+        let global = ring_prefill_exact_on(turbo_runtime::global(), &q, &k, &v, 5, 16);
+        assert_eq!(exact_base, global);
     }
 }

@@ -6,10 +6,8 @@ use turbo_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 use turbo_attention::{
     flash_attention, multilayer_episode_pipelined_on, multilayer_episode_serialized,
-    naive_attention, splitk_wins, turbo_attend_cache, turbo_attend_cache_into,
-    turbo_attend_cache_splitk, turbo_attend_cache_splitk_on, turbo_attend_group_into,
-    turbo_prefill_head, Masking,
-    Scratch, TurboAttention, SPLITK_MIN_TOKENS,
+    naive_attention, turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group_into,
+    turbo_prefill_head, Masking, Scratch, TurboAttention,
 };
 use turbo_quant::BitWidth;
 use turbo_baselines::{
@@ -101,9 +99,6 @@ fn bench_decode(c: &mut Criterion) {
             black_box(out_row[0])
         })
     });
-    g.bench_function("turbo_attend_splitk", |b| {
-        b.iter(|| turbo_attend_cache_splitk(black_box(q.row(0)), &turbo, &sas))
-    });
     // One full decode step — append the new token's K/V, then attend —
     // with and without the write-ahead log on the append path. The delta
     // is the durability tax of crash-consistent serving.
@@ -131,7 +126,7 @@ fn bench_decode(c: &mut Criterion) {
             let vr: Vec<&[f32]> = vec![v.row(t); heads];
             s.try_append_token(&kr, &vr, None).expect("prefill");
         }
-        s.checkpoint(None);
+        s.checkpoint_on(turbo_runtime::global(), None);
         s
     };
     {
@@ -161,7 +156,7 @@ fn bench_decode(c: &mut Criterion) {
                 tok += 1;
                 if tok == EPISODE {
                     tok = 0;
-                    s.checkpoint(None);
+                    s.checkpoint_on(turbo_runtime::global(), None);
                     s = single.clone();
                 }
                 turbo_attend_cache(black_box(q.row(0)), s.layer(0).head(0), &sas)
@@ -184,7 +179,7 @@ fn bench_decode(c: &mut Criterion) {
                 tok += 1;
                 if tok == EPISODE {
                     tok = 0;
-                    s.checkpoint(None);
+                    s.checkpoint_on(turbo_runtime::global(), None);
                     s = layer_set.clone();
                 }
                 turbo_attend_cache(black_box(q.row(0)), s.layer(0).head(0), &sas)
@@ -203,7 +198,7 @@ fn bench_decode(c: &mut Criterion) {
                 tok += 1;
                 if tok == EPISODE {
                     tok = 0;
-                    s.checkpoint(None);
+                    s.checkpoint_on(turbo_runtime::global(), None);
                     s = layer_set.clone();
                     s.set_flush_every_n_tokens(8);
                 }
@@ -359,6 +354,7 @@ fn bench_prefill_layer_32head(c: &mut Criterion) {
     let vs = mk(&mut rng);
     let bits = [BitWidth::Int4; H];
     let engine = TurboAttention::default();
+    let rt = turbo_runtime::global();
 
     let mut g = c.benchmark_group("attention/prefill_layer_32head_128x64");
     g.bench_function("serial", |b| {
@@ -366,7 +362,13 @@ fn bench_prefill_layer_32head(c: &mut Criterion) {
     });
     g.bench_function("pooled", |b| {
         b.iter(|| {
-            engine.prefill_layer_parallel(black_box(&qs), black_box(&ks), black_box(&vs), &bits)
+            engine.prefill_layer_parallel_on(
+                rt,
+                black_box(&qs),
+                black_box(&ks),
+                black_box(&vs),
+                &bits,
+            )
         })
     });
     g.finish();
@@ -422,42 +424,6 @@ fn bench_multilayer(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    g.finish();
-}
-
-/// The split-K routing crossover: fused vs. split-K decode attention at
-/// the routing threshold ([`SPLITK_MIN_TOKENS`] cached tokens) and one
-/// octave below it. These rows pin the constant empirically — on a
-/// multi-core box split-K should win at the threshold and lose below it;
-/// on one core `splitk_wins` routes everything to the fused kernel and
-/// the rows record how far from break-even the partitioned sweep runs.
-/// Recorded for the trend, not gated (the crossover is machine-shaped).
-fn bench_splitk_crossover(c: &mut Criterion) {
-    let mut rng = TensorRng::new(59);
-    let q: Vec<f32> = (0..D).map(|_| rng.standard_normal()).collect();
-    let sas = Sas::paper_default();
-    let rt = turbo_runtime::global();
-
-    let mut g = c.benchmark_group("attention/splitk_crossover");
-    for tokens in [SPLITK_MIN_TOKENS / 2, SPLITK_MIN_TOKENS] {
-        let mut cache = HeadKvCache::new(D, KvCacheConfig::default());
-        let ctx = rng.normal(tokens, D, 0.0, 1.0);
-        for t in 0..tokens {
-            cache.append(ctx.row(t), ctx.row(t));
-        }
-        g.bench_function(format!("fused_{tokens}"), |b| {
-            b.iter(|| turbo_attend_cache(black_box(&q), &cache, &sas))
-        });
-        g.bench_function(format!("splitk_{tokens}"), |b| {
-            b.iter(|| turbo_attend_cache_splitk_on(rt, black_box(&q), &cache, &sas))
-        });
-        // Sanity: the routing predicate agrees with the threshold the
-        // rows straddle.
-        assert_eq!(
-            splitk_wins(tokens, rt.workers().max(2)),
-            tokens >= SPLITK_MIN_TOKENS
-        );
-    }
     g.finish();
 }
 
@@ -653,7 +619,6 @@ criterion_group!(
     bench_i8_kernels,
     bench_block_sizes,
     bench_multilayer,
-    bench_splitk_crossover,
     bench_prefill_layer_32head,
     bench_fleet,
     bench_continuous_serving,

@@ -5,7 +5,7 @@
 use crate::Table;
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
 use turbo_model::backend::{Backend, Fp8Backend, GearBackend, KiviBackend, TurboBackend};
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite};
 use turbo_quant::asymmetric::fake_quant_channelwise;
 use turbo_quant::{BitWidth, ProgressiveBlock};
 use turbo_tensor::{mse, TensorRng};
@@ -29,7 +29,7 @@ pub fn run_pure_2bit(episodes: usize) {
     for b in &backends {
         let mut row = vec![b.name() + " (2bit)"];
         for p in ModelProfile::paper_profiles() {
-            let r = evaluate(b.as_ref(), &p, &suite, &cfg);
+            let r = evaluate_on(turbo_runtime::global(), b.as_ref(), &p, &suite, &cfg);
             row.push(format!("{:.1}", r.accuracy * 100.0));
         }
         t.row(&row);
@@ -65,7 +65,7 @@ pub fn run_buffer_sweep(episodes: usize) {
             group_size: 16,
             ..turbo_attention::TurboConfig::default()
         });
-        let acc = evaluate(&backend, &profile, &suite, &cfg).accuracy;
+        let acc = evaluate_on(turbo_runtime::global(), &backend, &profile, &suite, &cfg).accuracy;
 
         // Clamping/memory measurement on a decode stream.
         let mut rng = TensorRng::new(nb as u64);
@@ -162,7 +162,7 @@ pub fn run_fp8_extension(episodes: usize) {
     for (b, ratio) in &backends {
         let mut row = vec![b.name(), ratio.to_string()];
         for p in ModelProfile::paper_profiles() {
-            let r = evaluate(b.as_ref(), &p, &suite, &cfg);
+            let r = evaluate_on(turbo_runtime::global(), b.as_ref(), &p, &suite, &cfg);
             row.push(format!("{:.1}", r.accuracy * 100.0));
         }
         t.row(&row);
@@ -262,7 +262,7 @@ pub fn run_quarot_extension() {
         ),
     ];
     for (name, b) in rows {
-        let r = evaluate(b.as_ref(), &profile, &suite, &cfg);
+        let r = evaluate_on(turbo_runtime::global(), b.as_ref(), &profile, &suite, &cfg);
         t2.row(&[name, format!("{:.1}", r.accuracy * 100.0)]);
     }
     t2.print();
@@ -300,7 +300,7 @@ pub fn run_depth_extension(episodes: usize) {
         };
         let mut row = vec![format!("{hops}")];
         for b in &backends {
-            let r = evaluate(b.as_ref(), &profile, &suite, &cfg);
+            let r = evaluate_on(turbo_runtime::global(), b.as_ref(), &profile, &suite, &cfg);
             row.push(format!("{:.1}", r.accuracy * 100.0));
         }
         t.row(&row);

@@ -4,7 +4,7 @@ use crate::Table;
 use turbo_attention::SelectionMethod;
 use turbo_gpusim::{max_throughput, throughput, AttnMethod, GpuSpec, ModelGeometry};
 use turbo_model::backend::TurboBackend;
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite};
 
 /// Prints Figure 7a: throughput (1k prompt, 125 generated) per batch, plus
 /// the max-throughput summary.
@@ -72,7 +72,7 @@ pub fn run_7b(episodes: usize) {
         let mut row = vec![method.to_string()];
         for &n in &counts {
             let backend = TurboBackend::mixed_with(n, method);
-            let r = evaluate(&backend, &profile, &suite, &cfg);
+            let r = evaluate_on(turbo_runtime::global(), &backend, &profile, &suite, &cfg);
             row.push(format!("{:.1}", r.accuracy * 100.0));
         }
         t.row(&row);

@@ -9,7 +9,7 @@
 
 use crate::Table;
 use turbo_model::backend::{Backend, Fp16Backend, GearBackend, KiviBackend, TurboBackend};
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite};
 use turbo_quant::BitWidth;
 
 const NUM_BACKENDS: usize = 7;
@@ -27,14 +27,8 @@ fn backend(i: usize) -> Box<dyn Backend> {
     }
 }
 
-/// Renders Table 2 on the global runtime with `episodes` episodes per
-/// cell.
-pub fn render(episodes: usize) -> Table {
-    render_on(turbo_runtime::global(), episodes)
-}
-
-/// As [`render`], but on an explicit runtime (worker-count equivalence
-/// tests).
+/// Renders Table 2 on `rt` (pass [`turbo_runtime::global()`] for the
+/// default pool) with `episodes` episodes per cell.
 pub fn render_on(rt: &turbo_runtime::Runtime, episodes: usize) -> Table {
     let cfg = EvalConfig {
         episodes,
@@ -63,7 +57,7 @@ pub fn render_on(rt: &turbo_runtime::Runtime, episodes: usize) -> Table {
         let mut n = 0usize;
         for p in &profiles {
             for s in &suites {
-                let r = evaluate(b.as_ref(), p, s, &cfg);
+                let r = evaluate_on(rt, b.as_ref(), p, s, &cfg);
                 row.push(format!("{:.1}", r.accuracy * 100.0));
                 sum += r.accuracy;
                 n += 1;
@@ -80,7 +74,7 @@ pub fn render_on(rt: &turbo_runtime::Runtime, episodes: usize) -> Table {
 
 /// Prints Table 2 with `episodes` episodes per cell.
 pub fn run(episodes: usize) {
-    render(episodes).print();
+    render_on(turbo_runtime::global(), episodes).print();
 }
 
 fn short(name: &str) -> String {

@@ -9,7 +9,7 @@
 use crate::Table;
 use turbo_attention::TurboConfig;
 use turbo_model::backend::TurboBackend;
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite};
 use turbo_quant::BitWidth;
 
 const BLOCKS: [(usize, usize); 7] = [
@@ -22,14 +22,8 @@ const BLOCKS: [(usize, usize); 7] = [
     (128, 128),
 ];
 
-/// Renders Table 3 on the global runtime with `episodes` episodes per
-/// row.
-pub fn render(episodes: usize) -> Table {
-    render_on(turbo_runtime::global(), episodes)
-}
-
-/// As [`render`], but on an explicit runtime (worker-count equivalence
-/// tests).
+/// Renders Table 3 on `rt` (pass [`turbo_runtime::global()`] for the
+/// default pool) with `episodes` episodes per row.
 pub fn render_on(rt: &turbo_runtime::Runtime, episodes: usize) -> Table {
     let cfg = EvalConfig {
         episodes,
@@ -51,7 +45,7 @@ pub fn render_on(rt: &turbo_runtime::Runtime, episodes: usize) -> Table {
             buffer_capacity: 16,
             ..TurboConfig::default()
         });
-        let r = evaluate(&backend, &profile, &suite, &cfg);
+        let r = evaluate_on(rt, &backend, &profile, &suite, &cfg);
         [
             format!("({br},{bc})"),
             suite.name.to_string(),
@@ -66,7 +60,7 @@ pub fn render_on(rt: &turbo_runtime::Runtime, episodes: usize) -> Table {
 
 /// Prints Table 3 with `episodes` episodes per row.
 pub fn run(episodes: usize) {
-    render(episodes).print();
+    render_on(turbo_runtime::global(), episodes).print();
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use crate::Table;
 use turbo_model::backend::{Backend, Fp16Backend, SasOnlyBackend, TurboBackend};
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite};
 
 /// Prints Table 4 with `episodes` episodes per row.
 pub fn run(episodes: usize) {
@@ -26,7 +26,7 @@ pub fn run(episodes: usize) {
         &["method", "acc"],
     );
     for (name, b) in rows {
-        let r = evaluate(b.as_ref(), &profile, &suite, &cfg);
+        let r = evaluate_on(turbo_runtime::global(), b.as_ref(), &profile, &suite, &cfg);
         t.row(&[name.to_string(), format!("{:.1}", r.accuracy * 100.0)]);
     }
     t.print();

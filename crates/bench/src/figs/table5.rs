@@ -3,7 +3,7 @@
 
 use crate::Table;
 use turbo_model::backend::{Backend, Fp16Backend, TurboBackend};
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite, WeightQuant};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite, WeightQuant};
 
 /// Prints Table 5 with `episodes` episodes per row.
 pub fn run(episodes: usize) {
@@ -20,7 +20,7 @@ pub fn run(episodes: usize) {
         &["weights", "attention", "acc"],
     );
     let cell = |profile: &ModelProfile, b: &dyn Backend| {
-        let r = evaluate(b, profile, &suite, &cfg);
+        let r = evaluate_on(turbo_runtime::global(), b, profile, &suite, &cfg);
         format!("{:.1}", r.accuracy * 100.0)
     };
     let int8 = base.with_weight_quant(WeightQuant::Int8PerChannel);

@@ -450,7 +450,7 @@ pub fn run_replica_set_on(
             if t == half {
                 // Steady state: snapshot covers the first half, the WAL
                 // holds the rest — so a kill exercises real replay.
-                d.checkpoint(None);
+                d.checkpoint_on(rt, None);
             }
             let row = prefix_data.row(t);
             let rows: Vec<&[f32]> = vec![row; cells];
@@ -718,7 +718,7 @@ pub fn run_replica_set_on(
                     }
                     // Graceful: checkpoint, drain in-flight work, brief
                     // pause, rejoin with nothing lost.
-                    replicas[i].durable.checkpoint(health);
+                    replicas[i].durable.checkpoint_on(rt, health);
                     stats.restarts += 1;
                     let pause = 0.05;
                     replicas[i].up_at = now.max(replicas[i].busy_until) + pause;

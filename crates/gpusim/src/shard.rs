@@ -725,7 +725,7 @@ pub fn run_sharded_episode_on(
         if !slice.is_empty() {
             // Steady state: snapshot covers the first half, the WAL
             // holds the rest — a kill exercises real replay.
-            durable.checkpoint(None);
+            durable.checkpoint_on(rt, None);
         }
         pipelined_append_tokens(rt, &mut durable, &context, &slice[half..], None);
         for &t in &slice {
@@ -1061,7 +1061,7 @@ pub fn run_sharded_episode_on(
                     if shards[i].retired || !shards[i].is_up(now) {
                         continue;
                     }
-                    shards[i].durable.checkpoint(health);
+                    shards[i].durable.checkpoint_on(rt, health);
                     let pause = 0.05;
                     shards[i].up_at = now.max(shards[i].busy_until) + pause;
                     shards[i].busy_until = shards[i].up_at;

@@ -193,7 +193,7 @@ impl CheckpointPolicy for ReplayBudget {
 }
 
 /// A policy that never fires — checkpoints happen only on explicit
-/// [`DurableLayerSet::checkpoint`] calls (bench/tests baseline).
+/// [`DurableLayerSet::checkpoint_on`] calls (bench/tests baseline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NeverCheckpoint;
 
@@ -669,7 +669,7 @@ pub struct GroupCommitStats {
     pub checkpoints_by_records: usize,
     /// Adaptive checkpoints fired on the replay-time budget.
     pub checkpoints_by_replay_budget: usize,
-    /// Explicit [`DurableLayerSet::checkpoint`] calls.
+    /// Explicit [`DurableLayerSet::checkpoint_on`] calls.
     pub manual_checkpoints: usize,
     /// WAL sync barriers (the fsync-equivalents): interval-driven group
     /// commits, explicit syncs, and flush-all barriers.
@@ -694,7 +694,7 @@ impl GroupCommitStats {
     }
 }
 
-/// Outcome of a [`DurableLayerSet::recover`].
+/// Outcome of a [`DurableLayerSet::recover_on`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LayerRecoverOutcome {
     /// Whether the checkpoint blob validated end to end.
@@ -718,7 +718,7 @@ pub struct LayerRecoverOutcome {
 /// with adaptive snapshot checkpoints.
 ///
 /// The durable pair `(checkpoint, wal)` survives a crash that tears
-/// either at an arbitrary byte offset; [`DurableLayerSet::recover`]
+/// either at an arbitrary byte offset; [`DurableLayerSet::recover_on`]
 /// reconstructs every cell bit-identical to a **common** token prefix of
 /// the mutation stream — no head, in any layer, can desync from the
 /// others.
@@ -1144,14 +1144,9 @@ impl DurableLayerSet {
         Some(cause)
     }
 
-    /// Takes a fresh multi-layer checkpoint on the global runtime and
-    /// truncates the WAL. Returns the checkpoint size in bytes.
-    pub fn checkpoint(&mut self, health: Option<&HealthStats>) -> usize {
-        self.checkpoint_on(turbo_runtime::global(), health)
-    }
-
-    /// As [`DurableLayerSet::checkpoint`], but on an explicit runtime
-    /// (worker-count equivalence tests).
+    /// Takes a fresh multi-layer checkpoint on `rt` (pass
+    /// [`turbo_runtime::global()`] for the default pool) and truncates
+    /// the WAL. Returns the checkpoint size in bytes.
     pub fn checkpoint_on(
         &mut self,
         rt: &turbo_runtime::Runtime,
@@ -1222,7 +1217,9 @@ impl DurableLayerSet {
     /// # Errors
     ///
     /// Any tear or corruption anywhere in the blob (the trailing CRC
-    /// covers every byte) — the checkpoint is all-or-nothing.
+    /// covers every byte) — the checkpoint is all-or-nothing — and any
+    /// head snapshot whose `d` or token count disagrees with the header
+    /// or with the first head.
     fn decode_checkpoint(
         blob: &[u8],
         layers: usize,
@@ -1259,6 +1256,10 @@ impl DurableLayerSet {
         }
         let mut pos = HEAD;
         let mut out = Vec::with_capacity(layers);
+        // The CRC proves the bytes are what the writer wrote, not that
+        // the writer was sane: check each head's geometry before
+        // `from_heads` would panic on it.
+        let mut tokens = None;
         for _ in 0..layers {
             let mut caches = Vec::with_capacity(heads);
             for _ in 0..heads {
@@ -1276,6 +1277,9 @@ impl DurableLayerSet {
                     // snapshot means a corrupt writer, not storage rot.
                     return Err(PersistError::Corrupt("incomplete head inside checkpoint"));
                 }
+                if cache.head_dim() != d || *tokens.get_or_insert(cache.len()) != cache.len() {
+                    return Err(PersistError::Corrupt("head geometry mismatch inside checkpoint"));
+                }
                 caches.push(cache);
                 pos += len;
             }
@@ -1287,12 +1291,13 @@ impl DurableLayerSet {
         Ok(out)
     }
 
-    /// Rebuilds a durable set from a crash's leftovers on the global
-    /// runtime. See the module docs: a complete checkpoint anchors a
-    /// replay of the WAL's longest valid record prefix; a torn checkpoint
-    /// degrades to the empty set (and the WAL is dropped with it). Either
-    /// way **every cell lands on the same token count**, bit-identical to
-    /// a common prefix of the mutation stream.
+    /// Rebuilds a durable set from a crash's leftovers on `rt` (pass
+    /// [`turbo_runtime::global()`] for the default pool). See the module
+    /// docs: a complete checkpoint anchors a replay of the WAL's longest
+    /// valid record prefix; a torn checkpoint degrades to the empty set
+    /// (and the WAL is dropped with it). Either way **every cell lands on
+    /// the same token count**, bit-identical to a common prefix of the
+    /// mutation stream.
     ///
     /// Recovery does **not** unconditionally re-checkpoint: the
     /// surviving WAL prefix is kept and the checkpoint policy decides —
@@ -1303,31 +1308,6 @@ impl DurableLayerSet {
     ///
     /// A [`PersistError`] when the checkpoint blob is unusable (use
     /// [`DurableLayerSet::recover_or_empty`] to degrade instead).
-    #[allow(clippy::too_many_arguments)]
-    pub fn recover(
-        layers: usize,
-        heads: usize,
-        d: usize,
-        config: KvCacheConfig,
-        policy: Box<dyn CheckpointPolicy>,
-        checkpoint: &[u8],
-        wal_bytes: &[u8],
-        health: Option<&HealthStats>,
-    ) -> Result<(Self, LayerRecoverOutcome), PersistError> {
-        Self::recover_on(
-            turbo_runtime::global(),
-            layers,
-            heads,
-            d,
-            config,
-            policy,
-            checkpoint,
-            wal_bytes,
-            health,
-        )
-    }
-
-    /// As [`DurableLayerSet::recover`], but on an explicit runtime.
     #[allow(clippy::too_many_arguments)]
     pub fn recover_on(
         rt: &turbo_runtime::Runtime,
@@ -1398,12 +1378,13 @@ impl DurableLayerSet {
         Ok((set, outcome))
     }
 
-    /// As [`DurableLayerSet::recover`], but an unusable (torn, corrupt,
-    /// or missing) checkpoint degrades to a fresh empty set instead of an
-    /// error — the replica-rebuild path, where "lost everything,
-    /// re-prefill from scratch" is a valid outcome. The WAL is dropped
-    /// with the checkpoint (its records continue from a state that no
-    /// longer exists); token count 0 is still a valid common prefix.
+    /// As [`DurableLayerSet::recover_on`] on the global runtime, but an
+    /// unusable (torn, corrupt, or missing) checkpoint degrades to a
+    /// fresh empty set instead of an error — the replica-rebuild path,
+    /// where "lost everything, re-prefill from scratch" is a valid
+    /// outcome. The WAL is dropped with the checkpoint (its records
+    /// continue from a state that no longer exists); token count 0 is
+    /// still a valid common prefix.
     #[allow(clippy::too_many_arguments)]
     pub fn recover_or_empty(
         layers: usize,
@@ -1415,8 +1396,17 @@ impl DurableLayerSet {
         wal_bytes: &[u8],
         health: Option<&HealthStats>,
     ) -> (Self, LayerRecoverOutcome) {
-        match Self::recover(layers, heads, d, config, policy.clone(), checkpoint, wal_bytes, health)
-        {
+        match Self::recover_on(
+            turbo_runtime::global(),
+            layers,
+            heads,
+            d,
+            config,
+            policy.clone(),
+            checkpoint,
+            wal_bytes,
+            health,
+        ) {
             Ok(pair) => pair,
             Err(_) => {
                 if let Some(hs) = health {
@@ -1446,6 +1436,7 @@ mod tests {
     use super::*;
     use crate::head::HeadKvCache;
     use turbo_quant::BitWidth;
+    use turbo_runtime::global;
     use turbo_tensor::{Matrix, TensorRng};
 
     const LAYERS: usize = 2;
@@ -1463,6 +1454,14 @@ mod tests {
 
     fn never() -> Box<dyn CheckpointPolicy> {
         Box::new(NeverCheckpoint)
+    }
+
+    /// Recovers the test geometry under the never-checkpoint policy.
+    fn recover(
+        ckpt: &[u8],
+        wal: &[u8],
+    ) -> Result<(DurableLayerSet, LayerRecoverOutcome), PersistError> {
+        DurableLayerSet::recover_on(global(), LAYERS, HEADS, D, cfg(), never(), ckpt, wal, None)
     }
 
     /// Per-cell rows for token `t`: distinct data per cell so
@@ -1539,8 +1538,8 @@ mod tests {
         let set = filled(&data, 40, 13);
         let (ckpt, wal) = set.durable_state();
         let health = HealthStats::new();
-        let (back, outcome) = DurableLayerSet::recover(
-            LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, Some(&health),
+        let (back, outcome) = DurableLayerSet::recover_on(
+            global(), LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, Some(&health),
         )
         .unwrap();
         assert!(outcome.clean);
@@ -1566,8 +1565,8 @@ mod tests {
         let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
         assert_eq!(boundaries.len(), 1 + set.wal().records());
         for cut in 0..=wal.len() {
-            let (back, outcome) = DurableLayerSet::recover(
-                LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal[..cut], None,
+            let (back, outcome) = DurableLayerSet::recover_on(
+                global(), LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal[..cut], None,
             )
             .unwrap();
             let applied = outcome.wal.map_or(0, |r| r.appends);
@@ -1591,7 +1590,7 @@ mod tests {
     fn torn_checkpoint_degrades_to_empty_never_desync() {
         let data = TensorRng::new(4).normal(32, D * CELLS, 0.0, 1.0);
         let mut set = filled(&data, 24, 0);
-        set.checkpoint(None);
+        set.checkpoint_on(global(), None);
         for t in 24..32 {
             let rows = cell_rows(&data, t);
             set.try_append_token(&rows, &rows, None).unwrap();
@@ -1632,8 +1631,7 @@ mod tests {
         let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
         let mid = (boundaries[4] + boundaries[5]) / 2;
         wal[mid] ^= 0x40;
-        let (back, outcome) =
-            DurableLayerSet::recover(LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, None).unwrap();
+        let (back, outcome) = recover(&ckpt, &wal).unwrap();
         let r = outcome.wal.unwrap();
         assert_eq!(r.appends, 4, "replay stops at the corrupt record");
         assert!(!r.complete);
@@ -1668,8 +1666,7 @@ mod tests {
         assert_eq!(health.count(HealthEvent::CheckpointByRecords), 4);
         // Recovery replays at most the bounded tail, bit-identically.
         let (ckpt, wal) = set.durable_state();
-        let (back, outcome) =
-            DurableLayerSet::recover(LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, None).unwrap();
+        let (back, outcome) = recover(&ckpt, &wal).unwrap();
         assert!(outcome.wal.unwrap().appends < 10);
         assert_eq!(outcome.tokens, 40);
         assert_matches_reference(&back, &reference_cells(&data, 40, 0, 0));
@@ -1725,7 +1722,8 @@ mod tests {
         let set = filled(&data, 20, 0);
         let (ckpt, wal) = set.durable_state();
         // A lax policy keeps the replayed WAL live…
-        let (kept, o1) = DurableLayerSet::recover(
+        let (kept, o1) = DurableLayerSet::recover_on(
+            global(),
             LAYERS,
             HEADS,
             D,
@@ -1741,7 +1739,8 @@ mod tests {
         assert_eq!(kept.checkpoint_bytes(), &ckpt[..]);
         // …a tight one folds it into a fresh snapshot right away.
         let health = HealthStats::new();
-        let (folded, o2) = DurableLayerSet::recover(
+        let (folded, o2) = DurableLayerSet::recover_on(
+            global(),
             LAYERS,
             HEADS,
             D,
@@ -1832,6 +1831,65 @@ mod tests {
         assert!(replay_layer_wal(wal.as_bytes(), &mut wrong_heads, None).is_err());
     }
 
+    /// Seals arbitrary head snapshots into a checkpoint blob with an
+    /// honest header (layer and head counts from `layers`, `d` as given)
+    /// and a valid trailing CRC: a buggy writer, not storage rot.
+    fn forge_checkpoint(d: usize, layers: &[Vec<HeadKvCache>]) -> Vec<u8> {
+        let mut blob = Vec::new();
+        blob.extend_from_slice(CKPT_MAGIC);
+        blob.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        for n in [layers.len(), layers[0].len(), d] {
+            blob.extend_from_slice(&(n as u32).to_le_bytes());
+        }
+        for cache in layers.iter().flatten() {
+            let bytes = serialize_head_cache(cache);
+            blob.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            blob.extend_from_slice(&bytes);
+        }
+        let crc = crc32(&blob);
+        blob.extend_from_slice(&crc.to_le_bytes());
+        blob
+    }
+
+    #[test]
+    fn forged_head_geometry_in_checkpoint_is_rejected() {
+        let head = |dim: usize, tokens: usize| {
+            let data = TensorRng::new(tokens as u64).normal(tokens, dim, 0.0, 1.0);
+            let mut cache = HeadKvCache::new(dim, cfg());
+            for t in 0..tokens {
+                cache.append(data.row(t), data.row(t));
+            }
+            cache
+        };
+        let layer = |dim: usize, tokens: usize| -> Vec<HeadKvCache> {
+            (0..HEADS).map(|_| head(dim, tokens)).collect()
+        };
+        // The forger itself is honest: uniform geometry round-trips.
+        let honest = vec![layer(D, 5), layer(D, 5)];
+        assert_eq!(recover(&forge_checkpoint(D, &honest), &[]).unwrap().1.tokens, 5);
+
+        let mut ragged_heads = vec![layer(D, 5), layer(D, 5)];
+        ragged_heads[0][1] = head(D, 6);
+        let forged = [
+            ("heads with different token counts", ragged_heads),
+            ("layers with different token counts", vec![layer(D, 5), layer(D, 9)]),
+            ("heads wider than the header's d", vec![layer(2 * D, 5), layer(2 * D, 5)]),
+        ];
+        for (case, layers) in forged {
+            let blob = forge_checkpoint(D, &layers);
+            assert!(
+                matches!(recover(&blob, &[]), Err(PersistError::Corrupt(_))),
+                "{case}: recover accepted the blob"
+            );
+            let (back, outcome) = DurableLayerSet::recover_or_empty(
+                LAYERS, HEADS, D, cfg(), never(), &blob, &[], None,
+            );
+            assert!(!outcome.checkpoint_complete, "{case}");
+            assert_eq!(outcome.tokens, 0, "{case}: must degrade to empty");
+            assert_eq!(back.tokens(), 0, "{case}");
+        }
+    }
+
     #[test]
     fn recovery_never_panics_on_arbitrary_mutations() {
         const CKPT_AT: usize = 8;
@@ -1839,7 +1897,7 @@ mod tests {
         let mut set = DurableLayerSet::new(LAYERS, HEADS, D, cfg(), never());
         for t in 0..20 {
             if t == CKPT_AT {
-                set.checkpoint(None);
+                set.checkpoint_on(global(), None);
             }
             let rows = cell_rows(&data, t);
             set.try_append_token(&rows, &rows, None).unwrap();
@@ -1921,9 +1979,7 @@ mod tests {
                     set.try_append_token(&rows, &rows, None).unwrap();
                 }
                 let (ckpt, wal) = set.durable_state();
-                let (back, outcome) =
-                    DurableLayerSet::recover(LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, None)
-                        .unwrap();
+                let (back, outcome) = recover(&ckpt, &wal).unwrap();
                 let durable_tokens = (t / n) * n;
                 assert_eq!(
                     outcome.tokens, durable_tokens,
@@ -1947,10 +2003,7 @@ mod tests {
         };
         let recovered_tokens = |set: &DurableLayerSet| {
             let (ckpt, wal) = set.durable_state();
-            DurableLayerSet::recover(LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, None)
-                .unwrap()
-                .1
-                .tokens
+            recover(&ckpt, &wal).unwrap().1.tokens
         };
 
         let mut set = DurableLayerSet::new(LAYERS, HEADS, D, cfg(), never());
@@ -1967,7 +2020,7 @@ mod tests {
         assert_eq!(recovered_tokens(&set), 6, "flush-all is a barrier");
 
         append(&mut set, 6);
-        set.checkpoint(None);
+        set.checkpoint_on(global(), None);
         assert_eq!(recovered_tokens(&set), 7, "checkpoint is a barrier");
     }
 
@@ -1980,9 +2033,7 @@ mod tests {
             let rows = cell_rows(&data, t);
             set.try_append_token(&rows, &rows, None).unwrap();
             let (ckpt, wal) = set.durable_state();
-            let (_, outcome) =
-                DurableLayerSet::recover(LAYERS, HEADS, D, cfg(), never(), &ckpt, &wal, None)
-                    .unwrap();
+            let (_, outcome) = recover(&ckpt, &wal).unwrap();
             assert_eq!(outcome.tokens, t + 1, "every append immediately durable");
         }
         assert_eq!(set.stats().wal_syncs, 10);

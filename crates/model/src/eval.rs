@@ -40,21 +40,10 @@ pub struct EvalResult {
 /// extracting the final answer from 256 generated tokens).
 ///
 /// Episodes are independent and derive their randomness purely from
-/// `(seed, suite, index)`, so they are evaluated as chunked tasks on the
-/// shared [`turbo_runtime`] pool; the chunk size is fixed (worker-count
-/// independent) and per-chunk counts sum in index order, so results are
-/// identical to a serial sweep.
-pub fn evaluate(
-    backend: &dyn Backend,
-    profile: &ModelProfile,
-    suite: &TaskSuite,
-    cfg: &EvalConfig,
-) -> EvalResult {
-    evaluate_on(turbo_runtime::global(), backend, profile, suite, cfg)
-}
-
-/// As [`evaluate`], but on an explicit runtime (worker-count equivalence
-/// tests).
+/// `(seed, suite, index)`, so they are evaluated as chunked tasks on `rt`
+/// (pass [`turbo_runtime::global()`] for the default pool); the chunk
+/// size is fixed (worker-count independent) and per-chunk counts sum in
+/// index order, so results are identical to a serial sweep.
 pub fn evaluate_on(
     rt: &turbo_runtime::Runtime,
     backend: &dyn Backend,
@@ -128,13 +117,17 @@ mod tests {
         }
     }
 
+    fn quick_eval(b: &dyn Backend, p: &ModelProfile, suite: &TaskSuite) -> EvalResult {
+        evaluate_on(turbo_runtime::global(), b, p, suite, &quick())
+    }
+
     #[test]
     fn fp16_accuracy_is_paper_like_on_every_profile() {
         // Table 2's FP16 rows sit between ~46% and ~85%; the proxies are
         // calibrated to the same regime (high but not saturated).
         let suite = TaskSuite::gsm8k_proxy();
         for p in ModelProfile::paper_profiles() {
-            let r = evaluate(&Fp16Backend, &p, &suite, &quick());
+            let r = quick_eval(&Fp16Backend, &p, &suite);
             assert!(
                 (0.45..=1.0).contains(&r.accuracy),
                 "{}: FP16 accuracy {}",
@@ -148,8 +141,8 @@ mod tests {
     fn turbo_int4_is_near_lossless() {
         let p = ModelProfile::llama3_like();
         let suite = TaskSuite::aqua_proxy();
-        let fp16 = evaluate(&Fp16Backend, &p, &suite, &quick());
-        let turbo = evaluate(&TurboBackend::int4(), &p, &suite, &quick());
+        let fp16 = quick_eval(&Fp16Backend, &p, &suite);
+        let turbo = quick_eval(&TurboBackend::int4(), &p, &suite);
         assert!(
             turbo.accuracy >= fp16.accuracy - 0.15,
             "turbo {} vs fp16 {}",
@@ -162,8 +155,8 @@ mod tests {
     fn two_bit_degrades_more_than_four_bit() {
         let p = ModelProfile::qwen2_like();
         let suite = TaskSuite::gsm8k_proxy();
-        let t4 = evaluate(&TurboBackend::int4(), &p, &suite, &quick());
-        let t2 = evaluate(&TurboBackend::int2(), &p, &suite, &quick());
+        let t4 = quick_eval(&TurboBackend::int4(), &p, &suite);
+        let t2 = quick_eval(&TurboBackend::int2(), &p, &suite);
         assert!(
             t4.accuracy >= t2.accuracy,
             "int4 {} should be ≥ int2 {}",
@@ -177,8 +170,8 @@ mod tests {
         let p = ModelProfile::phi3_like();
         let suite = TaskSuite::bbh_proxy();
         let b = KiviBackend::new(BitWidth::Int4);
-        let a = evaluate(&b, &p, &suite, &quick());
-        let c = evaluate(&b, &p, &suite, &quick());
+        let a = quick_eval(&b, &p, &suite);
+        let c = quick_eval(&b, &p, &suite);
         assert_eq!(a, c);
     }
 
@@ -188,8 +181,8 @@ mod tests {
         // backends at FP16-equivalent precision decode the same chains.
         let p = ModelProfile::llama3_like();
         let suite = TaskSuite::bbh_proxy();
-        let fp16 = evaluate(&Fp16Backend, &p, &suite, &quick());
-        let gear8 = evaluate(&GearBackend::new(BitWidth::Int8), &p, &suite, &quick());
+        let fp16 = quick_eval(&Fp16Backend, &p, &suite);
+        let gear8 = quick_eval(&GearBackend::new(BitWidth::Int8), &p, &suite);
         // INT8 GEAR is near-exact, so results should match FP16 closely.
         assert!((fp16.accuracy - gear8.accuracy).abs() <= 0.1);
     }
@@ -199,7 +192,7 @@ mod tests {
         let p = ModelProfile::phi3_like();
         let suite = TaskSuite::gsm8k_proxy();
         let b = TurboBackend::int4();
-        let baseline = evaluate(&b, &p, &suite, &quick());
+        let baseline = quick_eval(&b, &p, &suite);
         for workers in [1usize, 2, 8] {
             let rt = turbo_runtime::Runtime::with_workers(workers);
             let r = evaluate_on(&rt, &b, &p, &suite, &quick());
@@ -210,7 +203,8 @@ mod tests {
     #[test]
     fn zero_episodes_is_safe() {
         let p = ModelProfile::llama3_like();
-        let r = evaluate(
+        let r = evaluate_on(
+            turbo_runtime::global(),
             &Fp16Backend,
             &p,
             &TaskSuite::gsm8k_proxy(),

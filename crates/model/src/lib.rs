@@ -44,7 +44,7 @@ pub mod vocab;
 pub mod weight_quant;
 
 pub use backend::{Backend, PreparedAttention};
-pub use eval::{evaluate, evaluate_on, EvalConfig, EvalResult};
+pub use eval::{evaluate_on, EvalConfig, EvalResult};
 pub use profile::ModelProfile;
 pub use tasks::{RecallEpisode, TaskSuite};
 pub use vocab::Vocabulary;

@@ -33,7 +33,7 @@ fn main() {
     let mut durable = DurableLayerSet::new(1, 1, 8, cfg, Box::new(NeverCheckpoint));
     for t in 0..96 {
         if t == 48 {
-            durable.checkpoint(None);
+            durable.checkpoint_on(turbo_runtime::global(), None);
         }
         let row = data.row(t);
         durable.try_append_token(&[row], &[row], None).expect("append");
@@ -43,7 +43,8 @@ fn main() {
     let torn_at = boundaries[boundaries.len() * 2 / 3] + 5; // mid-record
     wal.truncate(torn_at);
     let health = HealthStats::new();
-    let (back, outcome) = DurableLayerSet::recover(
+    let (back, outcome) = DurableLayerSet::recover_on(
+        turbo_runtime::global(),
         1,
         1,
         8,

@@ -59,7 +59,8 @@ fn main() {
         let step_q: Vec<Matrix> = (0..heads).map(|_| rng.normal(1, d, 0.0, 1.0)).collect();
         let step_k: Vec<Matrix> = (0..heads).map(|_| rng.normal(1, d, 0.0, 1.0)).collect();
         let step_v: Vec<Matrix> = (0..heads).map(|_| rng.normal(1, d, 0.0, 1.0)).collect();
-        let outs = engine.decode_layer_parallel(
+        let outs = engine.decode_layer_parallel_on(
+            turbo_runtime::global(),
             &step_q.iter().map(|m| m.row(0)).collect::<Vec<_>>(),
             &step_k.iter().map(|m| m.row(0)).collect::<Vec<_>>(),
             &step_v.iter().map(|m| m.row(0)).collect::<Vec<_>>(),

@@ -7,7 +7,7 @@
 //! Compares FP16, TurboAttention and KIVI end to end.
 
 use turbo_model::backend::{Backend, Fp16Backend, KiviBackend, TurboBackend};
-use turbo_model::{evaluate, EvalConfig, ModelProfile, RecallEpisode, TaskSuite};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, RecallEpisode, TaskSuite};
 use turbo_quant::BitWidth;
 use turbo_tensor::TensorRng;
 
@@ -63,7 +63,7 @@ fn main() {
         seed: 5,
     };
     for (name, backend) in &backends {
-        let r = evaluate(backend.as_ref(), &profile, &suite, &cfg);
+        let r = evaluate_on(turbo_runtime::global(), backend.as_ref(), &profile, &suite, &cfg);
         println!("  {name:>20}: {:.1}%", r.accuracy * 100.0);
     }
 }

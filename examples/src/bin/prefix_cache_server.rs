@@ -1,14 +1,14 @@
-//! Prefix-cache serving with GQA and split-K decode.
+//! Prefix-cache serving with GQA and grouped decode.
 //!
 //! Scenario: a server keeps the quantized KV cache of a shared system
 //! prompt on disk. Per request it (1) reloads the compressed prefix
-//! instead of re-prefilling, (2) decodes with grouped-query attention
-//! (4 query heads per KV head, as LLaMA3/Phi-3 ship), and (3) answers
-//! long-context queries with FlashDecoding-style split-K partitions over
-//! the quantized cache.
+//! instead of re-prefilling, and (2) decodes with grouped-query attention
+//! (4 query heads per KV head, as LLaMA3/Phi-3 ship): the query heads
+//! that share a KV head attend in one grouped pass over its quantized
+//! cache, so each cached tile is read once per group, not once per head.
 
 use turbo_attention::{
-    turbo_attend_cache, turbo_attend_cache_splitk, GqaLayout, TurboAttention, TurboConfig,
+    turbo_attend_cache, turbo_attend_group, GqaLayout, TurboAttention, TurboConfig,
 };
 use turbo_kvcache::HeadKvCache;
 use turbo_tensor::{Matrix, TensorRng};
@@ -29,7 +29,8 @@ fn main() {
     let vs: Vec<Matrix> = (0..layout.kv_heads)
         .map(|_| rng.normal(prefix_len, d, 0.0, 1.0))
         .collect();
-    let (_, cache) = engine.prefill_layer_gqa(layout, &qs, &ks, &vs, 1);
+    let rt = turbo_runtime::global();
+    let (_, cache) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 1);
 
     let payloads: Vec<Vec<u8>> = (0..layout.kv_heads)
         .map(|h| cache.head(h).to_bytes())
@@ -56,25 +57,30 @@ fn main() {
             .all(|h| reloaded[h].dequantize_all() == cache.head(h).dequantize_all())
     );
 
-    // --- Serve: split-K decode across the long cached context. ---------
+    // --- Serve: one grouped decode pass per KV head. -------------------
     let sas = engine.sas();
-    let mut fused_vs_split_worst = 0.0f32;
+    let g = layout.group_size();
+    let mut grouped_is_per_head = true;
     for _ in 0..8 {
         let q_rows: Vec<Vec<f32>> = (0..layout.q_heads)
             .map(|_| (0..d).map(|_| rng.standard_normal()).collect::<Vec<f32>>())
             .collect();
-        for (qh, q) in q_rows.iter().enumerate() {
-            let kv = layout.kv_head_of(qh);
-            let fused = turbo_attend_cache(q, &reloaded[kv], sas);
-            let split = turbo_attend_cache_splitk(q, &reloaded[kv], sas);
-            for (a, b) in fused.iter().zip(&split) {
-                fused_vs_split_worst = fused_vs_split_worst.max((a - b).abs());
+        for (kv, head) in reloaded.iter().enumerate() {
+            let group: Vec<&[f32]> = q_rows[kv * g..(kv + 1) * g]
+                .iter()
+                .map(Vec::as_slice)
+                .collect();
+            let outs = turbo_attend_group(&group, head, sas);
+            for (q, out) in group.iter().zip(&outs) {
+                grouped_is_per_head &= *out == turbo_attend_cache(q, head, sas);
             }
         }
     }
     println!(
-        "split-K decode over {} partitions agrees with fused decode to {:.2e}",
+        "grouped decode: {} query heads as {} groups of {g}, one pass per group over {} \
+         resident blocks (bit-identical to per-head decode: {grouped_is_per_head})",
+        layout.q_heads,
+        layout.kv_heads,
         reloaded[0].resident_blocks().len(),
-        fused_vs_split_worst
     );
 }

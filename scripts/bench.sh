@@ -82,12 +82,10 @@ GATED_PREFIXES = (
 # Coverage-only prefixes: rows must keep existing, but their medians are
 # not regression-gated (fleet/serving episodes are whole-scenario runs —
 # a full control loop or a 2048-sequence continuous-batching episode —
-# tracked for the requests/s and sequences/s trends rather than gated;
-# the split-K crossover rows are machine-shaped by design).
+# tracked for the requests/s and sequences/s trends rather than gated).
 COVERAGE_PREFIXES = GATED_PREFIXES + (
     "fleet/",
     "serving/",
-    "attention/splitk_crossover/",
 )
 
 with open(sys.argv[1]) as f:

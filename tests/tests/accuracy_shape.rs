@@ -7,7 +7,7 @@
 use turbo_model::backend::{
     Backend, Fp16Backend, GearBackend, KiviBackend, SasOnlyBackend, TurboBackend,
 };
-use turbo_model::{evaluate, EvalConfig, ModelProfile, TaskSuite, WeightQuant};
+use turbo_model::{evaluate_on, EvalConfig, ModelProfile, TaskSuite, WeightQuant};
 use turbo_quant::BitWidth;
 
 fn cfg() -> EvalConfig {
@@ -17,13 +17,18 @@ fn cfg() -> EvalConfig {
     }
 }
 
+/// Accuracy of one (backend, profile, suite) cell on the global runtime.
+fn accuracy(b: &dyn Backend, p: &ModelProfile, s: &TaskSuite) -> f64 {
+    evaluate_on(turbo_runtime::global(), b, p, s, &cfg()).accuracy
+}
+
 /// Average accuracy across all nine (profile, suite) cells.
 fn avg_accuracy(b: &dyn Backend) -> f64 {
     let mut sum = 0.0;
     let mut n = 0;
     for p in ModelProfile::paper_profiles() {
         for s in TaskSuite::paper_suites() {
-            sum += evaluate(b, &p, &s, &cfg()).accuracy;
+            sum += accuracy(b, &p, &s);
             n += 1;
         }
     }
@@ -78,7 +83,7 @@ fn table4_shape_each_component_is_near_lossless() {
     // combined 48.03 — each component costs little, combined costs most.
     let p = ModelProfile::llama3_like();
     let s = TaskSuite::aqua_proxy();
-    let e = |b: &dyn Backend| evaluate(b, &p, &s, &cfg()).accuracy;
+    let e = |b: &dyn Backend| accuracy(b, &p, &s);
     let fp16 = e(&Fp16Backend);
     let flashq = e(&TurboBackend::flashq_only());
     let sas = e(&SasOnlyBackend::default());
@@ -102,7 +107,7 @@ fn table5_weight_quant_composes() {
     let s = TaskSuite::gsm8k_proxy();
     let base = ModelProfile::llama3_like();
     let int8 = base.with_weight_quant(WeightQuant::Int8PerChannel);
-    let e = |p: &ModelProfile, b: &dyn Backend| evaluate(b, p, &s, &cfg()).accuracy;
+    let e = |p: &ModelProfile, b: &dyn Backend| accuracy(b, p, &s);
     let fp16 = e(&base, &Fp16Backend);
     let w8 = e(&int8, &Fp16Backend);
     let w8_turbo = e(&int8, &TurboBackend::int4());
@@ -115,7 +120,7 @@ fn figure7b_priority_is_at_least_as_good_as_alternatives_at_half() {
     use turbo_attention::SelectionMethod;
     let p = ModelProfile::llama3_like();
     let s = TaskSuite::aqua_proxy();
-    let e = |m| evaluate(&TurboBackend::mixed_with(4, m), &p, &s, &cfg()).accuracy;
+    let e = |m| accuracy(&TurboBackend::mixed_with(4, m), &p, &s);
     let priority = e(SelectionMethod::Priority);
     let entropy = e(SelectionMethod::Entropy);
     // Priority protects the fragile anisotropic heads; entropy demotes
@@ -131,7 +136,7 @@ fn figure7b_priority_is_at_least_as_good_as_alternatives_at_half() {
 fn accuracy_falls_monotonically_with_bits_for_kivi() {
     let p = ModelProfile::qwen2_like();
     let s = TaskSuite::gsm8k_proxy();
-    let e = |bits| evaluate(&KiviBackend::new(bits), &p, &s, &cfg()).accuracy;
+    let e = |bits| accuracy(&KiviBackend::new(bits), &p, &s);
     let a8 = e(BitWidth::Int8);
     let a4 = e(BitWidth::Int4);
     let a2 = e(BitWidth::Int2);
@@ -147,7 +152,7 @@ fn quarot_composes_losslessly_with_turbo() {
     use turbo_model::backend::QuarotTurboBackend;
     let p = ModelProfile::llama3_like();
     let s = TaskSuite::gsm8k_proxy();
-    let plain = evaluate(&TurboBackend::int4(), &p, &s, &cfg()).accuracy;
-    let rotated = evaluate(&QuarotTurboBackend::int4(), &p, &s, &cfg()).accuracy;
+    let plain = accuracy(&TurboBackend::int4(), &p, &s);
+    let rotated = accuracy(&QuarotTurboBackend::int4(), &p, &s);
     assert!(rotated >= plain - 0.08, "quarot {rotated} vs plain {plain}");
 }

@@ -110,7 +110,7 @@ fn every_layer_wal_crash_point_recovers_a_common_prefix() {
     let mut post_ops: Vec<Op> = Vec::new();
     for t in 0..LW_TOKENS {
         if t == LW_CHECKPOINT_AT {
-            set.checkpoint(None);
+            set.checkpoint_on(turbo_runtime::global(), None);
         }
         let kr = rows_at(&kd, t);
         let vr = rows_at(&vd, t);
@@ -156,7 +156,8 @@ fn every_layer_wal_crash_point_recovers_a_common_prefix() {
     }
 
     let check = |cut: usize, reference: &[HeadKvCache], expect_tokens: usize| {
-        let (back, outcome) = DurableLayerSet::recover(
+        let (back, outcome) = DurableLayerSet::recover_on(
+            turbo_runtime::global(),
             LAYERS,
             HEADS,
             d,
@@ -252,7 +253,8 @@ fn batched_wal_flush_bounds_loss_and_survives_tears() {
     let durable_tokens = (tokens / interval) * interval;
 
     // The staleness bound, untorn: the durable WAL ends at the last sync.
-    let (_, outcome) = DurableLayerSet::recover(
+    let (_, outcome) = DurableLayerSet::recover_on(
+        turbo_runtime::global(),
         LAYERS,
         HEADS,
         d,
@@ -285,7 +287,8 @@ fn batched_wal_flush_bounds_loss_and_survives_tears() {
             }
             applied += 1;
         }
-        let (back, outcome) = DurableLayerSet::recover(
+        let (back, outcome) = DurableLayerSet::recover_on(
+            turbo_runtime::global(),
             LAYERS,
             HEADS,
             d,
@@ -325,7 +328,7 @@ fn layer_wal_chaos_smoke() {
     let mut set = DurableLayerSet::new(LAYERS, HEADS, d, cfg(), Box::new(NeverCheckpoint));
     for t in 0..40 {
         if t == 16 {
-            set.checkpoint(None);
+            set.checkpoint_on(turbo_runtime::global(), None);
         }
         let rows: Vec<&[f32]> = (0..CELLS).map(|c| &data.row(t)[c * d..(c + 1) * d]).collect();
         set.try_append_token(&rows, &rows, None).unwrap();
@@ -416,7 +419,8 @@ fn pipelined_crash_cut_replays_same_wal_prefix_as_serialized() {
 
     let boundaries = LayerWriteAheadLog::record_boundaries(&wal_p);
     let recover = |snap: &[u8], wal: &[u8]| {
-        DurableLayerSet::recover(
+        DurableLayerSet::recover_on(
+            turbo_runtime::global(),
             ML_LAYERS,
             ML_HEADS,
             d,
@@ -490,7 +494,7 @@ fn layer_wal_recovered_prefix_resumes_the_stream_seamlessly() {
     let mut set = DurableLayerSet::new(1, 1, d, cfg(), Box::new(NeverCheckpoint));
     for t in 0..40 {
         if t == 24 {
-            set.checkpoint(None);
+            set.checkpoint_on(turbo_runtime::global(), None);
         }
         set.try_append_token(&[data.row(t)], &[data.row(t)], None).unwrap();
     }
@@ -498,7 +502,8 @@ fn layer_wal_recovered_prefix_resumes_the_stream_seamlessly() {
     // Tear mid-record, recover, and finish the stream on the survivor.
     let boundaries = LayerWriteAheadLog::record_boundaries(&wal);
     let cut = (boundaries[7] + boundaries[8]) / 2;
-    let (mut back, outcome) = DurableLayerSet::recover(
+    let (mut back, outcome) = DurableLayerSet::recover_on(
+        turbo_runtime::global(),
         1,
         1,
         d,

@@ -40,7 +40,8 @@ fn gqa_with_group_one_equals_mha() {
     let ks: Vec<Matrix> = (0..2).map(|_| rng.normal(16, 8, 0.0, 1.0)).collect();
     let vs: Vec<Matrix> = (0..2).map(|_| rng.normal(16, 8, 0.0, 1.0)).collect();
     let engine = TurboAttention::default();
-    let (gqa_outs, _) = engine.prefill_layer_gqa(layout, &qs, &ks, &vs, 0);
+    let rt = turbo_runtime::global();
+    let (gqa_outs, _) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 0);
     let (mha_outs, _) = engine.prefill_layer(&qs, &ks, &vs, &[BitWidth::Int4; 2]);
     assert_eq!(gqa_outs, mha_outs);
 }
@@ -53,7 +54,8 @@ fn parallel_layer_with_single_head() {
     let v = vec![rng.normal(8, 4, 0.0, 1.0)];
     let engine = TurboAttention::default();
     let (serial, _) = engine.prefill_layer(&q, &k, &v, &[BitWidth::Int4]);
-    let (parallel, _) = engine.prefill_layer_parallel(&q, &k, &v, &[BitWidth::Int4]);
+    let (parallel, _) =
+        engine.prefill_layer_parallel_on(turbo_runtime::global(), &q, &k, &v, &[BitWidth::Int4]);
     assert_eq!(serial, parallel);
 }
 

@@ -94,7 +94,7 @@ fn build_victim_slice(
     let half = slice.len() / 2;
     for (i, &t) in slice.iter().enumerate() {
         if i == half {
-            durable.checkpoint(None);
+            durable.checkpoint_on(turbo_runtime::global(), None);
         }
         let row = context.row(t);
         let rows: Vec<&[f32]> = vec![row; cells];
@@ -146,7 +146,7 @@ fn every_victim_wal_cut_recovers_a_bit_identical_prefix() {
         let advance_to = |n: usize, reference: &mut DurableLayerSet, from: usize| {
             for (i, &t) in slice.iter().enumerate().take(n).skip(from) {
                 if i == half {
-                    reference.checkpoint(None);
+                    reference.checkpoint_on(turbo_runtime::global(), None);
                 }
                 let row = context.row(t);
                 let rows: Vec<&[f32]> = vec![row; cells];
