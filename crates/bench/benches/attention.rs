@@ -522,6 +522,7 @@ fn bench_continuous_serving(c: &mut Criterion) {
                 &reqs,
                 &policy,
                 None,
+                None,
             )
         })
     });
@@ -533,6 +534,7 @@ fn bench_continuous_serving(c: &mut Criterion) {
                 AttnMethod::FlashFp16,
                 &reqs,
                 &policy,
+                None,
                 None,
             )
         })

@@ -33,6 +33,7 @@ pub mod kernels;
 pub mod memory;
 pub mod method;
 pub mod replica;
+mod router;
 pub mod sched;
 pub mod serving;
 pub mod shard;
@@ -49,16 +50,16 @@ pub use kernels::{decode_latency, prefill_latency, KernelBreakdown};
 pub use memory::{fits_in_memory, memory_usage};
 pub use method::AttnMethod;
 pub use replica::{
-    run_replica_set, run_replica_set_on, BreakerConfig, BreakerState, CircuitBreaker,
-    ReplicaSetConfig, ReplicaSetStats,
+    run_replica_set_on, BreakerConfig, BreakerState, CircuitBreaker, ReplicaSetConfig,
+    ReplicaSetStats,
 };
 pub use sched::{
     simulate_serving_continuous, simulate_serving_continuous_streamed, Queue, Scheduler,
     SchedulerConfig, SchedulerStats, StepRecord, TokenEvent,
 };
 pub use serving::{
-    simulate_serving, simulate_serving_robust, simulate_serving_robust_paged, uniform_workload,
-    RequestSpec, RobustServingStats, ServingPolicy, ServingStats, WorkloadSpec,
+    simulate_serving, uniform_workload, RequestSpec, RobustServingStats, ServingPolicy,
+    ServingStats, WorkloadSpec,
 };
 pub use shard::{
     run_sharded_episode, run_sharded_episode_on, ShardMap, ShardRange, ShardedConfig,

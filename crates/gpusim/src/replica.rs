@@ -1,10 +1,11 @@
 //! Replicated fault-tolerant serving: failover, circuit breakers, and
 //! WAL-backed replica rebuild.
 //!
-//! [`run_replica_set`] simulates N replicas of the robust serving engine
-//! ([`crate::serving::simulate_serving_robust`]) behind one router. The
-//! router walks a merged, deterministic timeline of request arrivals and
-//! chaos events ([`ChaosEvent`], generated by `turbo-robust`):
+//! [`run_replica_set_on`] simulates N replicas of the continuous-batching
+//! serving engine ([`crate::sched`]) behind one router. The router walks
+//! the merged, deterministic timeline of request arrivals and chaos
+//! events ([`ChaosEvent`], generated by `turbo-robust`) that it shares
+//! with the sharded episode (`gpusim::router`):
 //!
 //! * each request is dispatched to the least-loaded **up** replica whose
 //!   **circuit breaker** admits traffic ([`CircuitBreaker`]:
@@ -36,18 +37,14 @@
 //! — so a chaos episode replays bit-identically, which is what the soak
 //! harness asserts per seed.
 
-use crate::endtoend::linear_time;
 use crate::geometry::ModelGeometry;
 use crate::hw::GpuSpec;
-use crate::kernels::{decode_latency, prefill_latency};
 use crate::method::AttnMethod;
-use crate::serving::{
-    simulate_serving_robust_paged, RequestSpec, RobustServingStats, ServingPolicy,
+use crate::router::{
+    checkpoint_policy, rebuild_secs, rot, tear, CostModel, Flight, Pending, Timeline, Unit,
 };
-use turbo_kvcache::{
-    policy_from_env, CheckpointPolicy, DurableLayerSet, KvCacheConfig, PagedKvPool, RecordBudget,
-    ReplayBudget,
-};
+use crate::serving::{RequestSpec, RobustServingStats, ServingPolicy};
+use turbo_kvcache::{DurableLayerSet, KvCacheConfig};
 use turbo_robust::{ChaosAction, ChaosEvent, HealthEvent, HealthStats};
 use turbo_tensor::TensorRng;
 
@@ -209,8 +206,7 @@ pub struct ReplicaSetConfig {
     /// checkpoints fire whenever estimated WAL replay (at
     /// `wal_replay_rate`) would exceed this many seconds. `None` keeps
     /// the static record-budget default. The control plane drives this
-    /// knob per epoch from a [`turbo_robust::ReplayTuner`]; the
-    /// `TURBO_CKPT_POLICY` env override still wins either way.
+    /// knob per epoch from a [`turbo_robust::ReplayTuner`].
     pub replay_budget_secs: Option<f64>,
 }
 
@@ -243,7 +239,7 @@ impl Default for ReplicaSetConfig {
 }
 
 /// Exactly-once ledger and durability accounting of a replica-set run.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ReplicaSetStats {
     /// Requests submitted.
     pub total: usize,
@@ -291,17 +287,6 @@ impl ReplicaSetStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Flight {
-    prompt: usize,
-    gen: usize,
-    dispatched_at: f64,
-    est_finish: f64,
-    backup: Option<usize>,
-    attempts: u32,
-    kept: bool,
-}
-
 struct Replica {
     /// Time from which the replica accepts dispatches (down before it).
     up_at: f64,
@@ -320,70 +305,14 @@ impl Replica {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Pending {
-    Dispatch {
-        prompt: usize,
-        gen: usize,
-        attempts: u32,
-    },
-    Chaos(ChaosAction),
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Timed {
-    time: f64,
-    seq: u64,
-    item: Pending,
-}
-
-/// Pops the earliest event, (time, seq)-ordered, deterministically.
-fn pop_next(queue: &mut Vec<Timed>) -> Option<Timed> {
-    let idx = queue
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| {
-            // total_cmp keeps the order total even if an event time were
-            // poisoned to NaN (no-panic discipline; NaN sorts last).
-            a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq))
-        })
-        .map(|(i, _)| i)?;
-    Some(queue.swap_remove(idx))
-}
-
-/// Runs a replica set on the global runtime. See the module docs.
+/// Runs a replica set on `rt` (pass [`turbo_runtime::global`] for the
+/// shared pool). See the module docs.
 ///
 /// # Panics
 ///
 /// Panics on caller errors (empty/unsorted `requests`, zero replicas,
 /// non-positive rates) and if the exactly-once ledger or zero-token-loss
 /// invariant would be violated (a simulator bug, not an input error).
-#[allow(clippy::too_many_arguments)]
-pub fn run_replica_set(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    chaos: &[ChaosEvent],
-    config: &ReplicaSetConfig,
-    seed: u64,
-    health: Option<&HealthStats>,
-) -> ReplicaSetStats {
-    run_replica_set_on(
-        turbo_runtime::global(),
-        gpu,
-        geom,
-        method,
-        requests,
-        chaos,
-        config,
-        seed,
-        health,
-    )
-}
-
-/// As [`run_replica_set`], but on an explicit runtime (worker-count
-/// equivalence tests).
 #[allow(clippy::too_many_arguments)]
 pub fn run_replica_set_on(
     rt: &turbo_runtime::Runtime,
@@ -397,14 +326,13 @@ pub fn run_replica_set_on(
     health: Option<&HealthStats>,
 ) -> ReplicaSetStats {
     assert!(config.replicas > 0, "need at least one replica");
-    assert!(!requests.is_empty(), "no requests to serve");
-    for w in requests.windows(2) {
-        assert!(
-            w[0].arrival <= w[1].arrival,
-            "requests must be sorted by arrival"
-        );
-    }
-    assert!(config.retry_base > 0.0, "retry base must be positive");
+    let mut timeline = Timeline::new(
+        requests,
+        chaos,
+        seed ^ 0x00C3_A050,
+        config.retry_base,
+        config.max_failovers,
+    );
     assert!(
         config.wal_replay_rate > 0.0 && config.reprefill_rate > 0.0,
         "rebuild rates must be positive"
@@ -424,19 +352,7 @@ pub fn run_replica_set_on(
     let prefix_data =
         TensorRng::new(seed ^ 0x9E37_79B9).normal(config.prefix_tokens, config.prefix_dim, 0.0, 1.0);
     let cells = config.prefix_layers * config.prefix_heads;
-    // Record budget sized so steady-state builds never trip it — unless
-    // the control plane set an explicit replay budget, in which case
-    // cadence follows that ceiling. `TURBO_CKPT_POLICY` still wins.
-    let make_policy = || -> Box<dyn CheckpointPolicy> {
-        let default: Box<dyn CheckpointPolicy> = match config.replay_budget_secs {
-            Some(max_replay_secs) => Box::new(ReplayBudget {
-                max_replay_secs,
-                replay_rate: config.wal_replay_rate,
-            }),
-            None => Box::new(RecordBudget { max_records: 256 }),
-        };
-        policy_from_env(default)
-    };
+    let make_policy = || checkpoint_policy(config.replay_budget_secs, config.wal_replay_rate, 256);
     let build_durable = || {
         let mut d = DurableLayerSet::new(
             config.prefix_layers,
@@ -470,71 +386,17 @@ pub fn run_replica_set_on(
         })
         .collect();
 
-    // Single-request service estimate for routing (the full queueing
-    // behavior is simulated in phase 2; this only drives load balancing,
-    // hedging, and which flights a kill catches mid-air).
-    let est_service = |prompt: usize, gen: usize| -> f64 {
-        prefill_latency(gpu, geom, method, 1, prompt).total()
-            + linear_time(gpu, geom, 1, prompt)
-            + gen as f64
-                * (decode_latency(gpu, geom, method, 1, prompt + gen).total()
-                    + linear_time(gpu, geom, 1, 1))
-    };
-
-    let mut queue: Vec<Timed> = Vec::with_capacity(requests.len() + chaos.len());
-    let mut seq = 0u64;
-    for r in requests {
-        queue.push(Timed {
-            time: r.arrival,
-            seq,
-            item: Pending::Dispatch {
-                prompt: r.prompt,
-                gen: r.gen,
-                attempts: 0,
-            },
-        });
-        seq += 1;
-    }
-    for e in chaos {
-        queue.push(Timed {
-            time: e.time,
-            seq,
-            item: Pending::Chaos(e.action),
-        });
-        seq += 1;
-    }
-
-    let mut jitter_rng = TensorRng::new(seed ^ 0x00C3_A050);
+    let cost = CostModel { gpu, geom, method };
     let mut stats = ReplicaSetStats {
         total: requests.len(),
-        completed: 0,
-        truncated: 0,
-        rejected: 0,
-        routing_rejected: 0,
-        failovers: 0,
-        hedged: 0,
-        hedge_saves: 0,
-        kills: 0,
-        restarts: 0,
-        rebuilds: 0,
-        recovered_tokens: 0,
-        reprefilled_tokens: 0,
-        lost_tokens: 0,
-        generated_tokens: 0,
-        makespan: 0.0,
-        per_replica: Vec::new(),
+        ..ReplicaSetStats::default()
     };
     let mut pressure = config.policy.hbm_usable_fraction;
 
     // ------------------------------------------------- phase 1: routing --
-    while let Some(ev) = pop_next(&mut queue) {
-        let now = ev.time;
-        match ev.item {
-            Pending::Dispatch {
-                prompt,
-                gen,
-                attempts,
-            } => {
+    while let Some((now, item)) = timeline.pop() {
+        match item {
+            Pending::Dispatch(req) => {
                 // Candidates: up replicas whose breaker admits traffic.
                 let mut candidates: Vec<usize> = Vec::new();
                 for (i, r) in replicas.iter_mut().enumerate() {
@@ -550,66 +412,34 @@ pub fn run_replica_set_on(
                     // simply the least-preferred candidate).
                     la.total_cmp(&lb).then(a.cmp(&b))
                 });
-                match candidates.first().copied() {
-                    Some(primary) => {
-                        let wait = replicas[primary].busy_until.max(now) - now;
-                        let backup = match config.hedge_threshold {
-                            Some(h) if wait > h && candidates.len() >= 2 => {
-                                stats.hedged += 1;
-                                if let Some(hs) = health {
-                                    hs.record(HealthEvent::RequestHedged);
-                                }
-                                Some(candidates[1])
-                            }
-                            _ => None,
-                        };
-                        let est = est_service(prompt, gen);
-                        let finish = replicas[primary].busy_until.max(now) + est;
-                        replicas[primary].busy_until = finish;
-                        replicas[primary].breaker.on_success();
-                        replicas[primary].flights.push(Flight {
-                            prompt,
-                            gen,
-                            dispatched_at: now,
-                            est_finish: finish,
-                            backup,
-                            attempts,
-                            kept: true,
-                        });
-                    }
-                    None => {
-                        if attempts >= config.max_failovers {
-                            stats.routing_rejected += 1;
-                            if let Some(hs) = health {
-                                hs.record(HealthEvent::RequestRejected);
-                            }
-                        } else {
-                            // Jittered exponential backoff. Retries run
-                            // on their own schedule — the client cannot
-                            // see when the set heals — so a long outage
-                            // exhausts the budget and rejects.
-                            let jitter = jitter_rng.uniform_value(0.5, 1.5) as f64;
-                            let backoff =
-                                config.retry_base * f64::powi(2.0, attempts as i32) * jitter;
-                            let at = now + backoff;
-                            stats.failovers += 1;
-                            if let Some(hs) = health {
-                                hs.record(HealthEvent::FailoverRetry);
-                            }
-                            queue.push(Timed {
-                                time: at,
-                                seq,
-                                item: Pending::Dispatch {
-                                    prompt,
-                                    gen,
-                                    attempts: attempts + 1,
-                                },
-                            });
-                            seq += 1;
+                let Some(primary) = candidates.first().copied() else {
+                    timeline.retry_or_reject(now, req, health);
+                    continue;
+                };
+                let wait = replicas[primary].busy_until.max(now) - now;
+                let backup = match config.hedge_threshold {
+                    Some(h) if wait > h && candidates.len() >= 2 => {
+                        stats.hedged += 1;
+                        if let Some(hs) = health {
+                            hs.record(HealthEvent::RequestHedged);
                         }
+                        Some(candidates[1])
                     }
-                }
+                    _ => None,
+                };
+                let finish = replicas[primary].busy_until.max(now) + cost.est_service(req);
+                replicas[primary].busy_until = finish;
+                replicas[primary].breaker.on_success();
+                replicas[primary].flights.push(Flight {
+                    req,
+                    dispatched_at: now,
+                    est_finish: finish,
+                    backup,
+                    kept: true,
+                });
             }
+            // Only the sharded episode schedules zone restores.
+            Pending::Restore { .. } => {}
             Pending::Chaos(action) => match action {
                 ChaosAction::KillReplica { replica, wal_cut } => {
                     let i = replica % replicas.len();
@@ -620,26 +450,13 @@ pub fn run_replica_set_on(
                     if let Some(hs) = health {
                         hs.record(HealthEvent::ReplicaKilled);
                     }
-                    // Tear the durable WAL at an arbitrary byte offset;
-                    // silent rot recorded earlier compounds the damage.
-                    let (snap, mut wal) = replicas[i].durable.durable_state();
-                    let cut = replicas[i].rot_cut.take().map_or(wal_cut, |r| r.min(wal_cut));
-                    let keep = (wal.len() as f64 * cut) as usize;
-                    wal.truncate(keep);
                     // All layers rebuild from the one group-commit log:
                     // whatever token prefix survives the tear, every
                     // layer/head cell lands on it together.
-                    let (mut rebuilt, outcome) = DurableLayerSet::recover_or_empty(
-                        config.prefix_layers,
-                        config.prefix_heads,
-                        config.prefix_dim,
-                        config.cache,
-                        make_policy(),
-                        &snap,
-                        &wal,
-                        health,
-                    );
-                    let recovered = outcome.tokens.min(config.prefix_tokens);
+                    let r = &mut replicas[i];
+                    let (mut rebuilt, tokens, _) =
+                        tear(&r.durable, &mut r.rot_cut, wal_cut, make_policy(), health);
+                    let recovered = tokens.min(config.prefix_tokens);
                     let lost_suffix = config.prefix_tokens - recovered;
                     for t in recovered..config.prefix_tokens {
                         let row = prefix_data.row(t);
@@ -648,25 +465,28 @@ pub fn run_replica_set_on(
                     }
                     stats.recovered_tokens += recovered;
                     stats.reprefilled_tokens += lost_suffix;
-                    let rebuild_time = 0.01
-                        + recovered as f64 / config.wal_replay_rate
-                        + lost_suffix as f64 / config.reprefill_rate;
-                    replicas[i].durable = rebuilt;
-                    replicas[i].up_at = now + rebuild_time;
-                    replicas[i].busy_until = replicas[i].up_at;
+                    r.durable = rebuilt;
+                    r.up_at = now
+                        + rebuild_secs(
+                            recovered,
+                            lost_suffix,
+                            config.wal_replay_rate,
+                            config.reprefill_rate,
+                        );
+                    r.busy_until = r.up_at;
                     stats.rebuilds += 1;
                     if let Some(hs) = health {
                         hs.record(HealthEvent::ReplicaRebuilt);
                     }
                     // Fail over everything still in the air.
                     let mut redispatch: Vec<Flight> = Vec::new();
-                    for f in replicas[i].flights.iter_mut() {
+                    for f in r.flights.iter_mut() {
                         if f.kept && f.est_finish > now {
                             f.kept = false;
                             redispatch.push(*f);
                         }
                     }
-                    replicas[i].breaker.on_failure(now, health);
+                    r.breaker.on_failure(now, health);
                     for f in redispatch {
                         replicas[i].breaker.on_failure(now, health);
                         // Hedged flights promote to their standby with no
@@ -675,40 +495,21 @@ pub fn run_replica_set_on(
                         let promoted = f.backup.filter(|&j| {
                             j != i && replicas[j].is_up(now) && replicas[j].breaker.admits(now)
                         });
-                        if let Some(j) = promoted {
-                            stats.hedge_saves += 1;
-                            let est = est_service(f.prompt, f.gen);
-                            let finish = replicas[j].busy_until.max(now) + est;
-                            replicas[j].busy_until = finish;
-                            replicas[j].breaker.on_success();
-                            replicas[j].flights.push(Flight {
-                                prompt: f.prompt,
-                                gen: f.gen,
-                                dispatched_at: now,
-                                est_finish: finish,
-                                backup: None,
-                                attempts: f.attempts,
-                                kept: true,
-                            });
-                        } else {
-                            let jitter = jitter_rng.uniform_value(0.5, 1.5) as f64;
-                            let backoff =
-                                config.retry_base * f64::powi(2.0, f.attempts as i32) * jitter;
-                            stats.failovers += 1;
-                            if let Some(hs) = health {
-                                hs.record(HealthEvent::FailoverRetry);
-                            }
-                            queue.push(Timed {
-                                time: now + backoff,
-                                seq,
-                                item: Pending::Dispatch {
-                                    prompt: f.prompt,
-                                    gen: f.gen,
-                                    attempts: f.attempts + 1,
-                                },
-                            });
-                            seq += 1;
-                        }
+                        let Some(j) = promoted else {
+                            timeline.retry(now, f.req, health);
+                            continue;
+                        };
+                        stats.hedge_saves += 1;
+                        let finish = replicas[j].busy_until.max(now) + cost.est_service(f.req);
+                        replicas[j].busy_until = finish;
+                        replicas[j].breaker.on_success();
+                        replicas[j].flights.push(Flight {
+                            dispatched_at: now,
+                            est_finish: finish,
+                            backup: None,
+                            kept: true,
+                            ..f
+                        });
                     }
                 }
                 ChaosAction::RestartReplica { replica } => {
@@ -726,10 +527,7 @@ pub fn run_replica_set_on(
                 }
                 ChaosAction::TruncateWal { replica, wal_cut } => {
                     let i = replica % replicas.len();
-                    // Silent storage rot: noticed only at the next
-                    // recovery, where it compounds with the crash tear.
-                    let prev = replicas[i].rot_cut.unwrap_or(1.0);
-                    replicas[i].rot_cut = Some(prev.min(wal_cut));
+                    rot(&mut replicas[i].rot_cut, wal_cut);
                 }
                 ChaosAction::MemoryPressure { usable } => {
                     pressure = pressure.min(usable);
@@ -751,8 +549,7 @@ pub fn run_replica_set_on(
                     let zones = config.zones.max(1);
                     let stall = duration * (1.0 - 1.0 / latency_factor.max(1.0));
                     for i in (0..replicas.len()).filter(|r| r % zones == zone % zones) {
-                        let prev = replicas[i].rot_cut.unwrap_or(1.0);
-                        replicas[i].rot_cut = Some(prev.min(wal_rot));
+                        rot(&mut replicas[i].rot_cut, wal_rot);
                         if let Some(hs) = health {
                             hs.record(HealthEvent::DegradedWalRot);
                         }
@@ -767,6 +564,8 @@ pub fn run_replica_set_on(
             },
         }
     }
+    stats.failovers = timeline.failovers;
+    stats.routing_rejected = timeline.routing_rejected;
 
     // ------------------------------------- phase 2: serve per replica --
     let policy = ServingPolicy {
@@ -781,33 +580,22 @@ pub fn run_replica_set_on(
                 .filter(|f| f.kept)
                 .map(|f| RequestSpec {
                     arrival: f.dispatched_at,
-                    prompt: f.prompt,
-                    gen: f.gen,
+                    prompt: f.req.prompt,
+                    gen: f.req.gen,
                 })
                 .collect()
         })
         .collect();
-    stats.per_replica = rt.par_map(&routed, |reqs| {
-        if reqs.is_empty() {
-            None
-        } else {
-            // Each replica serves on a real paged KV pool via the
-            // non-panicking `try_*` APIs: requests fork the replica's
-            // prefix sequence, and any cache fault rejects that request
-            // instead of aborting the replica. Pool construction is a
-            // pure function of the config, so the merge stays
-            // deterministic at any worker count.
-            let mut pool = PagedKvPool::new(config.prefix_dim, config.cache);
-            let prefix = pool.create_sequence();
-            for t in 0..config.prefix_tokens {
-                let row = prefix_data.row(t);
-                let _ = pool.try_append(prefix, row, row);
-            }
-            Some(simulate_serving_robust_paged(
-                gpu, geom, method, reqs, &policy, &mut pool, prefix, health,
-            ))
-        }
-    });
+    // Each replica's requests fork its prefix sequence.
+    let prefix_rows: Vec<&[f32]> = (0..config.prefix_tokens)
+        .map(|t| prefix_data.row(t))
+        .collect();
+    let units: Vec<Option<Unit>> = routed
+        .iter()
+        .map(|reqs| (!reqs.is_empty()).then(|| (reqs.as_slice(), prefix_rows.clone())))
+        .collect();
+    stats.per_replica =
+        cost.serve_paged(rt, &policy, config.prefix_dim, config.cache, &units, health);
 
     for s in stats.per_replica.iter().flatten() {
         stats.completed += s.completed;
@@ -841,6 +629,19 @@ mod tests {
 
     fn workload() -> Vec<RequestSpec> {
         crate::serving::uniform_workload(24, 2.0, 1024, 32, 42)
+    }
+
+    /// A FlashAttention-FP16 replica set on the global runtime.
+    fn run_global(
+        reqs: &[RequestSpec],
+        chaos: &[ChaosEvent],
+        cfg: &ReplicaSetConfig,
+        seed: u64,
+        health: Option<&HealthStats>,
+    ) -> ReplicaSetStats {
+        let (gpu, geom) = setup();
+        let (rt, method) = (turbo_runtime::global(), AttnMethod::FlashFp16);
+        run_replica_set_on(rt, &gpu, &geom, method, reqs, chaos, cfg, seed, health)
     }
 
     fn small_config() -> ReplicaSetConfig {
@@ -880,18 +681,8 @@ mod tests {
 
     #[test]
     fn calm_run_completes_everything_exactly_once() {
-        let (gpu, geom) = setup();
         let reqs = workload();
-        let stats = run_replica_set(
-            &gpu,
-            &geom,
-            AttnMethod::FlashFp16,
-            &reqs,
-            &[],
-            &small_config(),
-            7,
-            None,
-        );
+        let stats = run_global(&reqs, &[], &small_config(), 7, None);
         assert_eq!(stats.total, reqs.len());
         assert_eq!(stats.completed, reqs.len());
         assert_eq!(stats.rejected, 0);
@@ -903,7 +694,6 @@ mod tests {
 
     #[test]
     fn kills_fail_over_and_rebuild_by_wal_replay() {
-        let (gpu, geom) = setup();
         let reqs = workload();
         let plan = ChaosPlan::generate(
             11,
@@ -919,16 +709,7 @@ mod tests {
             },
         );
         let health = HealthStats::new();
-        let stats = run_replica_set(
-            &gpu,
-            &geom,
-            AttnMethod::FlashFp16,
-            &reqs,
-            &plan.events,
-            &small_config(),
-            11,
-            Some(&health),
-        );
+        let stats = run_global(&reqs, &plan.events, &small_config(), 11, Some(&health));
         assert_eq!(stats.accounted(), stats.total);
         assert!(stats.kills >= 1, "the plan schedules kills");
         assert_eq!(stats.rebuilds, stats.kills);
@@ -971,22 +752,11 @@ mod tests {
             assert_eq!(baseline, run(&rt), "{workers} workers diverged");
         }
         // And an identical re-run on the global runtime matches too.
-        let again = run_replica_set(
-            &gpu,
-            &geom,
-            AttnMethod::FlashFp16,
-            &reqs,
-            &plan.events,
-            &cfg,
-            23,
-            None,
-        );
-        assert_eq!(baseline, again);
+        assert_eq!(baseline, run(turbo_runtime::global()));
     }
 
     #[test]
     fn total_outage_rejects_after_retry_budget() {
-        let (gpu, geom) = setup();
         // One replica, killed immediately with a huge rebuild bill.
         let reqs = crate::serving::uniform_workload(4, 10.0, 512, 8, 5);
         let chaos = vec![ChaosEvent {
@@ -1006,16 +776,7 @@ mod tests {
             reprefill_rate: 1e-3,
             ..ReplicaSetConfig::default()
         };
-        let stats = run_replica_set(
-            &gpu,
-            &geom,
-            AttnMethod::FlashFp16,
-            &reqs,
-            &chaos,
-            &cfg,
-            3,
-            None,
-        );
+        let stats = run_global(&reqs, &chaos, &cfg, 3, None);
         assert_eq!(stats.accounted(), stats.total);
         assert!(stats.routing_rejected > 0, "retry budget must exhaust");
         assert!(stats.failovers > 0);
@@ -1023,7 +784,6 @@ mod tests {
 
     #[test]
     fn hedged_requests_promote_without_backoff() {
-        let (gpu, geom) = setup();
         // A burst deep enough to queue, then a kill that catches the
         // primary with hedged flights in the air.
         let reqs = crate::serving::uniform_workload(16, 200.0, 2048, 64, 9);
@@ -1042,16 +802,7 @@ mod tests {
             ..ReplicaSetConfig::default()
         };
         let health = HealthStats::new();
-        let stats = run_replica_set(
-            &gpu,
-            &geom,
-            AttnMethod::FlashFp16,
-            &reqs,
-            &chaos,
-            &cfg,
-            13,
-            Some(&health),
-        );
+        let stats = run_global(&reqs, &chaos, &cfg, 13, Some(&health));
         assert_eq!(stats.accounted(), stats.total);
         assert!(stats.hedged > 0, "zero threshold hedges queued requests");
         assert_eq!(

@@ -44,10 +44,11 @@
 //! real parallel work runs: the replica set's `par_map`, the shard
 //! pipelines and `turbo_attention::multilayer`.
 //!
-//! `simulate_serving_robust*` (and therefore `gpusim::replica`,
-//! `gpusim::fleet`, the chaos/crash soaks, and the exactly-once ledger)
-//! all run on this scheduler now; the serialized loop survives only in
-//! the plain [`crate::serving::simulate_serving`] reference simulator.
+//! [`simulate_serving_continuous`] (and therefore `gpusim::replica`,
+//! `gpusim::shard`, `gpusim::fleet`, the chaos/crash soaks, and the
+//! exactly-once ledger) runs on this scheduler; the serialized loop
+//! survives only in the plain [`crate::serving::simulate_serving`]
+//! reference simulator.
 
 use crate::endtoend::linear_time;
 use crate::geometry::ModelGeometry;
@@ -824,8 +825,7 @@ impl<'a> Scheduler<'a> {
     }
 }
 
-/// Core runner shared by every public entry point and by
-/// `simulate_serving_robust*` in [`crate::serving`].
+/// Core runner shared by both public entry points.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_continuous(
     gpu: &GpuSpec,
@@ -850,21 +850,38 @@ pub(crate) fn run_continuous(
     sched.finish()
 }
 
-/// Runs the continuous-batching scheduler over `requests` and returns
-/// the full [`SchedulerStats`] (ledger + per-step telemetry).
+/// Fault-tolerant serving: runs the continuous-batching scheduler over
+/// `requests` and returns the full [`SchedulerStats`] — the
+/// [`RobustServingStats`] ledger in `.serving` plus per-step telemetry.
+/// Infeasible or unlucky requests are *rejected* instead of panicking or
+/// stalling the queue forever, deadlines bound every request's latency,
+/// admission failures back off exponentially, and — when the policy
+/// allows — the KV cache is demoted to a lower bit width under memory
+/// pressure rather than shedding load. Every intervention is recorded in
+/// `health` (when given) and mirrored in the returned stats.
+///
+/// With `paged = Some((pool, prefix))` every admitted request carries a
+/// real [`PagedKvPool`] sequence forked off `prefix`, and all cache
+/// traffic goes through the pool's **non-panicking** `try_*` APIs: a
+/// fork or append error rejects that request (releasing its sequence)
+/// instead of aborting the engine, and finish/truncation releases the
+/// fork, so a healthy run returns the pool holding exactly the prefix it
+/// started with. With a healthy pool the trajectory and every stat are
+/// identical to `paged = None` — the pool only adds state, never time.
 ///
 /// # Panics
 ///
-/// As [`Scheduler::new`] — caller errors only.
+/// As [`Scheduler::new`] — caller errors only. Cache faults never panic.
 pub fn simulate_serving_continuous(
     gpu: &GpuSpec,
     geom: &ModelGeometry,
     method: AttnMethod,
     requests: &[RequestSpec],
     policy: &ServingPolicy,
+    paged: Option<(&mut PagedKvPool, SeqId)>,
     health: Option<&HealthStats>,
 ) -> SchedulerStats {
-    run_continuous(gpu, geom, method, requests, policy, None, health, None)
+    run_continuous(gpu, geom, method, requests, policy, paged, health, None)
 }
 
 /// As [`simulate_serving_continuous`], but every generated token is
@@ -916,6 +933,7 @@ mod tests {
             &reqs,
             &policy(cfg),
             None,
+            None,
         );
         assert!(!stats.steps.is_empty());
         for s in &stats.steps {
@@ -954,6 +972,7 @@ mod tests {
             AttnMethod::FlashFp16,
             &reqs,
             &policy(SchedulerConfig::default()),
+            None,
             None,
         );
         assert!(
@@ -1016,6 +1035,7 @@ mod tests {
             &reqs,
             &policy(tight),
             None,
+            None,
         );
         assert!(stats.peak_reserved_tokens <= tight.max_batch_total_tokens);
         assert!(stats.serving.peak_batch <= 2);
@@ -1044,6 +1064,7 @@ mod tests {
             &reqs,
             &policy(cfg),
             None,
+            None,
         );
         assert_eq!(stats.serving.completed, reqs.len());
         assert!(stats.mean_ttft.is_finite() && stats.mean_ttft > 0.0);
@@ -1062,6 +1083,7 @@ mod tests {
             AttnMethod::FlashFp16,
             &reqs,
             &policy(SchedulerConfig::default()),
+            None,
             None,
         );
         assert_eq!(stats.serving.completed, reqs.len());
@@ -1087,6 +1109,7 @@ mod tests {
             AttnMethod::FlashFp16,
             &reqs,
             &pol,
+            None,
             Some(&health),
         );
         let s = &stats.serving;
@@ -1114,8 +1137,10 @@ mod tests {
             hbm_usable_fraction: 0.9,
             ..ServingPolicy::default()
         };
-        let a = simulate_serving_continuous(&gpu, &geom, AttnMethod::FlashFp16, &reqs, &pol, None);
-        let b = simulate_serving_continuous(&gpu, &geom, AttnMethod::FlashFp16, &reqs, &pol, None);
+        let run = || {
+            simulate_serving_continuous(&gpu, &geom, AttnMethod::FlashFp16, &reqs, &pol, None, None)
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a, b);
     }
 }

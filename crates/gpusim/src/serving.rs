@@ -1,5 +1,5 @@
-//! Serving simulators: the serialized reference engine and the robust
-//! entry points over the continuous-batching scheduler.
+//! Serving simulators: the serialized reference engine, the request and
+//! policy types the continuous-batching scheduler serves, and workloads.
 //!
 //! Figure 7a's "maximum throughput" is an offline number; production
 //! serving cares about *sustained load*: requests arrive over time, the
@@ -18,8 +18,8 @@
 //!   admitted only if weights + every live sequence's *maximum* KV
 //!   footprint fit in usable HBM. Simple, and the baseline the paper
 //!   figures are read against.
-//! * [`simulate_serving_robust`] and everything above it (paged pools,
-//!   replicas, the fleet) now run on the **continuous-batching
+//! * [`crate::sched::simulate_serving_continuous`] and everything above
+//!   it (paged pools, replicas, the fleet) run on the **continuous-batching
 //!   scheduler** in [`crate::sched`]: chunked prefill interleaved with
 //!   decode, budgeted batch re-formation every step, a
 //!   `waiting_served_ratio` admission policy, and streaming token
@@ -36,8 +36,6 @@ use crate::hw::GpuSpec;
 use crate::kernels::{decode_latency, prefill_latency};
 use crate::memory::fits_in_memory;
 use crate::method::AttnMethod;
-use turbo_kvcache::{PagedKvPool, SeqId};
-use turbo_robust::HealthStats;
 
 /// One inference request.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -308,72 +306,6 @@ pub struct RobustServingStats {
     pub latencies: Vec<f64>,
 }
 
-/// Fault-tolerant serving on the **continuous-batching scheduler**
-/// ([`crate::sched`]): chunked prefills interleave with decode under the
-/// [`ServingPolicy::sched`] budgets, infeasible or unlucky requests are
-/// *rejected* instead of panicking or stalling the queue forever,
-/// deadlines bound every request's latency, admission failures back off
-/// exponentially, and — when the policy allows — the KV cache is demoted
-/// to a lower bit width under memory pressure rather than shedding load.
-/// Every intervention is recorded in `health` (when given) and mirrored
-/// in the returned stats.
-///
-/// This is `.serving` of [`crate::sched::simulate_serving_continuous`];
-/// use that entry point directly for per-step scheduling telemetry or
-/// streamed tokens.
-///
-/// # Panics
-///
-/// Panics only on caller errors: empty/unsorted `requests`, a
-/// non-positive backoff/HBM fraction in `policy`, or degenerate
-/// scheduler budgets.
-pub fn simulate_serving_robust(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    health: Option<&HealthStats>,
-) -> RobustServingStats {
-    crate::sched::run_continuous(gpu, geom, method, requests, policy, None, health, None).serving
-}
-
-/// As [`simulate_serving_robust`], but every admitted request carries a
-/// real [`PagedKvPool`] sequence forked off `prefix`, and all cache
-/// traffic goes through the pool's **non-panicking** `try_*` APIs:
-///
-/// * admission forks the shared prefix — a fork error (unknown or
-///   corrupt prefix, dangling page) *rejects* the request before any
-///   prefill cost is paid, it does not abort the engine;
-/// * every decode step appends that request's K/V row — an append error
-///   rejects the request mid-flight, releases its sequence, and zeroes
-///   its output, leaving the pool and the ledger consistent;
-/// * finish/truncation releases the fork, so a healthy run returns the
-///   pool holding exactly the prefix it started with.
-///
-/// With a healthy pool the simulated trajectory (and every stat) is
-/// identical to [`simulate_serving_robust`] — the pool only adds state,
-/// never time.
-///
-/// # Panics
-///
-/// As [`simulate_serving_robust`] — caller errors only. Cache faults
-/// never panic here; that is the point.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_serving_robust_paged(
-    gpu: &GpuSpec,
-    geom: &ModelGeometry,
-    method: AttnMethod,
-    requests: &[RequestSpec],
-    policy: &ServingPolicy,
-    pool: &mut PagedKvPool,
-    prefix: SeqId,
-    health: Option<&HealthStats>,
-) -> RobustServingStats {
-    let paged = Some((pool, prefix));
-    crate::sched::run_continuous(gpu, geom, method, requests, policy, paged, health, None).serving
-}
-
 /// A fully seed-deterministic open-loop workload description.
 ///
 /// The spec is plain `Copy` data with **no interior state**: calling
@@ -444,7 +376,9 @@ pub fn uniform_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbo_robust::HealthEvent;
+    use crate::sched::simulate_serving_continuous;
+    use turbo_kvcache::{PagedKvPool, SeqId};
+    use turbo_robust::{HealthEvent, HealthStats};
 
     fn setup() -> (GpuSpec, ModelGeometry) {
         (GpuSpec::a100_80gb(), ModelGeometry::phi3_medium())
@@ -563,14 +497,16 @@ mod tests {
         let (gpu, geom) = setup();
         let reqs = workload();
         let health = HealthStats::new();
-        let robust = simulate_serving_robust(
+        let robust = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
+            None,
             Some(&health),
-        );
+        )
+        .serving;
         assert_eq!(robust.completed, reqs.len());
         assert_eq!(robust.rejected, 0);
         assert_eq!(robust.truncated, 0);
@@ -613,6 +549,7 @@ mod tests {
             &reqs,
             &ServingPolicy::default(),
             None,
+            None,
         );
         assert_eq!(stats.serving.completed, reqs.len());
         for s in &stats.steps {
@@ -644,14 +581,16 @@ mod tests {
         }
         let expect_tokens: usize = reqs.iter().map(|r| r.gen).sum();
         let health = HealthStats::new();
-        let robust = simulate_serving_robust(
+        let robust = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
+            None,
             Some(&health),
-        );
+        )
+        .serving;
         assert_eq!(
             robust.completed + robust.truncated + robust.rejected,
             reqs.len()
@@ -675,14 +614,16 @@ mod tests {
     fn serving_percentiles_agree_with_slo_tracker_definition() {
         let (gpu, geom) = setup();
         let reqs = workload();
-        let robust = simulate_serving_robust(
+        let robust = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
             None,
-        );
+            None,
+        )
+        .serving;
         // `latencies` is ascending; the quoted p95 is the shared
         // nearest-rank helper applied to that same vector.
         assert_eq!(
@@ -702,14 +643,16 @@ mod tests {
             deadline: 2.0,
             ..ServingPolicy::default()
         };
-        let stats = simulate_serving_robust(
+        let stats = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &policy,
+            None,
             Some(&health),
-        );
+        )
+        .serving;
         assert_eq!(
             stats.completed + stats.truncated + stats.rejected,
             reqs.len()
@@ -761,9 +704,11 @@ mod tests {
         };
         let method = AttnMethod::Turbo { kv_bits: 4.0 };
         let health = HealthStats::new();
-        let without = simulate_serving_robust(&gpu, &geom, method, &reqs, &rigid, None);
-        let with =
-            simulate_serving_robust(&gpu, &geom, method, &reqs, &flexible, Some(&health));
+        let serve = |policy: &ServingPolicy, health: Option<&HealthStats>| {
+            simulate_serving_continuous(&gpu, &geom, method, &reqs, policy, None, health).serving
+        };
+        let without = serve(&rigid, None);
+        let with = serve(&flexible, Some(&health));
         assert_eq!(without.completed, 0, "4-bit cannot fit any request");
         assert_eq!(without.rejected, reqs.len());
         assert_eq!(with.demotions, 1, "one global demotion to 2-bit");
@@ -781,14 +726,16 @@ mod tests {
             gen: 8,
         }];
         let health = HealthStats::new();
-        let stats = simulate_serving_robust(
+        let stats = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
+            None,
             Some(&health),
-        );
+        )
+        .serving;
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.rejected, 1);
         assert_eq!(health.count(HealthEvent::RequestRejected), 1);
@@ -816,26 +763,28 @@ mod tests {
     fn paged_healthy_run_matches_unpooled_and_leaks_nothing() {
         let (gpu, geom) = setup();
         let reqs = workload();
-        let unpooled = simulate_serving_robust(
+        let unpooled = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
             None,
-        );
+            None,
+        )
+        .serving;
         let (mut pool, prefix) = prefix_pool(32);
         let health = HealthStats::new();
-        let paged = simulate_serving_robust_paged(
+        let paged = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
-            &mut pool,
-            prefix,
+            Some((&mut pool, prefix)),
             Some(&health),
-        );
+        )
+        .serving;
         // The pool only adds state, never time: identical stats.
         assert_eq!(paged, unpooled);
         assert!(health.is_clean(), "healthy pool records nothing");
@@ -855,16 +804,16 @@ mod tests {
         let (mut pool, prefix) = prefix_pool(32);
         pool.try_release(prefix).expect("release prefix");
         let health = HealthStats::new();
-        let stats = simulate_serving_robust_paged(
+        let stats = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
             &reqs,
             &ServingPolicy::default(),
-            &mut pool,
-            prefix,
+            Some((&mut pool, prefix)),
             Some(&health),
-        );
+        )
+        .serving;
         assert_eq!(stats.rejected, reqs.len(), "every admission degrades");
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.truncated, 0);
@@ -884,10 +833,9 @@ mod tests {
             hbm_usable_fraction: 0.9,
             ..ServingPolicy::default()
         };
-        let a =
-            simulate_serving_robust(&gpu, &geom, AttnMethod::FlashFp16, &reqs, &policy, None);
-        let b =
-            simulate_serving_robust(&gpu, &geom, AttnMethod::FlashFp16, &reqs, &policy, None);
+        let method = AttnMethod::FlashFp16;
+        let run = || simulate_serving_continuous(&gpu, &geom, method, &reqs, &policy, None, None);
+        let (a, b) = (run().serving, run().serving);
         assert_eq!(a, b);
     }
 }

@@ -36,30 +36,28 @@
 //!
 //! **Degraded zones.** [`ChaosAction::DegradeZone`] makes a zone *sick*
 //! rather than dead: service time inflates by a factor and WAL rot is
-//! silently injected, but every request still succeeds. Breakers must
-//! therefore stay closed (slow ≠ dead) while hedging absorbs the
+//! silently injected, but every request still succeeds. Nothing is
+//! failed over for slowness (slow ≠ dead); hedging alone absorbs the
 //! latency — the dispatcher hedges a degraded shard's sub-query onto a
-//! healthy read path and caps its effective slowdown.
+//! healthy read path and caps its effective slowdown. Shards carry no
+//! circuit breaker: a fan-out needs every live shard, and a killed shard
+//! is retired by the re-shard in the same step.
 //!
-//! Phase 2 serves the kept flights per shard through the
-//! continuous-batching scheduler path
-//! ([`simulate_serving_robust_paged`], which delegates to
-//! `gpusim::sched`) on pooled runtime tasks with an index-ordered
-//! merge, so the whole episode is bit-identical at any worker count.
+//! The event timeline, retry backoff, WAL tear and phase-2 fan-out are
+//! shared with the replica set (`gpusim::router`). Phase 2 serves the
+//! kept flights per shard through the continuous-batching scheduler
+//! ([`crate::sched::simulate_serving_continuous`] on a paged pool) on
+//! pooled runtime tasks with an index-ordered merge, so the whole
+//! episode is bit-identical at any worker count.
 
-use crate::endtoend::linear_time;
 use crate::geometry::ModelGeometry;
 use crate::hw::GpuSpec;
-use crate::kernels::{decode_latency, prefill_latency};
 use crate::method::AttnMethod;
-use crate::replica::{BreakerConfig, CircuitBreaker};
-use crate::serving::{
-    simulate_serving_robust_paged, RequestSpec, RobustServingStats, ServingPolicy,
+use crate::router::{
+    checkpoint_policy, rebuild_secs, rot, tear, CostModel, Flight, Pending, Timeline, Unit,
 };
-use turbo_kvcache::{
-    policy_from_env, CheckpointPolicy, DequantTile, DequantTileCache, DurableLayerSet,
-    KvCacheConfig, LayerKvCache, PagedKvPool, RecordBudget, ReplayBudget,
-};
+use crate::serving::{RequestSpec, RobustServingStats, ServingPolicy};
+use turbo_kvcache::{DequantTile, DequantTileCache, DurableLayerSet, KvCacheConfig, LayerKvCache};
 use turbo_robust::{crc32, ChaosAction, ChaosEvent, HealthEvent, HealthStats};
 use turbo_runtime::{LayerPipeline, TaskId, WorkClass};
 use turbo_tensor::{Matrix, TensorRng};
@@ -177,13 +175,14 @@ impl ShardMap {
         Ok(())
     }
 
-    /// Tokens currently owned by `shard`.
+    /// Tokens currently owned by `shard`. Saturates rather than
+    /// overflowing on a decoded map that [`ShardMap::validate`] would
+    /// reject.
     pub fn tokens_of(&self, shard: usize) -> usize {
         self.assignments
             .iter()
             .filter(|r| r.shard == shard)
-            .map(|r| r.len)
-            .sum()
+            .fold(0, |sum, r| sum.saturating_add(r.len))
     }
 
     /// Serializes the map with a trailing CRC32 over everything before
@@ -343,8 +342,6 @@ pub struct ShardedConfig {
     /// Per-shard serving policy for phase 2 (scheduler deadlines,
     /// admission, HBM fraction).
     pub policy: ServingPolicy,
-    /// Circuit-breaker tuning shared by every shard.
-    pub breaker: BreakerConfig,
     /// Base failover backoff in seconds (doubles per attempt, jittered).
     pub retry_base: f64,
     /// Re-dispatch attempts tolerated per request before rejection.
@@ -384,7 +381,6 @@ impl Default for ShardedConfig {
                 ..KvCacheConfig::default()
             },
             policy: ServingPolicy::default(),
-            breaker: BreakerConfig::default(),
             retry_base: 0.1,
             max_failovers: 6,
             hedge_threshold: Some(1.0),
@@ -468,20 +464,9 @@ impl ShardedStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Flight {
-    prompt: usize,
-    gen: usize,
-    dispatched_at: f64,
-    est_finish: f64,
-    attempts: u32,
-    kept: bool,
-}
-
 struct Shard {
     up_at: f64,
     busy_until: f64,
-    breaker: CircuitBreaker,
     durable: DurableLayerSet,
     /// Pending silent WAL rot (fraction of the log that survives).
     rot_cut: Option<f64>,
@@ -496,36 +481,6 @@ impl Shard {
     fn is_up(&self, now: f64) -> bool {
         !self.retired && now >= self.up_at
     }
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Pending {
-    Dispatch {
-        prompt: usize,
-        gen: usize,
-        attempts: u32,
-    },
-    Chaos(ChaosAction),
-    /// End of a degraded-zone window.
-    Restore {
-        zone: usize,
-    },
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Timed {
-    time: f64,
-    seq: u64,
-    item: Pending,
-}
-
-fn pop_next(queue: &mut Vec<Timed>) -> Option<Timed> {
-    let idx = queue
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)))
-        .map(|(i, _)| i)?;
-    Some(queue.swap_remove(idx))
 }
 
 /// Appends `tokens` (global indices into `context`) to one shard's
@@ -651,14 +606,13 @@ pub fn run_sharded_episode_on(
         config.context_tokens >= config.shards,
         "need at least one token per shard"
     );
-    assert!(!requests.is_empty(), "no requests to serve");
-    for w in requests.windows(2) {
-        assert!(
-            w[0].arrival <= w[1].arrival,
-            "requests must be sorted by arrival"
-        );
-    }
-    assert!(config.retry_base > 0.0, "retry base must be positive");
+    let mut timeline = Timeline::new(
+        requests,
+        chaos,
+        seed ^ 0x00C3_A051,
+        config.retry_base,
+        config.max_failovers,
+    );
     assert!(
         config.wal_replay_rate > 0.0 && config.reprefill_rate > 0.0,
         "migration rates must be positive"
@@ -683,16 +637,7 @@ pub fn run_sharded_episode_on(
         crc32(&bytes)
     };
 
-    let make_policy = || -> Box<dyn CheckpointPolicy> {
-        let default: Box<dyn CheckpointPolicy> = match config.replay_budget_secs {
-            Some(max_replay_secs) => Box::new(ReplayBudget {
-                max_replay_secs,
-                replay_rate: config.wal_replay_rate,
-            }),
-            None => Box::new(RecordBudget { max_records: 4096 }),
-        };
-        policy_from_env(default)
-    };
+    let make_policy = || checkpoint_policy(config.replay_budget_secs, config.wal_replay_rate, 4096);
 
     // ------------------------------------------- initial shard layout --
     let mut map = ShardMap::balanced(config.shards, config.context_tokens);
@@ -735,7 +680,6 @@ pub fn run_sharded_episode_on(
         shards.push(Shard {
             up_at: 0.0,
             busy_until: 0.0,
-            breaker: CircuitBreaker::new(config.breaker),
             durable,
             rot_cut: None,
             local_globals,
@@ -759,39 +703,8 @@ pub fn run_sharded_episode_on(
         warm(shard, map.epoch, config.warm_blocks);
     }
 
-    let est_service = |prompt: usize, gen: usize| -> f64 {
-        prefill_latency(gpu, geom, method, 1, prompt).total()
-            + linear_time(gpu, geom, 1, prompt)
-            + gen as f64
-                * (decode_latency(gpu, geom, method, 1, prompt + gen).total()
-                    + linear_time(gpu, geom, 1, 1))
-    };
-
     // ------------------------------------------------- phase 1: timeline --
-    let mut queue: Vec<Timed> = Vec::with_capacity(requests.len() + chaos.len());
-    let mut seq = 0u64;
-    for r in requests {
-        queue.push(Timed {
-            time: r.arrival,
-            seq,
-            item: Pending::Dispatch {
-                prompt: r.prompt,
-                gen: r.gen,
-                attempts: 0,
-            },
-        });
-        seq += 1;
-    }
-    for e in chaos {
-        queue.push(Timed {
-            time: e.time,
-            seq,
-            item: Pending::Chaos(e.action),
-        });
-        seq += 1;
-    }
-
-    let mut jitter_rng = TensorRng::new(seed ^ 0x00C3_A051);
+    let cost = CostModel { gpu, geom, method };
     let mut flights: Vec<Flight> = Vec::new();
     // Per-zone degradation window: (active_until, latency_factor).
     let mut degraded: Vec<Option<(f64, f64)>> = vec![None; zones];
@@ -826,86 +739,55 @@ pub fn run_sharded_episode_on(
         per_shard: Vec::new(),
     };
 
-    while let Some(ev) = pop_next(&mut queue) {
-        let now = ev.time;
-        match ev.item {
-            Pending::Dispatch {
-                prompt,
-                gen,
-                attempts,
-            } => {
+    while let Some((now, item)) = timeline.pop() {
+        match item {
+            Pending::Dispatch(req) => {
                 // A long-context request needs *every* live shard: the
                 // context spans all of them and the ring merge is exact
                 // only over the full set.
                 let live: Vec<usize> = (0..shards.len()).filter(|&s| !shards[s].retired).collect();
-                let all_ready = live
-                    .iter()
-                    .all(|&s| shards[s].is_up(now) && shards[s].breaker.admits(now));
-                if all_ready {
-                    let est = est_service(prompt, gen);
-                    let mut worst = now;
-                    for &s in &live {
-                        let raw_mult = match degraded[s % zones] {
-                            Some((until, factor)) if now < until => factor,
-                            _ => 1.0,
-                        };
-                        let mut mult = raw_mult;
-                        if raw_mult > 1.0 {
-                            let projected =
-                                (shards[s].busy_until.max(now) - now) + est * raw_mult;
-                            if let Some(h) = config.hedge_threshold {
-                                if projected > h {
-                                    // Slow, not dead: hedge the degraded
-                                    // sub-query onto a healthy read path
-                                    // and cap the slowdown.
-                                    stats.hedged += 1;
-                                    if let Some(hs) = health {
-                                        hs.record(HealthEvent::RequestHedged);
-                                    }
-                                    let capped = raw_mult.min(2.0);
-                                    if capped < raw_mult {
-                                        stats.hedge_saves += 1;
-                                    }
-                                    mult = capped;
+                if !live.iter().all(|&s| shards[s].is_up(now)) {
+                    timeline.retry_or_reject(now, req, health);
+                    continue;
+                }
+                let est = cost.est_service(req);
+                let mut worst = now;
+                for &s in &live {
+                    let raw_mult = match degraded[s % zones] {
+                        Some((until, factor)) if now < until => factor,
+                        _ => 1.0,
+                    };
+                    let mut mult = raw_mult;
+                    if raw_mult > 1.0 {
+                        let projected = (shards[s].busy_until.max(now) - now) + est * raw_mult;
+                        if let Some(h) = config.hedge_threshold {
+                            if projected > h {
+                                // Slow, not dead: hedge the degraded
+                                // sub-query onto a healthy read path
+                                // and cap the slowdown.
+                                stats.hedged += 1;
+                                if let Some(hs) = health {
+                                    hs.record(HealthEvent::RequestHedged);
                                 }
+                                let capped = raw_mult.min(2.0);
+                                if capped < raw_mult {
+                                    stats.hedge_saves += 1;
+                                }
+                                mult = capped;
                             }
                         }
-                        let finish = shards[s].busy_until.max(now) + est * mult;
-                        shards[s].busy_until = finish;
-                        shards[s].breaker.on_success();
-                        worst = worst.max(finish);
                     }
-                    flights.push(Flight {
-                        prompt,
-                        gen,
-                        dispatched_at: now,
-                        est_finish: worst,
-                        attempts,
-                        kept: true,
-                    });
-                } else if attempts >= config.max_failovers {
-                    stats.routing_rejected += 1;
-                    if let Some(hs) = health {
-                        hs.record(HealthEvent::RequestRejected);
-                    }
-                } else {
-                    let jitter = jitter_rng.uniform_value(0.5, 1.5) as f64;
-                    let backoff = config.retry_base * f64::powi(2.0, attempts as i32) * jitter;
-                    stats.failovers += 1;
-                    if let Some(hs) = health {
-                        hs.record(HealthEvent::FailoverRetry);
-                    }
-                    queue.push(Timed {
-                        time: now + backoff,
-                        seq,
-                        item: Pending::Dispatch {
-                            prompt,
-                            gen,
-                            attempts: attempts + 1,
-                        },
-                    });
-                    seq += 1;
+                    let finish = shards[s].busy_until.max(now) + est * mult;
+                    shards[s].busy_until = finish;
+                    worst = worst.max(finish);
                 }
+                flights.push(Flight {
+                    req,
+                    dispatched_at: now,
+                    est_finish: worst,
+                    backup: None,
+                    kept: true,
+                });
             }
             Pending::Restore { zone } => {
                 if let Some((until, _)) = degraded[zone] {
@@ -933,22 +815,16 @@ pub fn run_sharded_episode_on(
                     }
                     // Tear the victim's WAL; silent degraded-zone rot
                     // compounds the damage.
-                    let (snap, mut wal) = shards[v].durable.durable_state();
-                    let cut = shards[v].rot_cut.take().map_or(wal_cut, |r| r.min(wal_cut));
-                    let keep = (wal.len() as f64 * cut) as usize;
-                    wal.truncate(keep);
-                    let (_, outcome) = DurableLayerSet::recover_or_empty(
-                        config.layers,
-                        config.heads,
-                        config.dim,
-                        config.cache,
+                    let victim = &mut shards[v];
+                    let (_, tokens, cut) = tear(
+                        &victim.durable,
+                        &mut victim.rot_cut,
+                        wal_cut,
                         make_policy(),
-                        &snap,
-                        &wal,
                         health,
                     );
-                    let local = shards[v].local_globals.len();
-                    let recovered = outcome.tokens.min(local);
+                    let local = victim.local_globals.len();
+                    let recovered = tokens.min(local);
                     let lost = local - recovered;
                     killed_tokens += local;
                     stats.migrated_tokens += recovered;
@@ -974,15 +850,11 @@ pub fn run_sharded_episode_on(
                     // The epoch bump invalidates every pre-migration
                     // tile: purge stale generations everywhere, then
                     // re-warm the survivors at the new epoch.
-                    for s in survivors.iter().copied() {
+                    for s in survivors.iter().copied().chain([v]) {
                         let before = shards[s].tiles.stats().entries;
                         shards[s].tiles.purge_generations_below(map.epoch);
-                        stats.stale_tiles_purged +=
-                            before - shards[s].tiles.stats().entries;
+                        stats.stale_tiles_purged += before - shards[s].tiles.stats().entries;
                     }
-                    let before = shards[v].tiles.stats().entries;
-                    shards[v].tiles.purge_generations_below(map.epoch);
-                    stats.stale_tiles_purged += before - shards[v].tiles.stats().entries;
 
                     // Physically move the victim's tokens: survivors
                     // append their gained chunks in global order. The
@@ -993,9 +865,12 @@ pub fn run_sharded_episode_on(
                     shards[v].local_globals.clear();
                     shards[v].retired = true;
                     shards[v].up_at = f64::INFINITY;
-                    let rebuild_time = 0.01
-                        + recovered as f64 / config.wal_replay_rate
-                        + lost as f64 / config.reprefill_rate;
+                    let rebuild_time = rebuild_secs(
+                        recovered,
+                        lost,
+                        config.wal_replay_rate,
+                        config.reprefill_rate,
+                    );
                     for r in map.assignments.clone() {
                         if !survivors.contains(&r.shard) {
                             continue;
@@ -1025,28 +900,11 @@ pub fn run_sharded_episode_on(
                     }
 
                     // Everything in the air at kill time fails over.
-                    shards[v].breaker.on_failure(now, health);
                     let mut redispatch = 0usize;
                     for f in flights.iter_mut() {
                         if f.kept && f.est_finish > now {
                             f.kept = false;
-                            let jitter = jitter_rng.uniform_value(0.5, 1.5) as f64;
-                            let backoff =
-                                config.retry_base * f64::powi(2.0, f.attempts as i32) * jitter;
-                            stats.failovers += 1;
-                            if let Some(hs) = health {
-                                hs.record(HealthEvent::FailoverRetry);
-                            }
-                            queue.push(Timed {
-                                time: now + backoff,
-                                seq,
-                                item: Pending::Dispatch {
-                                    prompt: f.prompt,
-                                    gen: f.gen,
-                                    attempts: f.attempts + 1,
-                                },
-                            });
-                            seq += 1;
+                            timeline.retry(now, f.req, health);
                             redispatch += 1;
                         }
                     }
@@ -1069,11 +927,9 @@ pub fn run_sharded_episode_on(
                 }
                 ChaosAction::TruncateWal { replica, wal_cut } => {
                     let i = replica % shards.len();
-                    if shards[i].retired {
-                        continue;
+                    if !shards[i].retired {
+                        rot(&mut shards[i].rot_cut, wal_cut);
                     }
-                    let prev = shards[i].rot_cut.unwrap_or(1.0);
-                    shards[i].rot_cut = Some(prev.min(wal_cut));
                 }
                 ChaosAction::MemoryPressure { usable } => {
                     pressure = pressure.min(usable);
@@ -1094,18 +950,12 @@ pub fn run_sharded_episode_on(
                         if shards[i].retired {
                             continue;
                         }
-                        let prev = shards[i].rot_cut.unwrap_or(1.0);
-                        shards[i].rot_cut = Some(prev.min(wal_rot));
+                        rot(&mut shards[i].rot_cut, wal_rot);
                         if let Some(hs) = health {
                             hs.record(HealthEvent::DegradedWalRot);
                         }
                     }
-                    queue.push(Timed {
-                        time: now + duration,
-                        seq,
-                        item: Pending::Restore { zone: z },
-                    });
-                    seq += 1;
+                    timeline.push(now + duration, Pending::Restore { zone: z });
                     trace.push(format!(
                         "t={now:.3} degrade zone={z} factor={latency_factor:.2} \
                          rot={wal_rot:.4} until={:.3}",
@@ -1143,34 +993,22 @@ pub fn run_sharded_episode_on(
         .filter(|f| f.kept)
         .map(|f| RequestSpec {
             arrival: f.dispatched_at,
-            prompt: f.prompt,
-            gen: f.gen,
+            prompt: f.req.prompt,
+            gen: f.req.gen,
         })
         .collect();
-    let shard_inputs: Vec<Option<Vec<usize>>> = shards
+    // Each shard serves the same kept flights over its own slice; the
+    // ring merge is exact, so the ledgers must agree in lockstep.
+    let units: Vec<Option<Unit>> = shards
         .iter()
-        .map(|s| (!s.retired).then(|| s.local_globals.clone()))
+        .map(|s| {
+            (!s.retired && !kept.is_empty()).then(|| {
+                let rows = s.local_globals.iter().map(|&t| context.row(t)).collect();
+                (kept.as_slice(), rows)
+            })
+        })
         .collect();
-    stats.per_shard = rt.par_map(&shard_inputs, |locals| {
-        let locals = locals.as_ref()?;
-        if kept.is_empty() {
-            return None;
-        }
-        // Each shard serves the same kept flights over its own slice
-        // through the continuous-batching scheduler path; the ring
-        // merge is exact, so the ledgers must agree in lockstep. Pool
-        // construction is a pure function of (map, context), keeping
-        // the merge deterministic at any worker count.
-        let mut pool = PagedKvPool::new(config.dim, config.cache);
-        let prefix = pool.create_sequence();
-        for &t in locals {
-            let row = context.row(t);
-            let _ = pool.try_append(prefix, row, row);
-        }
-        Some(simulate_serving_robust_paged(
-            gpu, geom, method, &kept, &policy, &mut pool, prefix, health,
-        ))
-    });
+    stats.per_shard = cost.serve_paged(rt, &policy, config.dim, config.cache, &units, health);
 
     let served: Vec<&RobustServingStats> = stats.per_shard.iter().flatten().collect();
     if let Some(first) = served.first() {
@@ -1195,6 +1033,8 @@ pub fn run_sharded_episode_on(
             .map(|s| s.makespan)
             .fold(0.0f64, f64::max);
     }
+    stats.failovers = timeline.failovers;
+    stats.routing_rejected = timeline.routing_rejected;
     stats.rejected += stats.routing_rejected;
 
     // ----------------------------------------------- ledgers + content --
@@ -1268,6 +1108,18 @@ mod tests {
         (GpuSpec::a100_80gb(), ModelGeometry::phi3_medium())
     }
 
+    /// A 3-bit Turbo episode over [`workload`] on the global runtime.
+    fn episode(
+        chaos: &[ChaosEvent],
+        cfg: &ShardedConfig,
+        seed: u64,
+        health: Option<&HealthStats>,
+    ) -> ShardedStats {
+        let (gpu, geom) = setup();
+        let method = AttnMethod::Turbo { kv_bits: 3.0 };
+        run_sharded_episode(&gpu, &geom, method, &workload(), chaos, cfg, seed, health)
+    }
+
     fn workload() -> Vec<RequestSpec> {
         uniform_workload(12, 2.0, 256, 16, 42)
     }
@@ -1335,11 +1187,55 @@ mod tests {
                     start: 5,
                     len: usize::MAX,
                 },
+                ShardRange {
+                    shard: 1,
+                    start: 0,
+                    len: 1,
+                },
             ],
         };
         let decoded = ShardMap::decode(&overflow.encode()).unwrap();
         assert_eq!(decoded, overflow);
         assert!(decoded.validate(2).is_err(), "overflowing slice end must be rejected");
+        assert_eq!(decoded.tokens_of(1), usize::MAX, "owner totals saturate");
+    }
+
+    #[test]
+    fn map_survives_seeded_mutations() {
+        let balanced = ShardMap::balanced(4, 4096);
+        let once = balanced.reshard(1, &[0, 2, 3]);
+        let twice = once.reshard(2, &[0, 3]);
+        let maps = [balanced, once, twice];
+        let mut inj = turbo_robust::FaultInjector::new(0x5AAD_u64);
+        let (mut decoded, mut invalid) = (0usize, 0usize);
+        for round in 0..512 {
+            let mut bytes = maps[round % maps.len()].encode();
+            if round % 4 == 3 {
+                inj.truncate_bytes(&mut bytes);
+            } else {
+                let n = 1 + inj.pick(4);
+                inj.corrupt_bytes(&mut bytes, n);
+            }
+            // Re-seal the trailing CRC so the damage reaches the length,
+            // version and slice checks instead of the checksum.
+            if let Some(body) = bytes.len().checked_sub(4) {
+                let crc = crc32(&bytes[..body]);
+                bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            }
+            let Ok(map) = ShardMap::decode(&bytes) else {
+                continue;
+            };
+            decoded += 1;
+            assert_eq!(map.encode(), bytes, "round {round}: re-encode diverged");
+            if map.validate(4).is_err() {
+                invalid += 1;
+            }
+            for s in 0..4 {
+                let _ = map.tokens_of(s);
+            }
+        }
+        assert!(decoded > 0, "re-sealed mutations must reach the slice checks");
+        assert!(invalid > 0, "mutated slices must fail validation");
     }
 
     #[test]
@@ -1368,19 +1264,9 @@ mod tests {
 
     #[test]
     fn no_fault_episode_completes_and_fingerprints() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig::default();
         let reqs = workload();
-        let stats = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &reqs,
-            &[],
-            &cfg,
-            7,
-            None,
-        );
+        let stats = episode(&[], &cfg, 7, None);
         assert_eq!(stats.total, reqs.len());
         assert_eq!(stats.accounted(), stats.total);
         assert_eq!(stats.shard_kills, 0);
@@ -1396,20 +1282,9 @@ mod tests {
 
     #[test]
     fn shard_kill_reshards_with_zero_token_loss() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig::default();
-        let reqs = workload();
         let hs = HealthStats::new();
-        let faulted = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &reqs,
-            &[kill(1.0, 2, 0.6)],
-            &cfg,
-            7,
-            Some(&hs),
-        );
+        let faulted = episode(&[kill(1.0, 2, 0.6)], &cfg, 7, Some(&hs));
         assert_eq!(faulted.shard_kills, 1);
         assert_eq!(faulted.reshards, 1);
         assert_eq!(faulted.map_epoch, 1);
@@ -1427,33 +1302,14 @@ mod tests {
         assert_eq!(hs.count(HealthEvent::ShardMapEpochBump), 1);
 
         // Bit-identical logical content to the no-fault run.
-        let clean = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &reqs,
-            &[],
-            &cfg,
-            7,
-            None,
-        );
+        let clean = episode(&[], &cfg, 7, None);
         assert_eq!(faulted.context_crc, clean.context_crc);
     }
 
     #[test]
     fn epoch_bump_purges_stale_tiles() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig::default();
-        let stats = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &workload(),
-            &[kill(1.0, 0, 0.5)],
-            &cfg,
-            11,
-            None,
-        );
+        let stats = episode(&[kill(1.0, 0, 0.5)], &cfg, 11, None);
         assert!(
             stats.stale_tiles_purged > 0,
             "pre-migration tiles must be purged on the epoch bump"
@@ -1463,7 +1319,6 @@ mod tests {
 
     #[test]
     fn degraded_zone_keeps_breakers_closed_and_hedges() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig {
             hedge_threshold: Some(1e-6),
             ..ShardedConfig::default()
@@ -1478,18 +1333,10 @@ mod tests {
                 duration: 100.0,
             },
         }];
-        let stats = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &workload(),
-            &chaos,
-            &cfg,
-            13,
-            Some(&hs),
-        );
-        // Slow ≠ dead: nothing is rejected, nothing re-shards, no
-        // breaker opens — but the dispatcher hedges the slow shards.
+        let stats = episode(&chaos, &cfg, 13, Some(&hs));
+        // Slow ≠ dead: nothing is rejected, nothing re-shards, nothing
+        // reports a breaker opening — but the dispatcher hedges the slow
+        // shards.
         assert_eq!(stats.shard_kills, 0);
         assert_eq!(stats.routing_rejected, 0);
         assert_eq!(hs.count(HealthEvent::BreakerOpened), 0);
@@ -1502,7 +1349,6 @@ mod tests {
 
     #[test]
     fn degraded_rot_compounds_into_the_next_kill() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig::default();
         // Zone 0 rots shard 0's WAL hard, then shard 0 dies with a mild
         // cut: recovery must see the *compounded* (worse) cut.
@@ -1518,26 +1364,8 @@ mod tests {
             },
             kill(1.0, 0, 0.99),
         ];
-        let rotted = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &workload(),
-            &rot_then_kill,
-            &cfg,
-            17,
-            None,
-        );
-        let unrotted = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &workload(),
-            &[kill(1.0, 0, 0.99)],
-            &cfg,
-            17,
-            None,
-        );
+        let rotted = episode(&rot_then_kill, &cfg, 17, None);
+        let unrotted = episode(&[kill(1.0, 0, 0.99)], &cfg, 17, None);
         assert!(
             rotted.migrated_tokens < unrotted.migrated_tokens,
             "rot must shrink the recoverable prefix ({} vs {})",
@@ -1589,18 +1417,8 @@ mod tests {
 
     #[test]
     fn double_kill_leaves_two_survivors_holding_everything() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig::default();
-        let stats = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &workload(),
-            &[kill(0.8, 1, 0.5), kill(1.6, 3, 0.4)],
-            &cfg,
-            29,
-            None,
-        );
+        let stats = episode(&[kill(0.8, 1, 0.5), kill(1.6, 3, 0.4)], &cfg, 29, None);
         assert_eq!(stats.shard_kills, 2);
         assert_eq!(stats.map_epoch, 2);
         assert_eq!(stats.lost_tokens, 0);
@@ -1615,21 +1433,11 @@ mod tests {
 
     #[test]
     fn kill_with_no_survivor_is_skipped() {
-        let (gpu, geom) = setup();
         let cfg = ShardedConfig {
             shards: 2,
             ..ShardedConfig::default()
         };
-        let stats = run_sharded_episode(
-            &gpu,
-            &geom,
-            AttnMethod::Turbo { kv_bits: 3.0 },
-            &workload(),
-            &[kill(0.5, 0, 0.5), kill(1.0, 1, 0.5)],
-            &cfg,
-            31,
-            None,
-        );
+        let stats = episode(&[kill(0.5, 0, 0.5), kill(1.0, 1, 0.5)], &cfg, 31, None);
         // The second kill would leave nobody; it is skipped and the
         // episode still accounts for every request and token.
         assert_eq!(stats.shard_kills, 1);

@@ -54,10 +54,9 @@ pub use head::{HeadKvCache, KvCacheConfig};
 pub use layer::LayerKvCache;
 pub use paged::{PagedKvPool, SeqId};
 pub use persist::layer_wal::{
-    policy_from_env, policy_from_spec, replay_layer_wal, ByteBudget, CheckpointCause,
-    CheckpointPolicy, DurableLayerSet, GroupCommitStats, LayerRecoverOutcome,
-    LayerWalReplayReport, LayerWriteAheadLog, NeverCheckpoint, RecordBudget, ReplayBudget,
-    ENV_CKPT_POLICY,
+    replay_layer_wal, ByteBudget, CheckpointCause, CheckpointPolicy, DurableLayerSet,
+    GroupCommitStats, LayerRecoverOutcome, LayerWalReplayReport, LayerWriteAheadLog,
+    NeverCheckpoint, RecordBudget, ReplayBudget,
 };
 pub use persist::{frame_boundaries, recover_head_cache, PersistError};
 pub use stats::{MemoryStats, RecoveryReport, ScrubReport};

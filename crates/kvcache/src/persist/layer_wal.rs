@@ -53,9 +53,7 @@
 //! Since at most `budget` records (equivalently bytes, or seconds at the
 //! assumed replay rate) ever accumulate between checkpoints, recovery
 //! replays at most that much regardless of how long the episode ran or
-//! how many crashes it saw — the replay-length bound. The
-//! `TURBO_CKPT_POLICY` environment variable (`bytes:N`, `records:N`, or
-//! `replay:SECONDS[:RECORDS_PER_SEC]`) overrides the policy at runtime.
+//! how many crashes it saw — the replay-length bound.
 //!
 //! Per-layer snapshot serialization runs as pooled tasks on
 //! `turbo_runtime` (one task per layer, index-ordered merge), so a
@@ -80,10 +78,6 @@ const KIND_GROUP_FLUSH: u8 = 2;
 
 const CKPT_MAGIC: &[u8; 4] = b"TLCK";
 const CKPT_VERSION: u16 = 1;
-
-/// Environment variable overriding the checkpoint policy
-/// (`bytes:N` | `records:N` | `replay:SECONDS[:RECORDS_PER_SEC]`).
-pub const ENV_CKPT_POLICY: &str = "TURBO_CKPT_POLICY";
 
 // ------------------------------------------------- checkpoint policies --
 
@@ -206,76 +200,6 @@ impl CheckpointPolicy for NeverCheckpoint {
     }
     fn clone_box(&self) -> Box<dyn CheckpointPolicy> {
         Box::new(*self)
-    }
-}
-
-/// Parses a policy spec: `bytes:N`, `records:N`,
-/// `replay:SECONDS[:RECORDS_PER_SEC]` (default rate 50 000 rec/s), or
-/// `never`.
-///
-/// # Errors
-///
-/// A human-readable message describing the malformed spec.
-pub fn policy_from_spec(spec: &str) -> Result<Box<dyn CheckpointPolicy>, String> {
-    let spec = spec.trim();
-    if spec == "never" {
-        return Ok(Box::new(NeverCheckpoint));
-    }
-    let (kind, rest) = spec
-        .split_once(':')
-        .ok_or_else(|| format!("checkpoint policy '{spec}' has no ':' argument"))?;
-    match kind {
-        "bytes" => {
-            let max: usize = rest
-                .parse()
-                .map_err(|_| format!("bad byte budget '{rest}'"))?;
-            if max == 0 {
-                return Err("byte budget must be positive".into());
-            }
-            Ok(Box::new(ByteBudget { max_bytes: max }))
-        }
-        "records" => {
-            let max: usize = rest
-                .parse()
-                .map_err(|_| format!("bad record budget '{rest}'"))?;
-            if max == 0 {
-                return Err("record budget must be positive".into());
-            }
-            Ok(Box::new(RecordBudget { max_records: max }))
-        }
-        "replay" => {
-            let (secs, rate) = match rest.split_once(':') {
-                Some((s, r)) => (s, Some(r)),
-                None => (rest, None),
-            };
-            let max_replay_secs: f64 =
-                secs.parse().map_err(|_| format!("bad replay budget '{secs}'"))?;
-            let replay_rate: f64 = match rate {
-                Some(r) => r.parse().map_err(|_| format!("bad replay rate '{r}'"))?,
-                None => 50_000.0,
-            };
-            if !(max_replay_secs > 0.0 && max_replay_secs.is_finite()) {
-                return Err("replay budget must be positive".into());
-            }
-            if !(replay_rate > 0.0 && replay_rate.is_finite()) {
-                return Err("replay rate must be positive".into());
-            }
-            Ok(Box::new(ReplayBudget {
-                max_replay_secs,
-                replay_rate,
-            }))
-        }
-        _ => Err(format!("unknown checkpoint policy kind '{kind}'")),
-    }
-}
-
-/// `TURBO_CKPT_POLICY` override, falling back to `default` when the
-/// variable is unset or malformed (a bad operator knob must not take the
-/// serving path down).
-pub fn policy_from_env(default: Box<dyn CheckpointPolicy>) -> Box<dyn CheckpointPolicy> {
-    match std::env::var(ENV_CKPT_POLICY) {
-        Ok(spec) => policy_from_spec(&spec).unwrap_or(default),
-        Err(_) => default,
     }
 }
 
@@ -1800,24 +1724,6 @@ mod tests {
                 assert_eq!(set.layer(l).head(h).len(), 8);
             }
         }
-    }
-
-    #[test]
-    fn policy_spec_parsing() {
-        assert_eq!(policy_from_spec("bytes:4096").unwrap().name(), "bytes");
-        assert_eq!(policy_from_spec("records:64").unwrap().name(), "records");
-        assert_eq!(policy_from_spec("replay:0.5").unwrap().name(), "replay");
-        assert_eq!(
-            policy_from_spec("replay:0.5:10000").unwrap().name(),
-            "replay"
-        );
-        assert_eq!(policy_from_spec("never").unwrap().name(), "never");
-        assert!(policy_from_spec("bytes:0").is_err());
-        assert!(policy_from_spec("records:-3").is_err());
-        assert!(policy_from_spec("replay:nan").is_err());
-        assert!(policy_from_spec("replay:inf").is_err());
-        assert!(policy_from_spec("tea:5").is_err());
-        assert!(policy_from_spec("records").is_err());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! Run with `cargo run --release --bin chaos_drill`.
 
 use turbo_gpusim::{
-    run_replica_set, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
+    run_replica_set_on, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
 };
 use turbo_kvcache::{DurableLayerSet, KvCacheConfig, LayerWriteAheadLog, NeverCheckpoint};
 use turbo_quant::BitWidth;
@@ -99,7 +99,8 @@ fn main() {
         ..ReplicaSetConfig::default()
     };
     let health = HealthStats::new();
-    let stats = run_replica_set(
+    let stats = run_replica_set_on(
+        turbo_runtime::global(),
         &GpuSpec::a100_80gb(),
         &ModelGeometry::phi3_medium(),
         AttnMethod::Turbo { kv_bits: 3.0 },
@@ -132,7 +133,8 @@ fn main() {
     assert_eq!(stats.lost_tokens, 0);
 
     // 3. Determinism: the same seed replays to the same end state.
-    let again = run_replica_set(
+    let again = run_replica_set_on(
+        turbo_runtime::global(),
         &GpuSpec::a100_80gb(),
         &ModelGeometry::phi3_medium(),
         AttnMethod::Turbo { kv_bits: 3.0 },

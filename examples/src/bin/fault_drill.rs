@@ -13,7 +13,8 @@
 use turbo_attention::robust::RobustAttention;
 use turbo_attention::TurboConfig;
 use turbo_gpusim::{
-    simulate_serving_robust, uniform_workload, AttnMethod, GpuSpec, ModelGeometry, ServingPolicy,
+    simulate_serving_continuous, uniform_workload, AttnMethod, GpuSpec, ModelGeometry,
+    ServingPolicy,
 };
 use turbo_kvcache::persist::{deserialize_head_cache, serialize_head_cache};
 use turbo_kvcache::{recover_head_cache, HeadKvCache, KvCacheConfig};
@@ -102,14 +103,16 @@ fn main() {
         max_admission_retries: 10,
         ..ServingPolicy::default()
     };
-    let stats = simulate_serving_robust(
+    let stats = simulate_serving_continuous(
         &gpu,
         &geom,
         AttnMethod::Turbo { kv_bits: 4.0 },
         &reqs,
         &policy,
+        None,
         Some(&health),
-    );
+    )
+    .serving;
     assert_eq!(stats.completed + stats.truncated + stats.rejected, reqs.len());
     println!(
         "4. hbm pressure: {} completed / {} truncated / {} rejected of {} \

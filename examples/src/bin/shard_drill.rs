@@ -8,7 +8,7 @@
 //!      be rejected, never adopted),
 //!   2. a degraded-zone burst makes zone 1 *slow* — latency inflates
 //!      4×, WAL rot is silently injected — and the dispatcher hedges
-//!      around it while every breaker stays closed (slow ≠ dead),
+//!      around it without failing anything over (slow ≠ dead),
 //!   3. a shard in the rotted zone is killed: its WAL is torn, the
 //!      surviving prefix migrates to the survivors at replay speed,
 //!      only the lost suffix is re-prefilled, and the map's epoch bump

@@ -24,7 +24,7 @@
 use turbo_attention::robust::RobustAttention;
 use turbo_attention::TurboConfig;
 use turbo_gpusim::{
-    run_replica_set, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
+    run_replica_set_on, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
 };
 use turbo_robust::{ChaosAction, ChaosConfig, ChaosPlan, FaultInjector, HealthEvent, HealthStats};
 use turbo_tensor::TensorRng;
@@ -67,7 +67,8 @@ fn chaos_soak_holds_exactly_once_and_zero_loss_across_seeded_episodes() {
         }
         .requests();
         let health = HealthStats::new();
-        let stats = run_replica_set(
+        let stats = run_replica_set_on(
+            turbo_runtime::global(),
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
@@ -161,7 +162,8 @@ fn chaos_soak_holds_exactly_once_and_zero_loss_across_seeded_episodes() {
         // Deterministic replay: a sampled subset of episodes re-runs and
         // must reproduce the end state bit for bit.
         if ep % 16 == 0 {
-            let again = run_replica_set(
+            let again = run_replica_set_on(
+                turbo_runtime::global(),
                 &gpu,
                 &geom,
                 AttnMethod::FlashFp16,

@@ -16,8 +16,8 @@
 //!   scheduler, the regime the TurboAttention throughput claims target.
 
 use turbo_gpusim::{
-    run_replica_set, run_replica_set_on, simulate_serving_continuous, AttnMethod, GpuSpec,
-    ModelGeometry, ReplicaSetConfig, SchedulerConfig, ServingPolicy, WorkloadSpec,
+    run_replica_set_on, simulate_serving_continuous, AttnMethod, GpuSpec, ModelGeometry,
+    ReplicaSetConfig, SchedulerConfig, ServingPolicy, WorkloadSpec,
 };
 use turbo_robust::{ChaosConfig, ChaosPlan, HealthEvent, HealthStats};
 
@@ -70,6 +70,7 @@ fn budgets_hold_on_every_step_across_seeded_episodes() {
             AttnMethod::Turbo { kv_bits: 4.0 },
             &reqs,
             &policy,
+            None,
             Some(&health),
         );
         let s = &stats.serving;
@@ -119,6 +120,7 @@ fn budgets_hold_on_every_step_across_seeded_episodes() {
             &reqs,
             &policy,
             None,
+            None,
         );
         assert_eq!(stats, again, "seed {seed}: episode must replay exactly");
     }
@@ -164,7 +166,8 @@ fn chaos_kill_and_wal_rebuild_run_through_the_scheduler_path() {
         }
         .requests();
         let health = HealthStats::new();
-        let stats = run_replica_set(
+        let stats = run_replica_set_on(
+            turbo_runtime::global(),
             &gpu,
             &geom,
             AttnMethod::FlashFp16,
@@ -236,6 +239,7 @@ fn thousands_of_concurrent_sequences_through_one_scheduler() {
         AttnMethod::Turbo { kv_bits: 3.0 },
         &reqs,
         &policy,
+        None,
         None,
     );
     assert_eq!(stats.serving.completed, reqs.len(), "everything completes");

@@ -10,7 +10,7 @@
 //! in the ledger as rejections or truncations.
 
 use turbo_gpusim::{
-    run_replica_set, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
+    run_replica_set_on, AttnMethod, GpuSpec, ModelGeometry, ReplicaSetConfig, WorkloadSpec,
 };
 use turbo_robust::{ChaosAction, ChaosEvent, HealthStats};
 
@@ -52,7 +52,8 @@ fn total_fleet_wipeout_rejects_instead_of_panicking() {
         .collect();
     let reqs = workload(0xDEAD);
     let health = HealthStats::new();
-    let stats = run_replica_set(
+    let stats = run_replica_set_on(
+        turbo_runtime::global(),
         &gpu,
         &geom,
         AttnMethod::FlashFp16,
@@ -93,7 +94,8 @@ fn hedging_onto_dying_backups_stays_panic_free() {
         })
         .collect();
     let reqs = workload(0xBEEF);
-    let stats = run_replica_set(
+    let stats = run_replica_set_on(
+        turbo_runtime::global(),
         &gpu,
         &geom,
         AttnMethod::FlashFp16,
@@ -125,7 +127,8 @@ fn zero_width_deadline_rejects_everything_without_panicking() {
     };
     cfg.policy.deadline = 1e-12;
     let reqs = workload(0xFEED);
-    let stats = run_replica_set(
+    let stats = run_replica_set_on(
+        turbo_runtime::global(),
         &gpu,
         &geom,
         AttnMethod::FlashFp16,

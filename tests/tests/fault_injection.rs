@@ -8,7 +8,8 @@
 use turbo_attention::robust::{PrecisionLevel, RobustAttention};
 use turbo_attention::TurboConfig;
 use turbo_gpusim::{
-    simulate_serving_robust, uniform_workload, AttnMethod, GpuSpec, ModelGeometry, ServingPolicy,
+    simulate_serving_continuous, uniform_workload, AttnMethod, GpuSpec, ModelGeometry,
+    ServingPolicy,
 };
 use turbo_kvcache::persist::{deserialize_head_cache, serialize_head_cache};
 use turbo_kvcache::{recover_head_cache, HeadKvCache, KvCacheConfig, PagedKvPool};
@@ -236,14 +237,16 @@ fn hbm_pressure_is_survived_by_demotion_or_rejection_never_panic() {
             max_admission_retries: 8,
             ..ServingPolicy::default()
         };
-        let stats = simulate_serving_robust(
+        let stats = simulate_serving_continuous(
             &gpu,
             &geom,
             AttnMethod::Turbo { kv_bits: 4.0 },
             &reqs,
             &policy,
+            None,
             Some(&health),
-        );
+        )
+        .serving;
         // Conservation: every request is accounted for exactly once.
         assert_eq!(
             stats.completed + stats.truncated + stats.rejected,
