@@ -1,10 +1,9 @@
 //! High-level TurboAttention engine.
 
 use crate::decode::turbo_decode_head;
-use crate::head_select::{select_two_bit_heads, HeadStats, SelectionMethod};
 use crate::prefill::{turbo_prefill_head, PrefillOutput};
 use crate::reference::Masking;
-use turbo_kvcache::{HeadKvCache, KvCacheConfig, LayerKvCache};
+use turbo_kvcache::{HeadKvCache, KvCacheConfig};
 use turbo_quant::BitWidth;
 use turbo_softmax::{Poly3, Sas, PAPER_POLY, PAPER_THRESHOLD};
 use turbo_tensor::Matrix;
@@ -49,7 +48,7 @@ impl Default for TurboConfig {
 }
 
 impl TurboConfig {
-    fn cache_config(&self, bits: BitWidth) -> KvCacheConfig {
+    pub(crate) fn cache_config(&self, bits: BitWidth) -> KvCacheConfig {
         KvCacheConfig {
             bits,
             group_size: self.group_size,
@@ -64,7 +63,7 @@ impl TurboConfig {
 /// # Example
 ///
 /// ```
-/// use turbo_attention::{TurboAttention, TurboConfig};
+/// use turbo_attention::{GqaLayout, TurboAttention, TurboConfig};
 /// use turbo_tensor::TensorRng;
 ///
 /// let mut rng = TensorRng::new(1);
@@ -72,8 +71,10 @@ impl TurboConfig {
 /// let ks: Vec<_> = (0..4).map(|_| rng.normal(64, 16, 0.0, 1.0)).collect();
 /// let vs: Vec<_> = (0..4).map(|_| rng.normal(64, 16, 0.0, 1.0)).collect();
 /// let engine = TurboAttention::new(TurboConfig::default());
-/// // Mixed precision: demote the 2 lowest-priority heads to INT2.
-/// let (outs, cache) = engine.prefill_layer_auto(&qs, &ks, &vs, 2);
+/// // Multi-head attention is GQA with groups of one. Mixed precision:
+/// // demote the 2 lowest-priority heads to INT2.
+/// let rt = turbo_runtime::global();
+/// let (outs, cache) = engine.prefill_layer_gqa_on(rt, GqaLayout::new(4, 4), &qs, &ks, &vs, 2);
 /// assert_eq!(outs.len(), 4);
 /// assert_eq!(cache.average_bits(), 3.0);
 /// ```
@@ -147,84 +148,6 @@ impl TurboAttention {
     ) -> Vec<f32> {
         turbo_decode_head(q, k, v, cache, &self.sas)
     }
-
-    /// Prefills a whole layer with explicit per-head bit widths.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the per-head tensors/widths disagree in count or shape.
-    pub fn prefill_layer(
-        &self,
-        qs: &[Matrix],
-        ks: &[Matrix],
-        vs: &[Matrix],
-        bits_per_head: &[BitWidth],
-    ) -> (Vec<Matrix>, LayerKvCache) {
-        let h = qs.len();
-        assert!(h > 0, "at least one head required");
-        assert_eq!(ks.len(), h, "per-head K count mismatch");
-        assert_eq!(vs.len(), h, "per-head V count mismatch");
-        assert_eq!(bits_per_head.len(), h, "per-head bit-width count mismatch");
-        let d = qs[0].cols();
-        let mut layer = LayerKvCache::new(
-            d,
-            bits_per_head,
-            self.config.group_size,
-            self.config.buffer_capacity,
-        );
-        let mut outs = Vec::with_capacity(h);
-        for i in 0..h {
-            let out = turbo_prefill_head(
-                &qs[i],
-                &ks[i],
-                &vs[i],
-                self.config.masking,
-                &self.sas,
-                self.config.block_r,
-                self.config.block_c,
-                layer.head_mut(i),
-            );
-            outs.push(out.output);
-        }
-        (outs, layer)
-    }
-
-    /// Prefills a layer with automatic head-wise mixed precision: computes
-    /// [`HeadStats`] from each head's keys and demotes the `n_two_bit`
-    /// lowest-priority heads to INT2 (Equations 11–12).
-    pub fn prefill_layer_auto(
-        &self,
-        qs: &[Matrix],
-        ks: &[Matrix],
-        vs: &[Matrix],
-        n_two_bit: usize,
-    ) -> (Vec<Matrix>, LayerKvCache) {
-        let stats: Vec<HeadStats> = ks.iter().map(HeadStats::from_activations).collect();
-        let bits = select_two_bit_heads(&stats, n_two_bit, SelectionMethod::Priority);
-        self.prefill_layer(qs, ks, vs, &bits)
-    }
-
-    /// Decodes one token across a layer: per-head query/key/value rows in,
-    /// per-head output rows out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if row counts don't match the layer's head count.
-    pub fn decode_layer(
-        &self,
-        qs: &[&[f32]],
-        ks: &[&[f32]],
-        vs: &[&[f32]],
-        layer: &mut LayerKvCache,
-    ) -> Vec<Vec<f32>> {
-        let h = layer.num_heads();
-        assert_eq!(qs.len(), h, "one query row per head required");
-        assert_eq!(ks.len(), h, "one key row per head required");
-        assert_eq!(vs.len(), h, "one value row per head required");
-        (0..h)
-            .map(|i| turbo_decode_head(qs[i], ks[i], vs[i], layer.head_mut(i), &self.sas))
-            .collect()
-    }
 }
 
 impl Default for TurboAttention {
@@ -236,6 +159,7 @@ impl Default for TurboAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gqa::GqaLayout;
     use crate::reference::naive_attention;
     use turbo_tensor::{relative_error, TensorRng};
 
@@ -269,7 +193,9 @@ mod tests {
         ];
         let vs = heads(75, 4, 64, 16);
         let engine = TurboAttention::default();
-        let (_, cache) = engine.prefill_layer_auto(&qs, &ks, &vs, 2);
+        let layout = GqaLayout::new(4, 4);
+        let (_, cache) =
+            engine.prefill_layer_gqa_on(turbo_runtime::global(), layout, &qs, &ks, &vs, 2);
         assert_eq!(cache.head(0).config().bits, BitWidth::Int4);
         assert_eq!(cache.head(1).config().bits, BitWidth::Int2);
         assert_eq!(cache.head(2).config().bits, BitWidth::Int4);
@@ -282,7 +208,8 @@ mod tests {
         let ks = heads(77, 2, 32, 8);
         let vs = heads(78, 2, 32, 8);
         let engine = TurboAttention::default();
-        let (outs, _) = engine.prefill_layer(&qs, &ks, &vs, &[BitWidth::Int4, BitWidth::Int4]);
+        let rt = turbo_runtime::global();
+        let (outs, _) = engine.prefill_layer_parallel_on(rt, &qs, &ks, &vs, &[BitWidth::Int4; 2]);
         for i in 0..2 {
             let (single, _) = engine.prefill_head(&qs[i], &ks[i], &vs[i]);
             assert_eq!(outs[i], single);
@@ -298,10 +225,13 @@ mod tests {
         let qs = heads(79, 2, 16, 8);
         let ks = heads(80, 2, 16, 8);
         let vs = heads(81, 2, 16, 8);
-        let (_, mut cache) = engine.prefill_layer(&qs, &ks, &vs, &[BitWidth::Int4; 2]);
+        let rt = turbo_runtime::global();
+        let (_, mut cache) =
+            engine.prefill_layer_parallel_on(rt, &qs, &ks, &vs, &[BitWidth::Int4; 2]);
         let mut rng = TensorRng::new(82);
         let step_q = rng.normal(2, 8, 0.0, 1.0);
-        let outs = engine.decode_layer(
+        let outs = engine.decode_layer_parallel_on(
+            rt,
             &[step_q.row(0), step_q.row(1)],
             &[step_q.row(0), step_q.row(1)],
             &[step_q.row(0), step_q.row(1)],

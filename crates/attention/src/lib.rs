@@ -13,8 +13,11 @@
 //! * [`head_select`] — head-wise mixed precision: the `gap × std` priority
 //!   metric of Equation 11 plus the entropy/min-max/variation ablation
 //!   baselines of Figure 7b.
-//! * [`api`] — the user-facing [`TurboAttention`] engine combining all of
-//!   the above across heads.
+//! * [`api`] — the user-facing [`TurboAttention`] engine and its per-head
+//!   calls.
+//! * [`gqa`] — the layer engine: pooled prefill and decode across a whole
+//!   layer of query and KV heads, multi-head attention being GQA with
+//!   groups of one.
 //! * [`capability`] — the Table 1 technique-capability matrix.
 //!
 //! # Example
@@ -49,7 +52,8 @@ pub mod decode;
 pub mod gqa;
 pub mod head_select;
 pub mod multilayer;
-pub mod parallel;
+#[cfg(test)]
+mod parallel;
 pub mod prefill;
 pub mod reference;
 pub mod ring;
@@ -62,12 +66,12 @@ pub use decode::{
     turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group, turbo_attend_group_into,
     turbo_decode_head, turbo_decode_head_into,
 };
+pub use gqa::GqaLayout;
+pub use head_select::{select_two_bit_heads, HeadStats, SelectionMethod};
 pub use multilayer::{
     multilayer_episode_pipelined_on, multilayer_episode_serialized, MultiLayerOutput,
 };
-pub use gqa::GqaLayout;
-pub use head_select::{select_two_bit_heads, HeadStats, SelectionMethod};
-pub use prefill::{turbo_prefill_head, turbo_prefill_head_pooled, PrefillOutput};
+pub use prefill::{turbo_prefill_head, PrefillOutput};
 pub use reference::{flash_attention, flash_attention_f16, naive_attention, Masking};
 pub use ring::{merge_shards, ring_prefill_exact_on, ring_prefill_turbo_on};
 pub use robust::{AttnError, PrecisionLevel, RobustAttention, RobustHeadCache};

@@ -16,7 +16,6 @@
 use crate::reference::Masking;
 use turbo_kvcache::HeadKvCache;
 use turbo_quant::symmetric::{quantize_slice_sym_into, SymQuantized};
-use turbo_runtime::Runtime;
 use turbo_softmax::Sas;
 use turbo_tensor::{matmul_i8_transposed_b_into, Matrix};
 
@@ -37,6 +36,11 @@ pub struct PrefillOutput {
 /// `block_r`/`block_c` are the `B_r`/`B_c` tile heights. The cache's own
 /// config decides the resident bit width and channel-group size.
 ///
+/// This is the serial single-head reference: the K/V pre-pass, then the
+/// query row-block sweep one block after another. The pooled layer engine
+/// ([`TurboAttention::prefill_layer_gqa_on`](crate::TurboAttention::prefill_layer_gqa_on))
+/// runs the same two parts on the runtime and is bit-identical to it.
+///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent, block sizes are zero, the cache is
@@ -52,36 +56,55 @@ pub fn turbo_prefill_head(
     block_c: usize,
     cache: &mut HeadKvCache,
 ) -> PrefillOutput {
-    prefill_head_impl(q, k, v, masking, sas, block_r, block_c, cache, None)
+    assert!(block_r > 0 && block_c > 0, "block sizes must be positive");
+    let offset = query_offset(q, k, masking);
+    let tiles = KvTiles::quantize(k, v, block_c, cache);
+    let sweep = tiles.sweep(masking, sas, offset);
+    PrefillOutput::from_blocks(
+        q.rows(),
+        q.cols(),
+        q.row_blocks(block_r)
+            .map(|(qi, q_blk)| (qi, sweep.q_block(qi, &q_blk))),
+    )
 }
 
-/// Pooled variant of [`turbo_prefill_head`]: the independent query
-/// row-block sweeps run as tasks on `rt` instead of a serial loop.
-///
-/// The K/V quantization pre-pass (which mutates `cache`) stays serial;
-/// each row block is then a pure function of the frozen tile set, so the
-/// pool executes a *fixed* partition of the work and results merge in
-/// row order — bit-identical to [`turbo_prefill_head`] at any worker
-/// count. Safe to call from inside another pool task (e.g. head-level
-/// parallelism): the runtime's caller-helps scheduling makes nested
-/// batches deadlock-free.
+impl PrefillOutput {
+    /// Stitches one head's row-block results, each `(first row, (output
+    /// rows, logsumexp))`, into its `n_q × d` output.
+    pub(crate) fn from_blocks(
+        n_q: usize,
+        d: usize,
+        blocks: impl IntoIterator<Item = (usize, (Matrix, Vec<f32>))>,
+    ) -> Self {
+        let mut out = Matrix::zeros(n_q, d);
+        let mut lse = vec![0.0f32; n_q];
+        for (qi, (blk_out, blk_lse)) in blocks {
+            let rows = qi..qi + blk_out.rows();
+            out.as_mut_slice()[rows.start * d..rows.end * d].copy_from_slice(blk_out.as_slice());
+            lse[rows].copy_from_slice(&blk_lse);
+        }
+        Self { output: out, lse }
+    }
+}
+
+/// Checks one query head's shape against its keys and returns the causal
+/// offset `n_k − n_q` (queries are the last positions), or 0 without a
+/// causal mask.
 ///
 /// # Panics
 ///
-/// As [`turbo_prefill_head`].
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 1's parameter list
-pub fn turbo_prefill_head_pooled(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    masking: Masking,
-    sas: &Sas,
-    block_r: usize,
-    block_c: usize,
-    cache: &mut HeadKvCache,
-    rt: &Runtime,
-) -> PrefillOutput {
-    prefill_head_impl(q, k, v, masking, sas, block_r, block_c, cache, Some(rt))
+/// Panics if `q` and `k` differ in width, or a causal-like mask has more
+/// queries than keys.
+pub(crate) fn query_offset(q: &Matrix, k: &Matrix, masking: Masking) -> usize {
+    assert_eq!(q.cols(), k.cols(), "Q/K width mismatch");
+    if !masking.is_causal_like() {
+        return 0;
+    }
+    assert!(
+        q.rows() <= k.rows(),
+        "causal masking assumes queries are the last positions"
+    );
+    k.rows() - q.rows()
 }
 
 /// A stage-1-quantized value tile with its codes stored channel-major
@@ -112,18 +135,77 @@ impl VTile {
     }
 }
 
-/// Per-head sweep state frozen after the K/V quantization pre-pass. Each
-/// query row block is processed by [`HeadSweep::q_block`], a pure
-/// function — the unit of (potential) parallelism.
-struct HeadSweep<'a> {
-    k_tiles: &'a [(usize, SymQuantized)],
-    v_tiles: &'a [VTile],
+/// One KV head's INT8 tiles after the pre-pass. Every query head that
+/// shares the KV head sweeps these same frozen tiles, so each K/V tile is
+/// quantized once per prefill, as in Algorithm 1.
+pub(crate) struct KvTiles {
+    k_tiles: Vec<(usize, SymQuantized)>,
+    v_tiles: Vec<VTile>,
+    n_k: usize,
+    d: usize,
+}
+
+impl KvTiles {
+    /// The K/V pre-pass: stage-1 quantizes each `block_c`-row K/V tile,
+    /// writes its progressive block to `cache` as Algorithm 1 does on the
+    /// first row sweep, and keeps the INT8 tiles (values transposed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` and `v` differ in shape, the cache is non-empty, or
+    /// its head dimension differs from `k.cols()`.
+    pub(crate) fn quantize(
+        k: &Matrix,
+        v: &Matrix,
+        block_c: usize,
+        cache: &mut HeadKvCache,
+    ) -> Self {
+        assert_eq!(k.shape(), v.shape(), "K/V shape mismatch");
+        assert!(cache.is_empty(), "prefill requires an empty cache");
+        assert_eq!(cache.head_dim(), k.cols(), "cache head dimension mismatch");
+        let mut k_tiles = Vec::new();
+        let mut v_tiles = Vec::new();
+        for (kj, k_blk) in k.row_blocks(block_c) {
+            let v_blk = v.row_block(kj, k_blk.rows());
+            let k8 = SymQuantized::quantize(&k_blk);
+            let v8 = SymQuantized::quantize(&v_blk);
+            cache.append_prefill_block(&k_blk, &v_blk);
+            k_tiles.push((kj, k8));
+            v_tiles.push(VTile::new(&v8));
+        }
+        Self {
+            k_tiles,
+            v_tiles,
+            n_k: k.rows(),
+            d: k.cols(),
+        }
+    }
+
+    /// The sweep of one query head over these tiles; `offset` comes from
+    /// [`query_offset`].
+    pub(crate) fn sweep<'a>(
+        &'a self,
+        masking: Masking,
+        sas: &'a Sas,
+        offset: usize,
+    ) -> HeadSweep<'a> {
+        HeadSweep {
+            tiles: self,
+            masking,
+            sas,
+            offset,
+        }
+    }
+}
+
+/// One query head's sweep over a KV head's frozen tiles. Each query row
+/// block is processed by [`HeadSweep::q_block`], a pure function — the
+/// unit of parallelism.
+pub(crate) struct HeadSweep<'a> {
+    tiles: &'a KvTiles,
     masking: Masking,
     sas: &'a Sas,
     offset: usize,
-    n_k: usize,
-    d: usize,
-    scale: f32,
 }
 
 impl HeadSweep<'_> {
@@ -135,8 +217,10 @@ impl HeadSweep<'_> {
     /// re-quantization, the integer `P·V` accumulator, the correction
     /// row) are allocated once per *row block* and reused across every
     /// K tile of the sweep — the old code reallocated each per tile.
-    fn q_block(&self, qi: usize, q_blk: &Matrix) -> (Matrix, Vec<f32>) {
-        let (d, n_k, masking, offset) = (self.d, self.n_k, self.masking, self.offset);
+    pub(crate) fn q_block(&self, qi: usize, q_blk: &Matrix) -> (Matrix, Vec<f32>) {
+        let tiles = self.tiles;
+        let (d, n_k, masking, offset) = (tiles.d, tiles.n_k, self.masking, self.offset);
+        let scale = 1.0 / (d as f32).sqrt();
         let br = q_blk.rows();
         let q8 = SymQuantized::quantize(q_blk);
         let mut o = Matrix::zeros(br, d);
@@ -153,7 +237,7 @@ impl HeadSweep<'_> {
 
         let (blk_lo, _) = masking.visible_range(qi + offset, n_k);
         let (_, blk_hi) = masking.visible_range(qi + br - 1 + offset, n_k);
-        for (tile_idx, (kj, k8)) in self.k_tiles.iter().enumerate() {
+        for (tile_idx, (kj, k8)) in tiles.k_tiles.iter().enumerate() {
             let kj = *kj;
             let bc = k8.rows();
             if masking.is_causal_like() {
@@ -171,7 +255,7 @@ impl HeadSweep<'_> {
             // (masked entries contribute exactly 0.0 either way, so the
             // span form is value-identical to writing −∞ sentinels).
             matmul_i8_transposed_b_into(q8.codes(), k8.codes(), br, d, bc, &mut s_int);
-            let s_scale = q8.scale() * k8.scale() * self.scale;
+            let s_scale = q8.scale() * k8.scale() * scale;
             if masking.is_causal_like() {
                 for (i, span) in spans.iter_mut().enumerate() {
                     let (lo, hi) = masking.visible_range(qi + i + offset, n_k);
@@ -192,7 +276,7 @@ impl HeadSweep<'_> {
                 s_scale,
                 &spans,
                 bc,
-                &self.v_tiles[tile_idx],
+                &tiles.v_tiles[tile_idx],
                 self.sas,
                 &mut p,
                 &mut p8,
@@ -213,97 +297,6 @@ impl HeadSweep<'_> {
         }
         (blk_out, blk_lse)
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn prefill_head_impl(
-    q: &Matrix,
-    k: &Matrix,
-    v: &Matrix,
-    masking: Masking,
-    sas: &Sas,
-    block_r: usize,
-    block_c: usize,
-    cache: &mut HeadKvCache,
-    rt: Option<&Runtime>,
-) -> PrefillOutput {
-    assert_eq!(q.cols(), k.cols(), "Q/K width mismatch");
-    assert_eq!(k.shape(), v.shape(), "K/V shape mismatch");
-    assert!(block_r > 0 && block_c > 0, "block sizes must be positive");
-    assert!(cache.is_empty(), "prefill requires an empty cache");
-    assert_eq!(cache.head_dim(), q.cols(), "cache head dimension mismatch");
-    if masking.is_causal_like() {
-        assert!(
-            q.rows() <= k.rows(),
-            "causal masking assumes queries are the last positions"
-        );
-    }
-
-    let d = q.cols();
-    let n_q = q.rows();
-    let n_k = k.rows();
-    let scale = 1.0 / (d as f32).sqrt();
-    let offset = if masking.is_causal_like() {
-        n_k - n_q
-    } else {
-        0
-    };
-
-    // Stage-1 quantize all K/V tiles once; write progressive blocks to the
-    // cache as Algorithm 1 does on the first row sweep. This pre-pass
-    // mutates the cache, so it stays serial even on the pooled path.
-    let mut k_tiles: Vec<(usize, SymQuantized)> = Vec::new();
-    let mut v_tiles: Vec<VTile> = Vec::new();
-    for (kj, k_blk) in k.row_blocks(block_c) {
-        let v_blk = v.row_block(kj, k_blk.rows());
-        let k8 = SymQuantized::quantize(&k_blk);
-        let v8 = SymQuantized::quantize(&v_blk);
-        cache.append_prefill_block(&k_blk, &v_blk);
-        k_tiles.push((kj, k8));
-        v_tiles.push(VTile::new(&v8));
-    }
-
-    let sweep = HeadSweep {
-        k_tiles: &k_tiles,
-        v_tiles: &v_tiles,
-        masking,
-        sas,
-        offset,
-        n_k,
-        d,
-        scale,
-    };
-
-    // The partition into row blocks is fixed by (n_q, block_r) alone, and
-    // results merge below in row order — worker count never influences the
-    // arithmetic or its ordering.
-    let blocks: Vec<(usize, Matrix)> = q.row_blocks(block_r).collect();
-    let results: Vec<(usize, Matrix, Vec<f32>)> = match rt {
-        Some(rt) => rt.par_map(&blocks, |(qi, q_blk)| {
-            let (o, l) = sweep.q_block(*qi, q_blk);
-            (*qi, o, l)
-        }),
-        None => blocks
-            .iter()
-            .map(|(qi, q_blk)| {
-                let (o, l) = sweep.q_block(*qi, q_blk);
-                (*qi, o, l)
-            })
-            .collect(),
-    };
-
-    let mut out = Matrix::zeros(n_q, d);
-    let mut lse = vec![0.0f32; n_q];
-    for (qi, blk_out, blk_lse) in results {
-        for i in 0..blk_out.rows() {
-            for c in 0..d {
-                out.set(qi + i, c, blk_out.get(i, c));
-            }
-            lse[qi + i] = blk_lse[i];
-        }
-    }
-
-    PrefillOutput { output: out, lse }
 }
 
 /// Shared quantized online-softmax update (steps 3–4 of Algorithm 1 and

@@ -339,8 +339,9 @@ fn bench_block_sizes(c: &mut Criterion) {
 }
 
 /// 32-head layer prefill, serial vs. pooled: the headline number for the
-/// execution runtime. On a ≥4-core machine the pooled path should show
-/// ≥2× over serial; on fewer cores the two converge (the pool adds no
+/// execution runtime. The "serial" row runs the same layer engine on a
+/// 1-worker pool. On a ≥4-core machine the pooled path should show ≥2×
+/// over serial; on fewer cores the two converge (the pool adds no
 /// arithmetic, only scheduling).
 fn bench_prefill_layer_32head(c: &mut Criterion) {
     const H: usize = 32;
@@ -354,23 +355,22 @@ fn bench_prefill_layer_32head(c: &mut Criterion) {
     let vs = mk(&mut rng);
     let bits = [BitWidth::Int4; H];
     let engine = TurboAttention::default();
-    let rt = turbo_runtime::global();
+    let serial = turbo_runtime::Runtime::with_workers(1);
 
     let mut g = c.benchmark_group("attention/prefill_layer_32head_128x64");
-    g.bench_function("serial", |b| {
-        b.iter(|| engine.prefill_layer(black_box(&qs), black_box(&ks), black_box(&vs), &bits))
-    });
-    g.bench_function("pooled", |b| {
-        b.iter(|| {
-            engine.prefill_layer_parallel_on(
-                rt,
-                black_box(&qs),
-                black_box(&ks),
-                black_box(&vs),
-                &bits,
-            )
-        })
-    });
+    for (name, rt) in [("serial", &serial), ("pooled", turbo_runtime::global())] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                engine.prefill_layer_parallel_on(
+                    rt,
+                    black_box(&qs),
+                    black_box(&ks),
+                    black_box(&vs),
+                    &bits,
+                )
+            })
+        });
+    }
     g.finish();
 }
 

@@ -5,9 +5,12 @@
 //! cache and streams replies. Half the heads exhibit the channel-outlier
 //! pattern of Figure 4; the engine's priority metric keeps those at INT4
 //! and demotes the calm heads to INT2 (section 3.2), then decoding runs
-//! fully quantized.
+//! fully quantized. Multi-head attention is the layer engine's GQA path
+//! with groups of one.
 
-use turbo_attention::{naive_attention, Masking, TurboAttention, TurboConfig};
+use turbo_attention::{
+    naive_attention, turbo_attend_cache, GqaLayout, Masking, TurboAttention, TurboConfig,
+};
 use turbo_quant::BitWidth;
 use turbo_tensor::{Matrix, TensorRng};
 
@@ -32,7 +35,9 @@ fn main() {
     // Prefill with automatic mixed precision: 4 of 8 heads demoted to
     // 2-bit by the gap x std priority metric.
     let engine = TurboAttention::new(TurboConfig::default());
-    let (_, mut layer) = engine.prefill_layer_auto(&qs, &ks, &vs, heads / 2);
+    let rt = turbo_runtime::global();
+    let layout = GqaLayout::new(heads, heads);
+    let (_, mut layer) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, heads / 2);
 
     println!("prefilled {ctx}-token conversation across {heads} heads");
     for h in 0..heads {
@@ -55,18 +60,23 @@ fn main() {
     let mut full_k = ks.clone();
     let mut full_v = vs.clone();
     let mut worst = 0.0f32;
+    let mut identical = true;
+    // Prefill ran on the pool too; count only the decode loop's tasks.
+    let tasks_before = rt.snapshot().tasks_run;
     for _ in 0..16 {
         let step_q: Vec<Matrix> = (0..heads).map(|_| rng.normal(1, d, 0.0, 1.0)).collect();
         let step_k: Vec<Matrix> = (0..heads).map(|_| rng.normal(1, d, 0.0, 1.0)).collect();
         let step_v: Vec<Matrix> = (0..heads).map(|_| rng.normal(1, d, 0.0, 1.0)).collect();
         let outs = engine.decode_layer_parallel_on(
-            turbo_runtime::global(),
+            rt,
             &step_q.iter().map(|m| m.row(0)).collect::<Vec<_>>(),
             &step_k.iter().map(|m| m.row(0)).collect::<Vec<_>>(),
             &step_v.iter().map(|m| m.row(0)).collect::<Vec<_>>(),
             &mut layer,
         );
         for h in 0..heads {
+            let alone = turbo_attend_cache(step_q[h].row(0), layer.head(h), engine.sas());
+            identical &= alone == outs[h];
             full_k[h].append_rows(&step_k[h]);
             full_v[h].append_rows(&step_v[h]);
             let exact = naive_attention(&step_q[h], &full_k[h], &full_v[h], Masking::Causal);
@@ -75,21 +85,21 @@ fn main() {
             }
         }
     }
+    let decode_tasks = rt.snapshot().tasks_run - tasks_before;
     println!("decoded 16 reply tokens; worst per-element deviation vs exact: {worst:.4}");
+    println!("layer decode bit-identical to per-head decode: {identical}");
     println!(
         "note: INT2 heads carry most of that deviation — rerun with all heads at {} to tighten it",
         BitWidth::Int4
     );
 
     // Decode ran head-parallel on the shared work-stealing runtime
-    // (TURBO_RUNTIME_THREADS caps the pool); identical output to the
-    // serial decode_layer path by construction.
-    // Only the worker and task counts are deterministic; the
-    // stolen/helper split depends on scheduling and would break the
-    // identical-stdout contract of these examples.
-    let snap = turbo_runtime::global().snapshot();
+    // (TURBO_RUNTIME_THREADS caps the pool). Only the worker and task
+    // counts are deterministic; the stolen/helper split depends on
+    // scheduling and would break the identical-stdout contract of these
+    // examples.
     println!(
-        "runtime: {} workers ran {} decode tasks ({} heads x 16 steps)",
-        snap.workers, snap.tasks_run, heads
+        "runtime: {} workers ran {decode_tasks} decode tasks ({heads} heads x 16 steps)",
+        rt.workers()
     );
 }

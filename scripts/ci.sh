@@ -58,7 +58,7 @@ echo "==> sharded-serving smoke (crash-cut re-sharding, 16k-token acceptance epi
 TURBO_SHARD_TOKENS=16384 TURBO_RESHARD_EPISODES=8 \
   cargo test -q -p turbo-integration-tests --test resharding
 
-echo "==> examples smoke (prefix_cache_server bit-identity lines, chat_serving, the four drills)"
+echo "==> examples smoke (prefix_cache_server and chat_serving bit-identity lines, the four drills)"
 # prefix_cache_server reloads a persisted GQA prefix and decodes each
 # query group in one pass; both of its bit-identity lines must say true.
 pcs=$(cargo run --release -q -p turbo-examples --bin prefix_cache_server)
@@ -66,7 +66,11 @@ echo "$pcs"
 for line in "bit-identical to the original: true" "bit-identical to per-head decode: true"; do
   grep -qF "$line" <<<"$pcs" || { echo "prefix_cache_server did not print: $line"; exit 1; }
 done
-cargo run --release -q -p turbo-examples --bin chat_serving
+# chat_serving checks its pooled layer decode against per-head decode.
+chat=$(cargo run --release -q -p turbo-examples --bin chat_serving)
+echo "$chat"
+line="layer decode bit-identical to per-head decode: true"
+grep -qF "$line" <<<"$chat" || { echo "chat_serving did not print: $line"; exit 1; }
 # Each drill asserts its exactly-once ledger and its determinism (or
 # no-fault-twin content CRC) internally, so a zero exit is the check.
 for drill in chaos_drill shard_drill fleet_drill fault_drill; do

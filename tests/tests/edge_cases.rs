@@ -42,8 +42,10 @@ fn gqa_with_group_one_equals_mha() {
     let engine = TurboAttention::default();
     let rt = turbo_runtime::global();
     let (gqa_outs, _) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 0);
-    let (mha_outs, _) = engine.prefill_layer(&qs, &ks, &vs, &[BitWidth::Int4; 2]);
-    assert_eq!(gqa_outs, mha_outs);
+    for h in 0..2 {
+        let (mha_out, _) = engine.prefill_head(&qs[h], &ks[h], &vs[h]);
+        assert_eq!(gqa_outs[h], mha_out);
+    }
 }
 
 #[test]
@@ -53,10 +55,10 @@ fn parallel_layer_with_single_head() {
     let k = vec![rng.normal(8, 4, 0.0, 1.0)];
     let v = vec![rng.normal(8, 4, 0.0, 1.0)];
     let engine = TurboAttention::default();
-    let (serial, _) = engine.prefill_layer(&q, &k, &v, &[BitWidth::Int4]);
+    let (serial, _) = engine.prefill_head(&q[0], &k[0], &v[0]);
     let (parallel, _) =
         engine.prefill_layer_parallel_on(turbo_runtime::global(), &q, &k, &v, &[BitWidth::Int4]);
-    assert_eq!(serial, parallel);
+    assert_eq!(vec![serial], parallel);
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Full-lifecycle integration tests: prefill → decode → cache state,
 //! across every crate boundary.
 
-use turbo_attention::{naive_attention, turbo_attend_cache, Masking, TurboAttention, TurboConfig};
+use turbo_attention::{
+    naive_attention, turbo_attend_cache, GqaLayout, Masking, TurboAttention, TurboConfig,
+};
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
 use turbo_quant::BitWidth;
 use turbo_softmax::Sas;
@@ -107,7 +109,8 @@ fn mixed_precision_layer_protects_outlier_heads() {
     ];
     let vs: Vec<Matrix> = (0..4).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
     let engine = TurboAttention::default();
-    let (_, layer) = engine.prefill_layer_auto(&qs, &ks, &vs, 2);
+    let layout = GqaLayout::new(4, 4);
+    let (_, layer) = engine.prefill_layer_gqa_on(turbo_runtime::global(), layout, &qs, &ks, &vs, 2);
     assert_eq!(layer.head(0).config().bits, BitWidth::Int4);
     assert_eq!(layer.head(1).config().bits, BitWidth::Int2);
     assert_eq!(layer.head(2).config().bits, BitWidth::Int4);
@@ -132,7 +135,9 @@ fn compression_ratio_exceeds_paper_claim_at_mixed_precision() {
     let qs: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
     let ks = vec![k.clone(), rng.normal(n, d, 0.0, 1.0)];
     let vs = vec![k.clone(), k];
-    let (_, layer) = engine.prefill_layer(&qs, &ks, &vs, &[BitWidth::Int2, BitWidth::Int4]);
+    let bits = [BitWidth::Int2, BitWidth::Int4];
+    let (_, layer) =
+        engine.prefill_layer_parallel_on(turbo_runtime::global(), &qs, &ks, &vs, &bits);
     let ratio = layer.memory_stats().compression_ratio();
     assert!(ratio > 4.4, "compression ratio {ratio}");
 }
