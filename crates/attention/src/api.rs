@@ -1,7 +1,6 @@
 //! High-level TurboAttention engine.
 
-use crate::decode::turbo_decode_head;
-use crate::prefill::{turbo_prefill_head, PrefillOutput};
+use crate::prefill::turbo_prefill_head;
 use crate::reference::Masking;
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
 use turbo_quant::BitWidth;
@@ -110,23 +109,12 @@ impl TurboAttention {
     }
 
     /// Prefills one head, returning the attention output and the populated
-    /// quantized cache (at the config's uniform `kv_bits`).
+    /// quantized cache (at the config's uniform `kv_bits`). Decode
+    /// continues with [`HeadKvCache::try_append`] and
+    /// [`crate::turbo_attend_cache`].
     pub fn prefill_head(&self, q: &Matrix, k: &Matrix, v: &Matrix) -> (Matrix, HeadKvCache) {
         let mut cache = HeadKvCache::new(q.cols(), self.config.cache_config(self.config.kv_bits));
-        let out = self.prefill_into(q, k, v, &mut cache);
-        (out.output, cache)
-    }
-
-    /// Prefills one head into an existing (empty) cache, returning output
-    /// and logsumexp.
-    pub fn prefill_into(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        cache: &mut HeadKvCache,
-    ) -> PrefillOutput {
-        turbo_prefill_head(
+        let out = turbo_prefill_head(
             q,
             k,
             v,
@@ -134,19 +122,9 @@ impl TurboAttention {
             &self.sas,
             self.config.block_r,
             self.config.block_c,
-            cache,
-        )
-    }
-
-    /// Decodes one token for one head (appends `k`/`v`, attends with `q`).
-    pub fn decode_head(
-        &self,
-        q: &[f32],
-        k: &[f32],
-        v: &[f32],
-        cache: &mut HeadKvCache,
-    ) -> Vec<f32> {
-        turbo_decode_head(q, k, v, cache, &self.sas)
+            &mut cache,
+        );
+        (out.output, cache)
     }
 }
 

@@ -14,17 +14,19 @@
 //!    tile with threshold-skip short-circuiting); the probability row is
 //!    INT8 re-quantized for the `P⁸·V⁸` product, exactly as in prefill.
 //!
-//! One kernel serves both plain and grouped-query decode:
-//! [`turbo_attend_group_into`] attends `G` query rows that share the
-//! cache, looking each tile up once and running one `G`-row GEMM per
-//! tile for scores and one for `P·V`. [`turbo_attend_cache_into`] is its
-//! `G = 1` call.
+//! Step 1 is the cache's own [`HeadKvCache::try_append`]; this module is
+//! the attend half. One kernel serves both plain and grouped-query
+//! decode: [`turbo_attend_group_into`] attends `G` query rows that share
+//! the cache, looking each tile up once and running one `G`-row GEMM per
+//! tile for scores and one for `P·V`. A single query is the `G = 1`
+//! call.
 //!
 //! The hot path is **zero-allocation** in steady state: all intermediate
 //! buffers live in a caller-owned [`Scratch`] arena (the convenience
-//! entry points keep one per thread), value tiles arrive pre-transposed
-//! from the cache, and the only per-step allocation on the convenience
-//! path is the returned output vector itself. Every kernel here is
+//! entry points [`turbo_attend_cache`] and [`turbo_attend_group`] keep
+//! one per thread), value tiles arrive pre-transposed from the cache,
+//! and the only per-step allocation on the convenience path is the
+//! returned output vector itself. Every kernel here is
 //! bit-identical to the original unfused implementation: integer
 //! accumulation is associative, the scale epilogues multiply the same
 //! finished sums, and SAS short-circuiting zeroes exactly the entries
@@ -38,64 +40,13 @@ use turbo_quant::quantize_row_sym_into;
 use turbo_softmax::Sas;
 use turbo_tensor::matmul_i8_transposed_b_into;
 
-/// Decodes one token for one head: appends `(k_new, v_new)` to the cache,
-/// then computes the attention output of `q_new` over the whole cache.
-///
-/// Returns the `d`-dimensional attention output row.
-///
-/// # Panics
-///
-/// Panics if vector lengths don't match the cache's head dimension.
-pub fn turbo_decode_head(
-    q_new: &[f32],
-    k_new: &[f32],
-    v_new: &[f32],
-    cache: &mut HeadKvCache,
-    sas: &Sas,
-) -> Vec<f32> {
-    let d = cache.head_dim();
-    assert_eq!(q_new.len(), d, "query width mismatch");
-    assert_eq!(k_new.len(), d, "key width mismatch");
-    assert_eq!(v_new.len(), d, "value width mismatch");
-
-    cache.append(k_new, v_new);
-    turbo_attend_cache(q_new, cache, sas)
-}
-
-/// Allocation-free sibling of [`turbo_decode_head`]: intermediates live
-/// in `scratch` and the output row is written into `out` (cleared and
-/// refilled, keeping its capacity). In steady state — between buffer
-/// flush boundaries, with the tile cache warm — a step performs zero
-/// heap allocations.
-///
-/// # Panics
-///
-/// As [`turbo_decode_head`].
-pub fn turbo_decode_head_into(
-    q_new: &[f32],
-    k_new: &[f32],
-    v_new: &[f32],
-    cache: &mut HeadKvCache,
-    sas: &Sas,
-    scratch: &mut Scratch,
-    out: &mut Vec<f32>,
-) {
-    let d = cache.head_dim();
-    assert_eq!(q_new.len(), d, "query width mismatch");
-    assert_eq!(k_new.len(), d, "key width mismatch");
-    assert_eq!(v_new.len(), d, "value width mismatch");
-
-    cache.append(k_new, v_new);
-    turbo_attend_cache_into(q_new, cache, sas, scratch, out);
-}
-
 /// Attends a single query over an existing quantized cache *without*
 /// appending anything — the read-only half of Algorithm 2. Useful when the
 /// same cache serves several queries (e.g. multi-hop retrieval probes).
 ///
 /// Uses a thread-local [`Scratch`] arena, so repeated calls only allocate
-/// the returned vector. For a strictly allocation-free loop use
-/// [`turbo_attend_cache_into`].
+/// the returned vector. For a strictly allocation-free loop call
+/// [`turbo_attend_group_into`] with the one-row group `&[q]`.
 ///
 /// # Panics
 ///
@@ -104,28 +55,9 @@ pub fn turbo_decode_head_into(
 pub fn turbo_attend_cache(q: &[f32], cache: &HeadKvCache, sas: &Sas) -> Vec<f32> {
     with_thread_scratch(|scratch| {
         let mut out = Vec::new();
-        turbo_attend_cache_into(q, cache, sas, scratch, &mut out);
+        turbo_attend_group_into(&[q], cache, sas, scratch, &mut out);
         out
     })
-}
-
-/// As [`turbo_attend_cache`], with caller-owned buffers: all
-/// intermediates live in `scratch` and the output is written into `out`.
-/// Zero heap allocations once `scratch`/`out` have warmed to the cache's
-/// shape and the tile cache holds the resident blocks. This is the
-/// one-row call of [`turbo_attend_group_into`].
-///
-/// # Panics
-///
-/// As [`turbo_attend_cache`].
-pub fn turbo_attend_cache_into(
-    q: &[f32],
-    cache: &HeadKvCache,
-    sas: &Sas,
-    scratch: &mut Scratch,
-    out: &mut Vec<f32>,
-) {
-    turbo_attend_group_into(&[q], cache, sas, scratch, out);
 }
 
 /// Attends a whole query group — the `G` query heads that share one KV
@@ -370,6 +302,13 @@ mod tests {
     use turbo_quant::BitWidth;
     use turbo_tensor::TensorRng;
 
+    /// One decode step: appends the token, then attends `q` over the
+    /// whole cache.
+    fn step(q: &[f32], k: &[f32], v: &[f32], c: &mut HeadKvCache, sas: &Sas) -> Vec<f32> {
+        c.try_append(k, v).unwrap();
+        turbo_attend_cache(q, c, sas)
+    }
+
     fn cache(d: usize, bits: BitWidth, nb: usize) -> HeadKvCache {
         HeadKvCache::new(
             d,
@@ -392,7 +331,7 @@ mod tests {
         let mut c = cache(d, bits, nb);
         let mut worst = 0.0f32;
         for t in 0..n {
-            let out = turbo_decode_head(q.row(t), k.row(t), v.row(t), &mut c, &sas);
+            let out = step(q.row(t), k.row(t), v.row(t), &mut c, &sas);
             // Exact: q_t against keys 0..=t.
             let qt = q.row_block(t, 1);
             let kt = k.row_block(0, t + 1);
@@ -411,7 +350,7 @@ mod tests {
         let mut c = cache(4, BitWidth::Int4, 8);
         let k = [0.5f32, -0.25, 1.0, 0.0];
         let v = [1.0f32, 2.0, -3.0, 0.5];
-        let out = turbo_decode_head(&[0.1, 0.2, 0.3, 0.4], &k, &v, &mut c, &sas);
+        let out = step(&[0.1, 0.2, 0.3, 0.4], &k, &v, &mut c, &sas);
         // Softmax over one entry is 1 regardless of approximation.
         for (a, b) in out.iter().zip(&v) {
             assert!((a - b).abs() < 0.03, "{a} vs {b}");
@@ -441,7 +380,7 @@ mod tests {
         let data = rng.normal(20, 8, 0.0, 1.0);
         let mut last = Vec::new();
         for t in 0..20 {
-            last = turbo_decode_head(data.row(t), data.row(t), data.row(t), &mut c, &sas);
+            last = step(data.row(t), data.row(t), data.row(t), &mut c, &sas);
         }
         assert_eq!(c.resident_blocks().len(), 2);
         assert_eq!(c.buffer_len(), 4);
@@ -474,7 +413,7 @@ mod tests {
             let vt = rng.normal(1, d, 0.0, 1.0);
             ks.append_rows(&kt);
             vs.append_rows(&vt);
-            out = turbo_decode_head(qt.row(0), kt.row(0), vt.row(0), &mut c, &sas);
+            out = step(qt.row(0), kt.row(0), vt.row(0), &mut c, &sas);
             assert_eq!(c.len(), n0 + t + 1);
             let exact = naive_attention(&qt, &ks, &vs, Masking::Causal);
             for (a, b) in out.iter().zip(exact.row(0)) {
@@ -498,20 +437,11 @@ mod tests {
         let data = rng.normal(50, d, 0.0, 1.0);
         let sas = Sas::paper_default();
         let mut c = cache(d, BitWidth::Int4, 16);
-        let mut c2 = c.clone();
         let mut scratch = Scratch::for_cache(&c);
         let mut out = Vec::new();
         for t in 0..50 {
-            let a = turbo_decode_head(data.row(t), data.row(t), data.row(t), &mut c, &sas);
-            turbo_decode_head_into(
-                data.row(t),
-                data.row(t),
-                data.row(t),
-                &mut c2,
-                &sas,
-                &mut scratch,
-                &mut out,
-            );
+            let a = step(data.row(t), data.row(t), data.row(t), &mut c, &sas);
+            turbo_attend_group_into(&[data.row(t)], &c, &sas, &mut scratch, &mut out);
             assert_eq!(a, out, "step {t} diverged");
         }
     }
@@ -528,8 +458,8 @@ mod tests {
         let mut warm = warm;
         let mut cold = cold;
         for t in 0..40 {
-            let a = turbo_decode_head(data.row(t), data.row(t), data.row(t), &mut warm, &sas);
-            let b = turbo_decode_head(data.row(t), data.row(t), data.row(t), &mut cold, &sas);
+            let a = step(data.row(t), data.row(t), data.row(t), &mut warm, &sas);
+            let b = step(data.row(t), data.row(t), data.row(t), &mut cold, &sas);
             assert_eq!(a, b, "step {t}: cached vs uncached diverged");
         }
         let s = warm.tile_cache_stats();
@@ -542,6 +472,6 @@ mod tests {
     fn wrong_query_width_panics() {
         let sas = Sas::paper_default();
         let mut c = cache(4, BitWidth::Int4, 8);
-        turbo_decode_head(&[0.0; 3], &[0.0; 4], &[0.0; 4], &mut c, &sas);
+        step(&[0.0; 3], &[0.0; 4], &[0.0; 4], &mut c, &sas);
     }
 }

@@ -236,7 +236,8 @@ impl TurboAttention {
     ///
     /// # Panics
     ///
-    /// Panics if `layout` is invalid or row counts don't match it.
+    /// Panics if `layout` is invalid, row counts don't match it, or a K/V
+    /// row is not `head_dim` wide and finite.
     pub fn decode_layer_gqa_on(
         &self,
         rt: &Runtime,
@@ -255,7 +256,9 @@ impl TurboAttention {
         let sas = self.sas();
         let mut heads: Vec<(usize, &mut HeadKvCache)> = layer.iter_mut().enumerate().collect();
         rt.par_map_mut(&mut heads, |(kv, cache)| {
-            cache.append(ks[*kv], vs[*kv]);
+            cache
+                .try_append(ks[*kv], vs[*kv])
+                .expect("decode K/V rows must be head_dim wide and finite");
             turbo_attend_group(&qs[*kv * g..(*kv + 1) * g], cache, sas)
         })
         .into_iter()
@@ -269,6 +272,7 @@ mod tests {
     use super::*;
     use crate::api::TurboConfig;
     use crate::reference::{naive_attention, Masking};
+    use turbo_kvcache::serialize_head_cache;
     use turbo_tensor::{relative_error, TensorRng};
 
     #[test]
@@ -363,8 +367,8 @@ mod tests {
                         "G={g}, {workers} workers: query head {q} diverged"
                     );
                     assert_eq!(
-                        cache.to_bytes(),
-                        layer.head(kv).to_bytes(),
+                        serialize_head_cache(&cache),
+                        serialize_head_cache(layer.head(kv)),
                         "G={g}, {workers} workers: KV head {kv} cache diverged"
                     );
                 }

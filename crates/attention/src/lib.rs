@@ -14,7 +14,7 @@
 //!   metric of Equation 11 plus the entropy/min-max/variation ablation
 //!   baselines of Figure 7b.
 //! * [`api`] — the user-facing [`TurboAttention`] engine and its per-head
-//!   calls.
+//!   prefill.
 //! * [`gqa`] — the layer engine: pooled prefill and decode across a whole
 //!   layer of query and KV heads, multi-head attention being GQA with
 //!   groups of one.
@@ -23,7 +23,7 @@
 //! # Example
 //!
 //! ```
-//! use turbo_attention::{TurboAttention, TurboConfig};
+//! use turbo_attention::{turbo_attend_cache, TurboAttention, TurboConfig};
 //! use turbo_tensor::TensorRng;
 //!
 //! let mut rng = TensorRng::new(0);
@@ -39,7 +39,8 @@
 //! let qt = rng.normal(1, 32, 0.0, 1.0);
 //! let kt = rng.normal(1, 32, 0.0, 1.0);
 //! let vt = rng.normal(1, 32, 0.0, 1.0);
-//! let step = engine.decode_head(qt.row(0), kt.row(0), vt.row(0), &mut cache);
+//! cache.try_append(kt.row(0), vt.row(0)).expect("finite token");
+//! let step = turbo_attend_cache(qt.row(0), &cache, engine.sas());
 //! assert_eq!(step.len(), 32);
 //! ```
 
@@ -62,10 +63,7 @@ pub mod scratch;
 
 pub use api::{TurboAttention, TurboConfig};
 pub use capability::{capability_table, Capability, TechniqueRow};
-pub use decode::{
-    turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group, turbo_attend_group_into,
-    turbo_decode_head, turbo_decode_head_into,
-};
+pub use decode::{turbo_attend_cache, turbo_attend_group, turbo_attend_group_into};
 pub use gqa::GqaLayout;
 pub use head_select::{select_two_bit_heads, HeadStats, SelectionMethod};
 pub use multilayer::{

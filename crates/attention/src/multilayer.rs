@@ -84,7 +84,7 @@ fn layer_token_step(
         let k = project(x, d, h, l, 1);
         let v = project(x, d, h, l, 2);
         let head = cell.head_mut(h);
-        head.append(&k, &v);
+        head.try_append(&k, &v).expect("projections of finite layer inputs are finite");
         y.extend_from_slice(&turbo_attend_cache(&q, head, sas));
         ks.push(k);
         vs.push(v);
@@ -145,6 +145,11 @@ enum Mode<'r> {
 /// Runs one multi-layer episode against `set`: prefills `prompt` (in
 /// chunks of `prefill_chunk` tokens), then decodes `decode.rows()` steps,
 /// committing one WAL record per token and syncing at the end.
+///
+/// `task_started(l, t)` runs as each compute task begins: layer `l`'s
+/// prefill chunk or decode step whose first token is `t`. The public
+/// engines pass a no-op; the overlap test gates tasks on it.
+#[allow(clippy::too_many_arguments)]
 fn run_episode(
     mode: Mode<'_>,
     set: &mut DurableLayerSet,
@@ -153,6 +158,7 @@ fn run_episode(
     sas: &Sas,
     prefill_chunk: usize,
     health: Option<&HealthStats>,
+    task_started: &(dyn Fn(usize, usize) + Sync),
 ) -> MultiLayerOutput {
     let layers = set.num_layers();
     let heads = set.heads_per_layer();
@@ -205,6 +211,7 @@ fn run_episode(
             let st = &st;
             let range = range.clone();
             let id = pipe.task(WorkClass::PrefillChunk, l, &deps, move || {
+                task_started(l, range.start);
                 let mut cell = st.cells[l].lock().expect("cell poisoned");
                 for t in range.clone() {
                     let input;
@@ -254,6 +261,7 @@ fn run_episode(
             let st = &st;
             let t = p + i;
             let id = pipe.task(WorkClass::DecodeStep, l, &deps, move || {
+                task_started(l, t);
                 let mut cell = st.cells[l].lock().expect("cell poisoned");
                 let input;
                 let x: &[f32] = if l == 0 {
@@ -332,7 +340,16 @@ pub fn multilayer_episode_serialized(
     prefill_chunk: usize,
     health: Option<&HealthStats>,
 ) -> MultiLayerOutput {
-    run_episode(Mode::Serial, set, prompt, decode, sas, prefill_chunk, health)
+    run_episode(
+        Mode::Serial,
+        set,
+        prompt,
+        decode,
+        sas,
+        prefill_chunk,
+        health,
+        &|_, _| {},
+    )
 }
 
 /// Pipelined engine on `rt` (pass [`turbo_runtime::global()`] for the
@@ -356,13 +373,16 @@ pub fn multilayer_episode_pipelined_on(
         sas,
         prefill_chunk,
         health,
+        &|_, _| {},
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbo_kvcache::{KvCacheConfig, NeverCheckpoint};
+    use std::sync::Condvar;
+    use std::time::Duration;
+    use turbo_kvcache::{serialize_head_cache, KvCacheConfig, NeverCheckpoint};
     use turbo_quant::BitWidth;
     use turbo_tensor::TensorRng;
 
@@ -400,8 +420,8 @@ mod tests {
         for l in 0..a.num_layers() {
             for h in 0..a.heads_per_layer() {
                 assert_eq!(
-                    a.layer(l).head(h).to_bytes(),
-                    b.layer(l).head(h).to_bytes(),
+                    serialize_head_cache(a.layer(l).head(h)),
+                    serialize_head_cache(b.layer(l).head(h)),
                     "cell ({l}, {h}) diverged"
                 );
             }
@@ -446,9 +466,42 @@ mod tests {
         let sas = Sas::paper_default();
         let rt = Runtime::with_workers(4);
         let mut set = fresh_set(4);
-        let out = multilayer_episode_pipelined_on(&rt, &mut set, &prompt, &decode, &sas, 4, None);
-        // Structural overlap: with 4 workers and a 4-layer DAG, at least
-        // two tasks must have been in flight at once at some point.
+        // Layer 1's first chunk and layer 0's second chunk (token 4) both
+        // depend only on layer 0's first chunk. Each waits at this gate
+        // until the other has started, so they overlap by construction,
+        // not by timing. A DAG that chains them never lets both in; the
+        // wait's deadline only turns that deadlock into a failure.
+        let gate = (Mutex::new((0usize, false)), Condvar::new()); // (inside, met)
+        let task_started = |l: usize, t: usize| {
+            if (l, t) != (1, 0) && (l, t) != (0, 4) {
+                return;
+            }
+            let (lock, cv) = &gate;
+            let mut st = lock.lock().expect("gate poisoned");
+            st.0 += 1;
+            if st.0 == 2 {
+                st.1 = true;
+                cv.notify_all();
+            }
+            let (mut st, _) = cv
+                .wait_timeout_while(st, Duration::from_secs(10), |st| !st.1)
+                .expect("gate poisoned");
+            st.0 -= 1;
+        };
+        let out = run_episode(
+            Mode::Pipelined(&rt),
+            &mut set,
+            &prompt,
+            &decode,
+            &sas,
+            4,
+            None,
+            &task_started,
+        );
+        assert!(
+            gate.0.lock().expect("gate poisoned").1,
+            "layer 1's first chunk never ran beside layer 0's second"
+        );
         assert!(
             out.stats.peak_in_flight >= 2,
             "pipeline never overlapped (peak {})",

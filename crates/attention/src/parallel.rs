@@ -11,7 +11,7 @@ mod tests {
     use crate::api::{TurboAttention, TurboConfig};
     use crate::decode::turbo_attend_cache;
     use crate::prefill::turbo_prefill_head;
-    use turbo_kvcache::HeadKvCache;
+    use turbo_kvcache::{serialize_head_cache, HeadKvCache};
     use turbo_quant::BitWidth;
     use turbo_runtime::Runtime;
     use turbo_tensor::{Matrix, TensorRng};
@@ -74,7 +74,10 @@ mod tests {
             engine.prefill_layer_parallel_on(turbo_runtime::global(), &qs, &ks, &vs, &bits);
         assert_eq!(serial_out, par_out);
         for (h, serial) in serial_cache.iter().enumerate() {
-            assert_eq!(serial.to_bytes(), par_cache.head(h).to_bytes());
+            assert_eq!(
+                serialize_head_cache(serial),
+                serialize_head_cache(par_cache.head(h))
+            );
         }
 
         // ...and pinned pools at 1, 2, and N workers.
@@ -84,8 +87,8 @@ mod tests {
             assert_eq!(serial_out, out, "{workers} workers diverged");
             for (h, serial) in serial_cache.iter().enumerate() {
                 assert_eq!(
-                    serial.to_bytes(),
-                    cache.head(h).to_bytes(),
+                    serialize_head_cache(serial),
+                    serialize_head_cache(cache.head(h)),
                     "{workers}-worker cache diverged at head {h}"
                 );
             }
@@ -106,7 +109,7 @@ mod tests {
             .iter_mut()
             .zip(&rows)
             .map(|(cache, row)| {
-                cache.append(row, row);
+                cache.try_append(row, row).unwrap();
                 turbo_attend_cache(row, cache, engine.sas())
             })
             .collect();
@@ -130,8 +133,8 @@ mod tests {
             assert_eq!(serial, out, "{workers} workers diverged");
             for (h, serial) in serial_cache.iter().enumerate() {
                 assert_eq!(
-                    serial.to_bytes(),
-                    cache.head(h).to_bytes(),
+                    serialize_head_cache(serial),
+                    serialize_head_cache(cache.head(h)),
                     "{workers}-worker cache diverged at head {h}"
                 );
             }
@@ -158,8 +161,8 @@ mod tests {
             let (out, cache) = engine.prefill_layer_parallel_on(&rt, &qs, &ks, &vs, &bits);
             assert_eq!(serial_out, out, "{workers} workers diverged");
             assert_eq!(
-                serial_cache[0].to_bytes(),
-                cache.head(0).to_bytes(),
+                serialize_head_cache(&serial_cache[0]),
+                serialize_head_cache(cache.head(0)),
                 "{workers}-worker cache diverged"
             );
         }

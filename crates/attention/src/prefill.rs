@@ -169,7 +169,7 @@ impl KvTiles {
             let v_blk = v.row_block(kj, k_blk.rows());
             let k8 = SymQuantized::quantize(&k_blk);
             let v8 = SymQuantized::quantize(&v_blk);
-            cache.append_prefill_block(&k_blk, &v_blk);
+            cache.append_prefill_block(&k8, &v8);
             k_tiles.push((kj, k8));
             v_tiles.push(VTile::new(&v8));
         }
@@ -505,7 +505,7 @@ mod tests {
         let (q, k, v) = qkv(58, 8, 4);
         let sas = Sas::paper_default();
         let mut cache = fresh_cache(4);
-        cache.append(&[0.0; 4], &[0.0; 4]);
+        cache.try_append(&[0.0; 4], &[0.0; 4]).unwrap();
         turbo_prefill_head(&q, &k, &v, Masking::Full, &sas, 4, 4, &mut cache);
     }
 }

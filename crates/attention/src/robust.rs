@@ -18,6 +18,7 @@
 
 use crate::api::{TurboAttention, TurboConfig};
 use crate::decode::turbo_attend_cache;
+use crate::prefill::turbo_prefill_head;
 use crate::reference::{naive_attention, Masking};
 use turbo_kvcache::{CacheError, HeadKvCache, KvCacheConfig};
 use turbo_quant::{BitWidth, QuantError};
@@ -274,9 +275,8 @@ impl RobustHeadCache {
         match &mut self.quant {
             Some(c) => {
                 for t in 0..k.rows() {
-                    // Dequantized rows are finite (codes × capped scales),
-                    // so the panicking append cannot fire here.
-                    c.append(k.row(t), v.row(t));
+                    c.try_append(k.row(t), v.row(t))
+                        .expect("dequantized rows are finite, with capped scales");
                 }
                 self.k_exact = Matrix::zeros(0, self.d);
                 self.v_exact = Matrix::zeros(0, self.d);
@@ -537,10 +537,14 @@ impl RobustAttention {
             }
         }
 
-        let masking = self.engine.config().masking;
+        let cfg = self.engine.config();
+        let masking = cfg.masking;
         match &mut cache.quant {
             Some(head) => {
-                let out = self.engine.prefill_into(&q, &k, &v, head).output;
+                let sas = self.engine.sas();
+                let out =
+                    turbo_prefill_head(&q, &k, &v, masking, sas, cfg.block_r, cfg.block_c, head)
+                        .output;
                 if out.as_slice().iter().all(|x| x.is_finite()) {
                     return Ok(out);
                 }
@@ -626,7 +630,8 @@ mod tests {
             let r = robust
                 .try_decode(data.row(t), data.row(t), data.row(t), &mut rc)
                 .unwrap();
-            let p = plain.decode_head(data.row(t), data.row(t), data.row(t), &mut pc);
+            pc.try_append(data.row(t), data.row(t)).unwrap();
+            let p = turbo_attend_cache(data.row(t), &pc, plain.sas());
             assert_eq!(r, p, "clean inputs must take the identical fast path");
         }
         assert!(robust.health().is_clean());
@@ -745,9 +750,9 @@ mod tests {
         assert!(AttnError::from(CacheError::ScaleOverflow)
             .to_string()
             .contains("scale overflow"));
-        assert!(AttnError::from(QuantError::NonFiniteInput)
+        assert!(AttnError::from(QuantError::ScaleOverflow)
             .to_string()
-            .contains("non-finite"));
+            .contains("quant: quantization scale overflow"));
         assert!(AttnError::from(SoftmaxError::NoFiniteEntry { row: 2 })
             .to_string()
             .contains("row 2"));

@@ -155,7 +155,7 @@ mod tests {
         );
         for t in 0..20 {
             let row = [t as f32 * 0.1; 8];
-            cache.append(&row, &row);
+            cache.try_append(&row, &row).unwrap();
         }
         let s = Scratch::for_cache(&cache);
         assert!(s.q8.capacity() >= 8);

@@ -51,8 +51,8 @@ fn episode(seed: u64) {
             0..=6 => {
                 let k = row(&mut rng);
                 let v = row(&mut rng);
-                cached.append(&k, &v);
-                uncached.append(&k, &v);
+                cached.try_append(&k, &v).unwrap();
+                uncached.try_append(&k, &v).unwrap();
             }
             7 => {
                 let a = cached.try_flush();

@@ -11,9 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use turbo_attention::{
-    turbo_attend_cache_into, turbo_attend_group_into, turbo_decode_head_into, Scratch,
-};
+use turbo_attention::{turbo_attend_group_into, Scratch};
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
 use turbo_quant::BitWidth;
 use turbo_softmax::Sas;
@@ -77,7 +75,7 @@ fn populated_cache(seed: u64, n: usize, d: usize, buffer_capacity: usize) -> Hea
         },
     );
     for t in 0..n {
-        cache.append(k.row(t), v.row(t));
+        cache.try_append(k.row(t), v.row(t)).unwrap();
     }
     cache
 }
@@ -99,11 +97,11 @@ fn attend_loop_is_allocation_free_once_warm() {
     let mut out = Vec::with_capacity(d);
     // Warmup: builds the resident dequant tiles and grows every buffer
     // to its working size.
-    turbo_attend_cache_into(&queries[0], &cache, &sas, &mut scratch, &mut out);
+    turbo_attend_group_into(&[&queries[0]], &cache, &sas, &mut scratch, &mut out);
 
     let before = allocations();
     for q in &queries {
-        turbo_attend_cache_into(q, &cache, &sas, &mut scratch, &mut out);
+        turbo_attend_group_into(&[q], &cache, &sas, &mut scratch, &mut out);
     }
     let allocated = allocations() - before;
     assert_eq!(out.len(), d);
@@ -139,11 +137,12 @@ fn decode_steps_are_allocation_free_between_flush_boundaries() {
     let mut out = Vec::with_capacity(d);
     // Warmup attend: fills the tile cache without consuming append
     // headroom.
-    turbo_attend_cache_into(&steps[0].0, &cache, &sas, &mut scratch, &mut out);
+    turbo_attend_group_into(&[&steps[0].0], &cache, &sas, &mut scratch, &mut out);
 
     let before = allocations();
     for (q, k, v) in &steps {
-        turbo_decode_head_into(q, k, v, &mut cache, &sas, &mut scratch, &mut out);
+        cache.try_append(k, v).unwrap();
+        turbo_attend_group_into(&[q], &cache, &sas, &mut scratch, &mut out);
     }
     let allocated = allocations() - before;
     assert_eq!(out.len(), d);

@@ -6,7 +6,7 @@ use turbo_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 use turbo_attention::{
     flash_attention, multilayer_episode_pipelined_on, multilayer_episode_serialized,
-    naive_attention, turbo_attend_cache, turbo_attend_cache_into, turbo_attend_group_into,
+    naive_attention, turbo_attend_cache, turbo_attend_group_into,
     turbo_prefill_head, Masking, Scratch, TurboAttention,
 };
 use turbo_quant::BitWidth;
@@ -76,7 +76,7 @@ fn bench_decode(c: &mut Criterion) {
     // Pre-populate each cache with N tokens.
     let mut turbo = HeadKvCache::new(D, KvCacheConfig::default());
     for t in 0..N {
-        turbo.append(k.row(t), v.row(t));
+        turbo.try_append(k.row(t), v.row(t)).expect("finite rows");
     }
     let mut kivi = KiviCache::new(D, KiviConfig::default());
     let mut gear = GearCache::new(D, GearConfig::default());
@@ -89,13 +89,15 @@ fn bench_decode(c: &mut Criterion) {
     g.bench_function("turbo_attend_cache", |b| {
         b.iter(|| turbo_attend_cache(black_box(q.row(0)), &turbo, &sas))
     });
-    // The strictly allocation-free variant: caller-owned scratch arena
-    // and output row, warm resident-tile cache.
+    // The strictly allocation-free variant: the one-row group with a
+    // caller-owned scratch arena and output row, warm resident-tile
+    // cache.
     let mut scratch = Scratch::for_cache(&turbo);
     let mut out_row: Vec<f32> = Vec::with_capacity(D);
     g.bench_function("turbo_attend_cache_into", |b| {
         b.iter(|| {
-            turbo_attend_cache_into(black_box(q.row(0)), &turbo, &sas, &mut scratch, &mut out_row);
+            let q = [black_box(q.row(0))];
+            turbo_attend_group_into(&q, &turbo, &sas, &mut scratch, &mut out_row);
             black_box(out_row[0])
         })
     });
@@ -134,7 +136,7 @@ fn bench_decode(c: &mut Criterion) {
         let mut tok = 0usize;
         g.bench_function("turbo_decode_step", |b| {
             b.iter(|| {
-                cache.append(k.row(0), v.row(0));
+                cache.try_append(k.row(0), v.row(0)).expect("finite rows");
                 tok += 1;
                 if tok == EPISODE {
                     tok = 0;
@@ -293,7 +295,7 @@ fn bench_i8_kernels(c: &mut Criterion) {
     let ctx = rng.normal(1024, GD, 0.0, 1.0);
     let mut cache = HeadKvCache::new(GD, KvCacheConfig::default());
     for t in 0..ctx.rows() {
-        cache.append(ctx.row(t), ctx.row(t));
+        cache.try_append(ctx.row(t), ctx.row(t)).expect("finite rows");
     }
     let qs = rng.normal(4, GD, 0.0, 1.0);
     let sas = Sas::paper_default();

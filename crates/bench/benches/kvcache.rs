@@ -5,9 +5,11 @@
 use turbo_bench::harness::{BatchSize, Criterion};
 use turbo_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
-use turbo_kvcache::{HeadKvCache, Int8Buffer, KvCacheConfig};
+use turbo_kvcache::{
+    deserialize_head_cache, serialize_head_cache, HeadKvCache, Int8Buffer, KvCacheConfig,
+};
 use turbo_quant::symmetric::quantize_slice_sym;
-use turbo_quant::BitWidth;
+use turbo_quant::{BitWidth, SymQuantized};
 use turbo_tensor::{Matrix, TensorRng};
 
 const D: usize = 128;
@@ -25,7 +27,7 @@ fn bench_buffer_append(c: &mut Criterion) {
             || Int8Buffer::new(D),
             |mut buf| {
                 for t in 0..64 {
-                    buf.append(black_box(data.row(t)));
+                    buf.try_append(black_box(data.row(t))).unwrap();
                 }
                 buf
             },
@@ -67,7 +69,9 @@ fn bench_decode_append_and_flush(c: &mut Criterion) {
                 },
                 |mut cache| {
                     for t in 0..256 {
-                        cache.append(black_box(data.row(t)), black_box(data.row(t)));
+                        cache
+                            .try_append(black_box(data.row(t)), black_box(data.row(t)))
+                            .unwrap();
                     }
                     cache
                 },
@@ -78,13 +82,15 @@ fn bench_decode_append_and_flush(c: &mut Criterion) {
     g.finish();
 }
 
+/// The prefill write: stage 2 of BPQ on the INT8 tiles the prefill sweep
+/// already quantized.
 fn bench_prefill_block(c: &mut Criterion) {
-    let k = rows(64);
+    let k8 = SymQuantized::quantize(&rows(64));
     c.bench_function("kvcache/prefill_block_64x128_int4", |b| {
         b.iter_batched(
             || HeadKvCache::new(D, KvCacheConfig::default()),
             |mut cache| {
-                cache.append_prefill_block(black_box(&k), black_box(&k));
+                cache.append_prefill_block(black_box(&k8), black_box(&k8));
                 cache
             },
             BatchSize::SmallInput,
@@ -96,13 +102,13 @@ fn bench_persistence(c: &mut Criterion) {
     let data = rows(256);
     let mut cache = HeadKvCache::new(D, KvCacheConfig::default());
     for t in 0..256 {
-        cache.append(data.row(t), data.row(t));
+        cache.try_append(data.row(t), data.row(t)).unwrap();
     }
-    let bytes = cache.to_bytes();
+    let bytes = serialize_head_cache(&cache);
     let mut g = c.benchmark_group("kvcache/persist_256x128");
-    g.bench_function("serialize", |b| b.iter(|| black_box(&cache).to_bytes()));
+    g.bench_function("serialize", |b| b.iter(|| serialize_head_cache(black_box(&cache))));
     g.bench_function("deserialize", |b| {
-        b.iter(|| HeadKvCache::from_bytes(black_box(&bytes)).unwrap())
+        b.iter(|| deserialize_head_cache(black_box(&bytes)).unwrap())
     });
     g.finish();
 }

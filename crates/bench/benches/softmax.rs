@@ -55,7 +55,7 @@ fn bench_full_softmax(c: &mut Criterion) {
     let sas = Sas::paper_default();
     let mut g = c.benchmark_group("softmax/full_64x256");
     g.bench_function("exact", |b| b.iter(|| softmax(black_box(&m))));
-    g.bench_function("sas", |b| b.iter(|| sas.softmax(black_box(&m))));
+    g.bench_function("sas", |b| b.iter(|| sas.try_softmax(black_box(&m)).unwrap()));
     g.finish();
 }
 
@@ -65,7 +65,7 @@ fn bench_threshold_sweep(c: &mut Criterion) {
     for nr in [-3i32, -6, -9] {
         let sas = Sas::new(nr, PAPER_POLY);
         g.bench_function(format!("n_r={nr}"), |b| {
-            b.iter(|| sas.softmax(black_box(&m)))
+            b.iter(|| sas.try_softmax(black_box(&m)).unwrap())
         });
     }
     g.finish();

@@ -79,7 +79,9 @@ pub fn run_buffer_sweep(episodes: usize) {
             },
         );
         for r in 0..256 {
-            cache.append(data.row(r), data.row(r));
+            cache
+                .try_append(data.row(r), data.row(r))
+                .expect("normal samples are finite");
         }
         let clamped =
             cache.key_buffer().clamped_elements() + cache.value_buffer().clamped_elements();

@@ -74,11 +74,6 @@ impl KernelBreakdown {
     pub fn softmax_share(&self) -> f64 {
         self.softmax / self.total()
     }
-
-    /// Fraction of total spent in `dequant`.
-    pub fn dequant_share(&self) -> f64 {
-        self.dequant / self.total()
-    }
 }
 
 /// Latency of the attention mechanism across a full forward pass over

@@ -862,7 +862,7 @@ pub(crate) fn run_continuous(
 ///
 /// With `paged = Some((pool, prefix))` every admitted request carries a
 /// real [`PagedKvPool`] sequence forked off `prefix`, and all cache
-/// traffic goes through the pool's **non-panicking** `try_*` APIs: a
+/// traffic goes through the pool's fallible `try_*` APIs: a
 /// fork or append error rejects that request (releasing its sequence)
 /// instead of aborting the engine, and finish/truncation releases the
 /// fork, so a healthy run returns the pool holding exactly the prefix it

@@ -524,7 +524,10 @@ fn pipelined_append_tokens(
                 let id = pipeline.task(WorkClass::PrefillChunk, l, &deps, move || {
                     let mut layer = cell.lock().unwrap();
                     for h in 0..heads {
-                        layer.head_mut(h).append(row, row);
+                        layer
+                            .head_mut(h)
+                            .try_append(row, row)
+                            .expect("context rows are finite");
                     }
                 });
                 prev_in_layer[l] = Some(id);

@@ -67,24 +67,10 @@ impl Int8Buffer {
     }
 
     /// Appends one token row, establishing the universal scale if this is
-    /// the first row since the last [`Int8Buffer::clear`].
-    ///
-    /// Returns the number of clamped (out-of-range) elements in this row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row.len() != d` or the row contains non-finite values.
-    /// [`Int8Buffer::try_append`] is the non-panicking equivalent.
-    pub fn append(&mut self, row: &[f32]) -> usize {
-        match self.try_append(row) {
-            Ok(clamped) => clamped,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Non-panicking [`Int8Buffer::append`]: validates the row and leaves
-    /// the buffer untouched on error, so a caller can sanitize or degrade
-    /// and retry.
+    /// the first row since the last [`Int8Buffer::clear`]. Returns the
+    /// number of clamped (out-of-range) elements in this row. Validates
+    /// the row and leaves the buffer untouched on error, so a caller can
+    /// sanitize or degrade and retry.
     ///
     /// # Errors
     ///
@@ -215,7 +201,7 @@ mod tests {
     #[test]
     fn first_row_sets_scale_with_headroom() {
         let mut b = Int8Buffer::new(4);
-        b.append(&[1.0, -2.0, 0.5, 0.0]);
+        b.try_append(&[1.0, -2.0, 0.5, 0.0]).unwrap();
         let s = b.scale().unwrap();
         assert!((s - 2.0 * UNIVERSAL_SCALE_HEADROOM / SYM_INT8_DIVISOR).abs() < 1e-7);
     }
@@ -223,10 +209,10 @@ mod tests {
     #[test]
     fn later_rows_reuse_scale_and_clamp() {
         let mut b = Int8Buffer::new(2);
-        b.append(&[1.0, -1.0]);
+        b.try_append(&[1.0, -1.0]).unwrap();
         let s = b.scale().unwrap();
         // A much larger token must clamp, not rescale.
-        let clamped = b.append(&[100.0, 0.5]);
+        let clamped = b.try_append(&[100.0, 0.5]).unwrap();
         assert_eq!(clamped, 1);
         assert_eq!(b.scale().unwrap(), s);
         assert_eq!(b.codes()[2], 127);
@@ -236,8 +222,8 @@ mod tests {
     #[test]
     fn round_trip_within_headroom_is_accurate() {
         let mut b = Int8Buffer::new(3);
-        b.append(&[1.0, -1.0, 0.5]);
-        b.append(&[1.5, 0.2, -1.9]); // within 4x headroom of max|first| = 1
+        b.try_append(&[1.0, -1.0, 0.5]).unwrap();
+        b.try_append(&[1.5, 0.2, -1.9]).unwrap(); // within 4x headroom of max|first| = 1
         let back = b.dequantize();
         assert!((back.get(1, 0) - 1.5).abs() < 0.02);
         assert!((back.get(1, 2) + 1.9).abs() < 0.02);
@@ -247,29 +233,29 @@ mod tests {
     #[test]
     fn clear_resets_scale() {
         let mut b = Int8Buffer::new(1);
-        b.append(&[1.0]);
+        b.try_append(&[1.0]).unwrap();
         let s1 = b.scale().unwrap();
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.scale(), None);
-        b.append(&[10.0]);
+        b.try_append(&[10.0]).unwrap();
         assert!(b.scale().unwrap() > s1);
     }
 
     #[test]
     fn zero_first_row_gets_unit_scale() {
         let mut b = Int8Buffer::new(2);
-        b.append(&[0.0, 0.0]);
+        b.try_append(&[0.0, 0.0]).unwrap();
         assert_eq!(b.scale(), Some(1.0));
-        b.append(&[3.0, -3.0]);
+        b.try_append(&[3.0, -3.0]).unwrap();
         assert_eq!(b.codes()[2], 3);
     }
 
     #[test]
     fn snapshot_matches_dequantize() {
         let mut b = Int8Buffer::new(2);
-        b.append(&[0.7, -0.3]);
-        b.append(&[0.1, 0.9]);
+        b.try_append(&[0.7, -0.3]).unwrap();
+        b.try_append(&[0.1, 0.9]).unwrap();
         let snap = b.as_sym_quantized();
         assert_eq!(snap.dequantize(), b.dequantize());
         assert_eq!(snap.rows(), 2);
@@ -281,16 +267,22 @@ mod tests {
         assert_eq!(b.dequantize().shape(), (0, 4));
     }
 
+    // A caller that cannot recover panics with the error's message; it
+    // must name the cause.
     #[test]
     #[should_panic(expected = "width mismatch")]
     fn wrong_width_panics() {
-        Int8Buffer::new(3).append(&[1.0]);
+        Int8Buffer::new(3)
+            .try_append(&[1.0])
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     #[should_panic(expected = "non-finite")]
     fn nan_panics() {
-        Int8Buffer::new(1).append(&[f32::NAN]);
+        Int8Buffer::new(1)
+            .try_append(&[f32::NAN])
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -318,7 +310,7 @@ mod tests {
         assert!(cap >= 32);
         for cycle in 0..3 {
             for t in 0..8 {
-                b.append(&[t as f32, 1.0, -1.0, 0.5 * cycle as f32]);
+                b.try_append(&[t as f32, 1.0, -1.0, 0.5 * cycle as f32]).unwrap();
             }
             assert_eq!(b.codes.capacity(), cap, "append grew capacity");
             b.clear();
@@ -333,7 +325,7 @@ mod tests {
         // abs_max is within headroom× of f32::MAX — every subsequent code
         // then quantized to 0 silently. Dividing first keeps it finite.
         let mut b = Int8Buffer::new(2);
-        b.append(&[f32::MAX, -f32::MAX / 2.0]);
+        b.try_append(&[f32::MAX, -f32::MAX / 2.0]).unwrap();
         let s = b.scale().unwrap();
         assert!(s.is_finite() && s > 0.0, "scale must stay finite, got {s}");
         // The opening row itself must round-trip to nonzero values.
@@ -341,7 +333,7 @@ mod tests {
         assert!(back.get(0, 0) > 0.0, "outlier collapsed to {}", back.get(0, 0));
         assert!(back.get(0, 1) < 0.0);
         // And ordinary rows afterwards still quantize (to tiny codes).
-        b.append(&[0.0, 0.0]);
+        b.try_append(&[0.0, 0.0]).unwrap();
         assert_eq!(b.len(), 2);
         assert!(b.dequantize().as_slice().iter().all(|x| x.is_finite()));
     }

@@ -3,8 +3,8 @@
 //! Every `try_*` API in this crate returns [`CacheError`] instead of
 //! panicking, so the serving layer can degrade (drop a sequence, fall
 //! back a precision rung, re-prefill a range) rather than abort the
-//! process. The panicking wrappers remain for callers that have already
-//! validated their inputs; their messages are the `Display` text here.
+//! process. A caller that has already validated its inputs writes
+//! `try_x(..).expect("<why>")`.
 
 /// Why a cache operation could not proceed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,7 +52,6 @@ impl std::error::Error for CacheError {}
 impl From<turbo_quant::QuantError> for CacheError {
     fn from(e: turbo_quant::QuantError) -> Self {
         match e {
-            turbo_quant::QuantError::NonFiniteInput => CacheError::NonFinite { channel: 0 },
             turbo_quant::QuantError::ScaleOverflow => CacheError::ScaleOverflow,
         }
     }
@@ -64,8 +63,8 @@ mod tests {
 
     #[test]
     fn display_matches_legacy_panic_messages() {
-        // The panicking wrappers format these errors, and existing tests
-        // match on these substrings.
+        // Callers that `expect` a cache operation panic with these
+        // messages, and tests match on these substrings.
         assert!(CacheError::UnknownSequence(3).to_string().contains("unknown sequence"));
         assert!(CacheError::WidthMismatch { expected: 4, got: 2 }
             .to_string()

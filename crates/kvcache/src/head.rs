@@ -194,18 +194,6 @@ impl HeadKvCache {
     /// Appends one decoded token's key/value vectors, flushing the buffer
     /// into a progressive block when it reaches capacity.
     ///
-    /// # Panics
-    ///
-    /// Panics if the vectors are not `head_dim` long or contain non-finite
-    /// values. [`HeadKvCache::try_append`] is the non-panicking equivalent.
-    pub fn append(&mut self, k: &[f32], v: &[f32]) {
-        if let Err(e) = self.try_append(k, v) {
-            panic!("{e}");
-        }
-    }
-
-    /// Non-panicking [`HeadKvCache::append`].
-    ///
     /// # Errors
     ///
     /// Validation errors ([`CacheError::WidthMismatch`],
@@ -235,51 +223,38 @@ impl HeadKvCache {
         Ok(())
     }
 
-    /// Prefill path: quantizes whole `B_c`-sized K/V tiles directly into
-    /// resident blocks (Algorithm 1 writes `K^{q2}`/`V^{q2}` per block).
+    /// Prefill path: compresses the stage-1 INT8 K/V tiles the prefill
+    /// sweep already made into resident blocks (Algorithm 1 writes
+    /// `K^{q2}`/`V^{q2}` per `B_c` block), so each tile is quantized to
+    /// INT8 once. Given `SymQuantized::quantize(tile)`, the blocks are
+    /// bit-identical to [`ProgressiveBlock::quantize`] of the f32 tile.
     ///
     /// # Panics
     ///
     /// Panics if shapes disagree or the buffer is non-empty (prefill must
     /// precede decode).
-    pub fn append_prefill_block(&mut self, k: &Matrix, v: &Matrix) {
-        assert_eq!(k.shape(), v.shape(), "K/V shape mismatch");
-        assert_eq!(k.cols(), self.d, "channel mismatch");
+    pub fn append_prefill_block(&mut self, k8: &SymQuantized, v8: &SymQuantized) {
+        assert_eq!(
+            (k8.rows(), k8.cols()),
+            (v8.rows(), v8.cols()),
+            "K/V shape mismatch"
+        );
+        assert_eq!(k8.cols(), self.d, "channel mismatch");
         assert!(
             self.k_buf.is_empty(),
             "prefill blocks must be appended before decoding starts"
         );
-        if k.rows() == 0 {
+        if k8.rows() == 0 {
             return;
         }
-        self.k_blocks.push(ProgressiveBlock::quantize(
-            k,
-            self.config.bits,
-            self.config.group_size,
-        ));
-        self.v_blocks.push(ProgressiveBlock::quantize(
-            v,
-            self.config.bits,
-            self.config.group_size,
-        ));
-        self.resident_tokens += k.rows();
+        let (bits, group_size) = (self.config.bits, self.config.group_size);
+        self.k_blocks.push(ProgressiveBlock::quantize_from_int8(k8, bits, group_size));
+        self.v_blocks.push(ProgressiveBlock::quantize_from_int8(v8, bits, group_size));
+        self.resident_tokens += k8.rows();
     }
 
     /// Forces the open buffer to compress into resident blocks even if it
-    /// is not full. No-op on an empty buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer's universal scale cannot be represented at the
-    /// resident precision. [`HeadKvCache::try_flush`] is the non-panicking
-    /// equivalent.
-    pub fn flush(&mut self) {
-        if let Err(e) = self.try_flush() {
-            panic!("{e}");
-        }
-    }
-
-    /// Non-panicking [`HeadKvCache::flush`]. On error the buffer is left
+    /// is not full. No-op on an empty buffer. On error the buffer is left
     /// intact (nothing is compressed, nothing is lost).
     ///
     /// # Errors
@@ -467,7 +442,7 @@ mod tests {
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
         for t in 0..20 {
             let row = [t as f32 * 0.1; 4];
-            c.append(&row, &row);
+            c.try_append(&row, &row).unwrap();
         }
         assert_eq!(c.len(), 20);
         assert_eq!(c.resident_blocks().len(), 2); // two flushes of 8
@@ -480,9 +455,9 @@ mod tests {
         let mut c = HeadKvCache::new(8, cfg(BitWidth::Int4, 16));
         let k0 = rng.normal(32, 8, 0.0, 1.0);
         let v0 = rng.normal(32, 8, 0.0, 1.0);
-        c.append_prefill_block(&k0, &v0);
+        c.append_prefill_block(&SymQuantized::quantize(&k0), &SymQuantized::quantize(&v0));
         let k1 = rng.normal(1, 8, 0.0, 1.0);
-        c.append(k1.row(0), k1.row(0));
+        c.try_append(k1.row(0), k1.row(0)).unwrap();
         let (k, _v) = c.dequantize_all();
         assert_eq!(k.rows(), 33);
         // Prefill tokens come first.
@@ -493,14 +468,14 @@ mod tests {
     #[test]
     fn flush_mid_buffer_compacts_everything() {
         let mut c = HeadKvCache::new(2, cfg(BitWidth::Int4, 64));
-        c.append(&[1.0, 2.0], &[3.0, 4.0]);
-        c.append(&[1.1, 2.1], &[3.1, 4.1]);
+        c.try_append(&[1.0, 2.0], &[3.0, 4.0]).unwrap();
+        c.try_append(&[1.1, 2.1], &[3.1, 4.1]).unwrap();
         assert_eq!(c.buffer_len(), 2);
-        c.flush();
+        c.try_flush().unwrap();
         assert_eq!(c.buffer_len(), 0);
         assert_eq!(c.resident_blocks().len(), 1);
         assert_eq!(c.len(), 2);
-        c.flush(); // idempotent on empty buffer
+        c.try_flush().unwrap(); // idempotent on empty buffer
         assert_eq!(c.resident_blocks().len(), 1);
     }
 
@@ -511,7 +486,7 @@ mod tests {
         let k = rng.normal(96, 16, 0.0, 1.0);
         let v = rng.normal(96, 16, 0.0, 1.0);
         for t in 0..96 {
-            c.append(k.row(t), v.row(t));
+            c.try_append(k.row(t), v.row(t)).unwrap();
         }
         let (kq, vq) = c.dequantize_all();
         assert!(turbo_tensor::relative_error(&kq, &k) < 0.15);
@@ -525,9 +500,9 @@ mod tests {
         let build = |bits| {
             let mut c = HeadKvCache::new(16, cfg(bits, 64));
             for t in 0..64 {
-                c.append(k.row(t), k.row(t));
+                c.try_append(k.row(t), k.row(t)).unwrap();
             }
-            c.flush();
+            c.try_flush().unwrap();
             c
         };
         let c4 = build(BitWidth::Int4);
@@ -546,9 +521,9 @@ mod tests {
         let mut c = HeadKvCache::new(64, cfg(BitWidth::Int4, 64));
         let k = rng.normal(512, 64, 0.0, 1.0);
         for t in 0..512 {
-            c.append(k.row(t), k.row(t));
+            c.try_append(k.row(t), k.row(t)).unwrap();
         }
-        c.flush();
+        c.try_flush().unwrap();
         let stats = c.memory_stats();
         assert!(
             stats.compression_ratio() > 3.4,
@@ -573,7 +548,7 @@ mod tests {
         let data = rng.normal(80, 4, 0.0, 1.0);
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
         for t in 0..80 {
-            c.append(data.row(t), data.row(t));
+            c.try_append(data.row(t), data.row(t)).unwrap();
         }
         // 10 resident blocks of 8. Keep 1 sink block + recency in 40 tokens.
         let evicted = c.evict_middle(40, 1);
@@ -600,12 +575,12 @@ mod tests {
         let data = rng.normal(64, 4, 0.0, 1.0);
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
         for t in 0..64 {
-            c.append(data.row(t), data.row(t));
+            c.try_append(data.row(t), data.row(t)).unwrap();
         }
         c.evict_middle(24, 1);
         // Appending and flushing still works after eviction.
         for t in 0..16 {
-            c.append(data.row(t), data.row(t));
+            c.try_append(data.row(t), data.row(t)).unwrap();
         }
         let (k, v) = c.dequantize_all();
         assert_eq!(k.rows(), c.len());
@@ -618,7 +593,7 @@ mod tests {
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
         for t in 0..32 {
             let row = [t as f32; 4];
-            c.append(&row, &row);
+            c.try_append(&row, &row).unwrap();
         }
         c.evict_middle(4, 2); // 2 sink blocks = 16 tokens > 4 budget
     }
@@ -667,7 +642,7 @@ mod tests {
         let mut c = HeadKvCache::new(8, cfg(BitWidth::Int4, 8));
         let data = rng.normal(16, 8, 0.0, 1.0);
         for t in 0..16 {
-            c.append(data.row(t), data.row(t));
+            c.try_append(data.row(t), data.row(t)).unwrap();
         }
         assert_eq!(c.resident_blocks().len(), 2);
         let tile = c.resident_tile(1);
@@ -685,12 +660,13 @@ mod tests {
         let mut rng = TensorRng::new(42);
         let data = rng.normal(64, 4, 0.0, 1.0);
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
-        c.append_prefill_block(&data.row_block(0, 8), &data.row_block(0, 8));
+        let first8 = SymQuantized::quantize(&data.row_block(0, 8));
+        c.append_prefill_block(&first8, &first8);
         let g0 = c.generation();
         let tile = c.resident_tile(0);
         // Further flushes push blocks without touching earlier indices.
         for t in 8..40 {
-            c.append(data.row(t), data.row(t));
+            c.try_append(data.row(t), data.row(t)).unwrap();
         }
         assert_eq!(c.resident_blocks().len(), 5);
         assert_eq!(c.generation(), g0, "a flush must not bump");
@@ -701,9 +677,10 @@ mod tests {
         // So does a prefill block append (on a fresh cache: prefill
         // precedes decode).
         let mut p = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
-        p.append_prefill_block(&data.row_block(0, 8), &data.row_block(0, 8));
+        p.append_prefill_block(&first8, &first8);
         let first = p.resident_tile(0);
-        p.append_prefill_block(&data.row_block(8, 8), &data.row_block(8, 8));
+        let next = SymQuantized::quantize(&data.row_block(8, 8));
+        p.append_prefill_block(&next, &next);
         assert_eq!(p.generation(), 0, "a prefill append must not bump");
         let kept = p.resident_tile(0);
         assert!(Arc::ptr_eq(&first, &kept), "tile must survive a prefill append");
@@ -730,7 +707,7 @@ mod tests {
         c.set_tile_cache_budget(0);
         for t in 0..4 {
             let row = [t as f32; 4];
-            c.append(&row, &row);
+            c.try_append(&row, &row).unwrap();
         }
         let a = c.resident_tile(0);
         let b = c.resident_tile(0);
@@ -740,10 +717,42 @@ mod tests {
     }
 
     #[test]
+    fn prefill_block_from_int8_tiles_matches_f32_quantize() {
+        let mut rng = TensorRng::new(43);
+        // 40 rows in tiles of 16: the last tile is ragged (8 rows), and
+        // groups of 6 leave a ragged group in every tile.
+        let k = rng.normal(40, 8, 0.0, 1.0);
+        let v = rng.normal_with_channel_outliers(40, 8, 1.0, &[2], 10.0);
+        for bits in [BitWidth::Int4, BitWidth::Int2] {
+            let config = KvCacheConfig {
+                bits,
+                group_size: 6,
+                buffer_capacity: 16,
+            };
+            let mut c = HeadKvCache::new(8, config);
+            for (b, (r, k_blk)) in k.row_blocks(16).enumerate() {
+                let v_blk = v.row_block(r, k_blk.rows());
+                let (k8, v8) = (SymQuantized::quantize(&k_blk), SymQuantized::quantize(&v_blk));
+                c.append_prefill_block(&k8, &v8);
+                let (kb, vb) = (&c.resident_blocks()[b], &c.resident_value_blocks()[b]);
+                let k_ref = ProgressiveBlock::quantize(&k_blk, bits, 6);
+                let v_ref = ProgressiveBlock::quantize(&v_blk, bits, 6);
+                assert_eq!(kb.packed().bytes(), k_ref.packed().bytes(), "{bits} K tile {b}");
+                assert_eq!(vb.packed().bytes(), v_ref.packed().bytes(), "{bits} V tile {b}");
+                assert_eq!((kb, vb), (&k_ref, &v_ref), "{bits} tile {b}");
+            }
+            assert_eq!(c.resident_blocks().len(), 3);
+            assert_eq!(c.resident_blocks()[2].rows(), 8);
+            assert_eq!(c.len(), 40);
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "before decoding")]
     fn prefill_after_decode_rejected() {
         let mut c = HeadKvCache::new(2, cfg(BitWidth::Int4, 8));
-        c.append(&[1.0, 1.0], &[1.0, 1.0]);
-        c.append_prefill_block(&Matrix::zeros(4, 2), &Matrix::zeros(4, 2));
+        c.try_append(&[1.0, 1.0], &[1.0, 1.0]).unwrap();
+        let zeros = SymQuantized::quantize(&Matrix::zeros(4, 2));
+        c.append_prefill_block(&zeros, &zeros);
     }
 }

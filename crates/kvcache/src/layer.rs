@@ -4,7 +4,6 @@
 use crate::head::{HeadKvCache, KvCacheConfig};
 use crate::stats::MemoryStats;
 use turbo_quant::BitWidth;
-use turbo_tensor::Matrix;
 
 /// KV cache for all heads of one transformer layer, with per-head bit
 /// widths chosen by the head-priority metric.
@@ -114,39 +113,6 @@ impl LayerKvCache {
         self.heads.iter_mut()
     }
 
-    /// Appends one decoded token's per-head K/V vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ks`/`vs` don't have one row per head.
-    pub fn append(&mut self, ks: &[&[f32]], vs: &[&[f32]]) {
-        assert_eq!(ks.len(), self.heads.len(), "one K row per head required");
-        assert_eq!(vs.len(), self.heads.len(), "one V row per head required");
-        for (h, cache) in self.heads.iter_mut().enumerate() {
-            cache.append(ks[h], vs[h]);
-        }
-    }
-
-    /// Prefill: appends one tile per head.
-    ///
-    /// # Panics
-    ///
-    /// Panics if tile counts don't match the head count.
-    pub fn append_prefill_blocks(&mut self, ks: &[Matrix], vs: &[Matrix]) {
-        assert_eq!(ks.len(), self.heads.len(), "one K tile per head required");
-        assert_eq!(vs.len(), self.heads.len(), "one V tile per head required");
-        for (h, cache) in self.heads.iter_mut().enumerate() {
-            cache.append_prefill_block(&ks[h], &vs[h]);
-        }
-    }
-
-    /// Flushes every head's open buffer.
-    pub fn flush_all(&mut self) {
-        for h in &mut self.heads {
-            h.flush();
-        }
-    }
-
     /// Aggregated memory stats across heads.
     pub fn memory_stats(&self) -> MemoryStats {
         let mut total = MemoryStats::default();
@@ -183,25 +149,16 @@ mod tests {
     }
 
     #[test]
-    fn append_fans_out_to_all_heads() {
-        let mut layer = LayerKvCache::uniform(2, 4, BitWidth::Int4, 32, 8);
-        let k = [0.1f32, 0.2, 0.3, 0.4];
-        layer.append(&[&k, &k], &[&k, &k]);
-        assert_eq!(layer.len(), 1);
-        assert_eq!(layer.head(0).len(), 1);
-        assert_eq!(layer.head(1).len(), 1);
-    }
-
-    #[test]
     fn mixed_precision_memory_is_between_uniform_extremes() {
         let mut rng = TensorRng::new(41);
         let k = rng.normal(128, 16, 0.0, 1.0);
         let fill = |mut layer: LayerKvCache| {
-            for t in 0..128 {
-                let row = k.row(t);
-                layer.append(&[row, row], &[row, row]);
+            for head in layer.iter_mut() {
+                for t in 0..128 {
+                    head.try_append(k.row(t), k.row(t)).unwrap();
+                }
+                head.try_flush().unwrap();
             }
-            layer.flush_all();
             layer.memory_stats().total_bytes()
         };
         let m2 = fill(LayerKvCache::uniform(2, 16, BitWidth::Int2, 64, 64));
@@ -213,25 +170,5 @@ mod tests {
             64,
         ));
         assert!(m2 < mixed && mixed < m4, "{m2} < {mixed} < {m4}");
-    }
-
-    #[test]
-    fn prefill_blocks_per_head() {
-        let mut rng = TensorRng::new(42);
-        let mut layer = LayerKvCache::uniform(3, 8, BitWidth::Int4, 32, 16);
-        let tiles: Vec<Matrix> = (0..3).map(|_| rng.normal(16, 8, 0.0, 1.0)).collect();
-        layer.append_prefill_blocks(&tiles, &tiles);
-        assert_eq!(layer.len(), 16);
-        for h in 0..3 {
-            assert_eq!(layer.head(h).resident_blocks().len(), 1);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one K row per head")]
-    fn mismatched_head_count_panics() {
-        let mut layer = LayerKvCache::uniform(2, 4, BitWidth::Int4, 32, 8);
-        let k = [0.0f32; 4];
-        layer.append(&[&k], &[&k, &k]);
     }
 }

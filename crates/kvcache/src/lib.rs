@@ -26,11 +26,12 @@
 //! for t in 0..100 {
 //!     let k: Vec<f32> = (0..8).map(|i| (t * 8 + i) as f32 * 0.01).collect();
 //!     let v: Vec<f32> = (0..8).map(|i| (t + i) as f32 * 0.02).collect();
-//!     cache.append(&k, &v);
+//!     cache.try_append(&k, &v)?;
 //! }
 //! assert_eq!(cache.len(), 100);
 //! assert_eq!(cache.resident_blocks().len(), 1); // one flushed block of 64
 //! assert_eq!(cache.buffer_len(), 36);
+//! # Ok::<(), turbo_kvcache::CacheError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -54,9 +55,12 @@ pub use head::{HeadKvCache, KvCacheConfig};
 pub use layer::LayerKvCache;
 pub use paged::{PagedKvPool, SeqId};
 pub use persist::layer_wal::{
-    replay_layer_wal, ByteBudget, CheckpointCause, CheckpointPolicy, DurableLayerSet,
+    replay_layer_wal, CheckpointCause, CheckpointPolicy, DurableLayerSet,
     GroupCommitStats, LayerRecoverOutcome, LayerWalReplayReport, LayerWriteAheadLog,
     NeverCheckpoint, RecordBudget, ReplayBudget,
 };
-pub use persist::{frame_boundaries, recover_head_cache, PersistError};
+pub use persist::{
+    deserialize_head_cache, frame_boundaries, recover_head_cache, serialize_head_cache,
+    PersistError,
+};
 pub use stats::{MemoryStats, RecoveryReport, ScrubReport};

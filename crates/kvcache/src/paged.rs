@@ -79,12 +79,13 @@ struct Sequence {
 ///     ..KvCacheConfig::default()
 /// });
 /// let a = pool.create_sequence();
-/// pool.append(a, &[1.0; 4], &[2.0; 4]);
-/// pool.append(a, &[1.5; 4], &[2.5; 4]); // buffer full -> sealed page
-/// let b = pool.fork(a); // shares the sealed page
-/// assert_eq!(pool.seq_len(a), 2);
-/// assert_eq!(pool.seq_len(b), 2);
+/// pool.try_append(a, &[1.0; 4], &[2.0; 4])?;
+/// pool.try_append(a, &[1.5; 4], &[2.5; 4])?; // buffer full -> sealed page
+/// let b = pool.try_fork(a)?; // shares the sealed page
+/// assert_eq!(pool.try_seq_len(a)?, 2);
+/// assert_eq!(pool.try_seq_len(b)?, 2);
 /// assert_eq!(pool.physical_pages(), 1);
+/// # Ok::<(), turbo_kvcache::CacheError>(())
 /// ```
 #[derive(Clone, Debug)]
 pub struct PagedKvPool {
@@ -126,11 +127,6 @@ impl PagedKvPool {
         self.d
     }
 
-    /// Page size in tokens.
-    pub fn page_tokens(&self) -> usize {
-        self.config.buffer_capacity
-    }
-
     /// Starts an empty sequence.
     pub fn create_sequence(&mut self) -> SeqId {
         let id = SeqId(self.next_seq);
@@ -148,16 +144,6 @@ impl PagedKvPool {
 
     /// Forks `seq`: the child shares every sealed page (reference counted)
     /// and gets a copy of the open tail buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live. [`PagedKvPool::try_fork`] is the
-    /// non-panicking equivalent.
-    pub fn fork(&mut self, seq: SeqId) -> SeqId {
-        self.try_fork(seq).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`PagedKvPool::fork`].
     ///
     /// # Errors
     ///
@@ -187,20 +173,9 @@ impl PagedKvPool {
     }
 
     /// Releases a sequence, freeing any pages whose reference count drops
-    /// to zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live. [`PagedKvPool::try_release`] is the
-    /// non-panicking equivalent.
-    pub fn release(&mut self, seq: SeqId) {
-        self.try_release(seq).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`PagedKvPool::release`]. Slots already freed (e.g.
-    /// by a [`PagedKvPool::scrub`] that dropped corrupt pages) are
-    /// skipped rather than treated as errors — release must always make
-    /// progress during recovery.
+    /// to zero. Slots already freed (e.g. by a [`PagedKvPool::scrub`] that
+    /// dropped corrupt pages) are skipped rather than treated as errors —
+    /// release must always make progress during recovery.
     ///
     /// # Errors
     ///
@@ -223,17 +198,7 @@ impl PagedKvPool {
     }
 
     /// Appends one token's K/V vectors to `seq`, sealing a page when the
-    /// tail buffer reaches the page size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live or the vectors are the wrong width.
-    /// [`PagedKvPool::try_append`] is the non-panicking equivalent.
-    pub fn append(&mut self, seq: SeqId, k: &[f32], v: &[f32]) {
-        self.try_append(seq, k, v).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`PagedKvPool::append`]: validates the sequence and
+    /// tail buffer reaches the page size. Validates the sequence and
     /// both rows before mutating anything, so a rejected token leaves the
     /// pool consistent (no half-appended K without V).
     ///
@@ -310,16 +275,6 @@ impl PagedKvPool {
 
     /// Tokens held by `seq` (sealed pages + tail buffer).
     ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live. [`PagedKvPool::try_seq_len`] is the
-    /// non-panicking equivalent.
-    pub fn seq_len(&self, seq: SeqId) -> usize {
-        self.try_seq_len(seq).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`PagedKvPool::seq_len`].
-    ///
     /// # Errors
     ///
     /// [`CacheError::UnknownSequence`] if `seq` is not live.
@@ -328,7 +283,11 @@ impl PagedKvPool {
             .seqs
             .get(&seq)
             .ok_or(CacheError::UnknownSequence(seq.0))?;
-        Ok(s.pages.len() * self.config.buffer_capacity + s.k_buf.len())
+        Ok(self.tokens(s))
+    }
+
+    fn tokens(&self, s: &Sequence) -> usize {
+        s.pages.len() * self.config.buffer_capacity + s.k_buf.len()
     }
 
     /// All live sequence ids, ascending.
@@ -367,25 +326,10 @@ impl PagedKvPool {
 
     /// Bytes the same *logical* tokens would take as unshared FP16.
     pub fn fp16_logical_bytes(&self) -> usize {
-        self.seqs
-            .keys()
-            .map(|&id| 2 * 2 * self.seq_len(id) * self.d)
-            .sum()
+        self.seqs.values().map(|s| 2 * 2 * self.tokens(s) * self.d).sum()
     }
 
     /// Reconstructs `seq`'s full `(K, V)` in f32 — test/debug path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live.
-    /// [`PagedKvPool::try_dequantize_sequence`] is the non-panicking
-    /// equivalent.
-    pub fn dequantize_sequence(&self, seq: SeqId) -> (Matrix, Matrix) {
-        self.try_dequantize_sequence(seq)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`PagedKvPool::dequantize_sequence`].
     ///
     /// # Errors
     ///
@@ -418,22 +362,6 @@ impl PagedKvPool {
 
     /// Visits `seq`'s K/V blocks oldest-first: sealed pages as
     /// progressive blocks, then the open tail (if any) as INT8.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` is not live. [`PagedKvPool::try_visit_blocks`] is
-    /// the non-panicking equivalent.
-    pub fn visit_blocks(
-        &self,
-        seq: SeqId,
-        on_page: impl FnMut(&ProgressiveBlock, &ProgressiveBlock),
-        on_tail: impl FnMut(&Int8Buffer, &Int8Buffer),
-    ) {
-        self.try_visit_blocks(seq, on_page, on_tail)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Non-panicking [`PagedKvPool::visit_blocks`].
     ///
     /// # Errors
     ///
@@ -587,7 +515,7 @@ mod tests {
         let mut rng = TensorRng::new(seed);
         let data = rng.normal(n, 8, 0.0, 1.0);
         for t in 0..n {
-            pool.append(seq, data.row(t), data.row(t));
+            pool.try_append(seq, data.row(t), data.row(t)).unwrap();
         }
     }
 
@@ -596,9 +524,9 @@ mod tests {
         let mut p = pool(4);
         let s = p.create_sequence();
         fill(&mut p, s, 1, 10);
-        assert_eq!(p.seq_len(s), 10);
+        assert_eq!(p.try_seq_len(s), Ok(10));
         assert_eq!(p.physical_pages(), 2); // two sealed pages of 4
-        let (k, _) = p.dequantize_sequence(s);
+        let (k, _) = p.try_dequantize_sequence(s).unwrap();
         assert_eq!(k.rows(), 10);
     }
 
@@ -607,14 +535,14 @@ mod tests {
         let mut p = pool(4);
         let a = p.create_sequence();
         fill(&mut p, a, 2, 8); // 2 sealed pages
-        let b = p.fork(a);
-        let c = p.fork(a);
+        let b = p.try_fork(a).unwrap();
+        let c = p.try_fork(a).unwrap();
         assert_eq!(p.num_sequences(), 3);
         assert_eq!(p.logical_pages(), 6);
         assert_eq!(p.physical_pages(), 2); // shared!
                                            // All three read identical content.
-        assert_eq!(p.dequantize_sequence(a), p.dequantize_sequence(b));
-        assert_eq!(p.dequantize_sequence(a), p.dequantize_sequence(c));
+        assert_eq!(p.try_dequantize_sequence(a), p.try_dequantize_sequence(b));
+        assert_eq!(p.try_dequantize_sequence(a), p.try_dequantize_sequence(c));
     }
 
     #[test]
@@ -622,12 +550,12 @@ mod tests {
         let mut p = pool(4);
         let a = p.create_sequence();
         fill(&mut p, a, 3, 8);
-        let b = p.fork(a);
+        let b = p.try_fork(a).unwrap();
         // Divergent continuations.
-        p.append(a, &[1.0; 8], &[1.0; 8]);
-        p.append(b, &[-1.0; 8], &[-1.0; 8]);
-        let (ka, _) = p.dequantize_sequence(a);
-        let (kb, _) = p.dequantize_sequence(b);
+        p.try_append(a, &[1.0; 8], &[1.0; 8]).unwrap();
+        p.try_append(b, &[-1.0; 8], &[-1.0; 8]).unwrap();
+        let (ka, _) = p.try_dequantize_sequence(a).unwrap();
+        let (kb, _) = p.try_dequantize_sequence(b).unwrap();
         assert_eq!(ka.rows(), 9);
         assert!((ka.get(8, 0) - 1.0).abs() < 0.1);
         assert!((kb.get(8, 0) + 1.0).abs() < 0.1);
@@ -640,10 +568,10 @@ mod tests {
         let mut p = pool(4);
         let a = p.create_sequence();
         fill(&mut p, a, 4, 8);
-        let b = p.fork(a);
-        p.release(a);
+        let b = p.try_fork(a).unwrap();
+        p.try_release(a).unwrap();
         assert_eq!(p.physical_pages(), 2, "b still references the pages");
-        p.release(b);
+        p.try_release(b).unwrap();
         assert_eq!(p.physical_pages(), 0);
         // Slots are recycled for the next sequence.
         let c = p.create_sequence();
@@ -658,12 +586,12 @@ mod tests {
         let mut p = pool(16);
         let root = p.create_sequence();
         fill(&mut p, root, 6, 64);
-        let sessions: Vec<SeqId> = (0..16).map(|_| p.fork(root)).collect();
+        let sessions: Vec<SeqId> = (0..16).map(|_| p.try_fork(root).unwrap()).collect();
         let mut rng = TensorRng::new(7);
         for &s in &sessions {
             for _ in 0..8 {
                 let row: Vec<f32> = (0..8).map(|_| rng.standard_normal()).collect();
-                p.append(s, &row, &row);
+                p.try_append(s, &row, &row).unwrap();
             }
         }
         let physical = p.storage_bytes();
@@ -685,7 +613,7 @@ mod tests {
         let mut pages = 0;
         let mut tails = 0;
         let mut tail_rows = 0;
-        p.visit_blocks(
+        p.try_visit_blocks(
             s,
             |k, _v| {
                 pages += 1;
@@ -695,7 +623,8 @@ mod tests {
                 tails += 1;
                 tail_rows = k.len();
             },
-        );
+        )
+        .unwrap();
         assert_eq!(pages, 2);
         assert_eq!(tails, 1);
         assert_eq!(tail_rows, 2);
@@ -706,15 +635,15 @@ mod tests {
     fn released_sequence_is_gone() {
         let mut p = pool(4);
         let s = p.create_sequence();
-        p.release(s);
-        p.seq_len(s);
+        p.try_release(s).unwrap();
+        p.try_seq_len(s).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
     fn try_apis_reject_bad_inputs_without_panicking() {
         let mut p = pool(4);
         let s = p.create_sequence();
-        p.release(s);
+        p.try_release(s).unwrap();
         assert_eq!(p.try_seq_len(s), Err(CacheError::UnknownSequence(s.raw())));
         assert_eq!(p.try_fork(s).unwrap_err(), CacheError::UnknownSequence(s.raw()));
         assert_eq!(p.try_release(s), Err(CacheError::UnknownSequence(s.raw())));
@@ -741,7 +670,7 @@ mod tests {
         fill(&mut p, s, 10, 12);
         let report = p.scrub(None);
         assert!(report.is_clean());
-        assert_eq!(p.seq_len(s), 12);
+        assert_eq!(p.try_seq_len(s), Ok(12));
     }
 
     #[test]
@@ -763,15 +692,15 @@ mod tests {
         assert_eq!(health.count(HealthEvent::DroppedPage), 1);
         assert_eq!(health.count(HealthEvent::PartialRecovery), 1);
         // The surviving prefix still reads back.
-        assert_eq!(p.seq_len(s), 4);
-        let (k, v) = p.dequantize_sequence(s);
+        assert_eq!(p.try_seq_len(s), Ok(4));
+        let (k, v) = p.try_dequantize_sequence(s).unwrap();
         assert_eq!(k.rows(), 4);
         assert_eq!(v.rows(), 4);
         // Pool is consistent: page 1's slot was freed, page 2 released.
         assert_eq!(p.physical_pages(), 1);
         // And the sequence keeps working after recovery.
-        p.append(s, &[1.0; 8], &[1.0; 8]);
-        assert_eq!(p.seq_len(s), 5);
+        p.try_append(s, &[1.0; 8], &[1.0; 8]).unwrap();
+        assert_eq!(p.try_seq_len(s), Ok(5));
     }
 
     #[test]
@@ -779,8 +708,8 @@ mod tests {
         let mut p = pool(4);
         let a = p.create_sequence();
         fill(&mut p, a, 12, 8); // 2 shared pages
-        let b = p.fork(a);
-        p.append(b, &[0.5; 8], &[0.5; 8]); // b: 2 pages + 1 tail token
+        let b = p.try_fork(a).unwrap();
+        p.try_append(b, &[0.5; 8], &[0.5; 8]).unwrap(); // b: 2 pages + 1 tail token
         p.tamper_page(a, 0, |_k, v| {
             v.bytes_mut()[2] ^= 0x80;
         })
@@ -791,13 +720,13 @@ mod tests {
             report.reprefill,
             vec![(a.raw(), 0..8), (b.raw(), 0..9)]
         );
-        assert_eq!(p.seq_len(a), 0);
-        assert_eq!(p.seq_len(b), 0);
+        assert_eq!(p.try_seq_len(a), Ok(0));
+        assert_eq!(p.try_seq_len(b), Ok(0));
         // Page 1 was healthy but unreachable from both sharers -> freed.
         assert_eq!(p.physical_pages(), 0);
         // Releasing after a scrub must not panic on freed slots.
-        p.release(a);
-        p.release(b);
+        p.try_release(a).unwrap();
+        p.try_release(b).unwrap();
     }
 
     #[test]
@@ -814,8 +743,8 @@ mod tests {
         let report = p.scrub(None);
         assert_eq!(report.reprefill.len(), 1);
         assert_eq!(report.reprefill[0].0, a.raw());
-        assert_eq!(p.seq_len(b), 8, "healthy sequence untouched");
-        let (kb, _) = p.dequantize_sequence(b);
+        assert_eq!(p.try_seq_len(b), Ok(8), "healthy sequence untouched");
+        let (kb, _) = p.try_dequantize_sequence(b).unwrap();
         assert_eq!(kb.rows(), 8);
     }
 
@@ -826,7 +755,7 @@ mod tests {
         fill(&mut p, s, 15, 4);
         assert!(p.tamper_page(s, 5, |_, _| {}).is_err());
         let dead = p.create_sequence();
-        p.release(dead);
+        p.try_release(dead).unwrap();
         assert!(p.tamper_page(dead, 0, |_, _| {}).is_err());
     }
 }

@@ -547,23 +547,6 @@ pub fn frame_boundaries(payload: &[u8]) -> Result<Vec<usize>, PersistError> {
     Ok(out)
 }
 
-impl HeadKvCache {
-    /// Serializes the cache to a compact binary payload (see the module
-    /// docs for the format).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        serialize_head_cache(self)
-    }
-
-    /// Decodes a payload produced by [`HeadKvCache::to_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PersistError`] for any malformed payload.
-    pub fn from_bytes(payload: &[u8]) -> Result<Self, PersistError> {
-        deserialize_head_cache(payload)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -581,7 +564,7 @@ mod tests {
             },
         );
         for t in 0..n {
-            c.append(data.row(t), data.row(t));
+            c.try_append(data.row(t), data.row(t)).unwrap();
         }
         c
     }
@@ -589,8 +572,8 @@ mod tests {
     #[test]
     fn round_trip_preserves_everything() {
         let cache = populated(1, 50); // 3 resident blocks + 2 buffered
-        let bytes = cache.to_bytes();
-        let back = HeadKvCache::from_bytes(&bytes).unwrap();
+        let bytes = serialize_head_cache(&cache);
+        let back = deserialize_head_cache(&bytes).unwrap();
         assert_eq!(back.len(), cache.len());
         assert_eq!(back.buffer_len(), cache.buffer_len());
         assert_eq!(back.config(), cache.config());
@@ -604,7 +587,7 @@ mod tests {
     #[test]
     fn round_trip_empty_cache() {
         let cache = HeadKvCache::new(8, KvCacheConfig::default());
-        let back = HeadKvCache::from_bytes(&cache.to_bytes()).unwrap();
+        let back = deserialize_head_cache(&serialize_head_cache(&cache)).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.head_dim(), 8);
     }
@@ -612,19 +595,19 @@ mod tests {
     #[test]
     fn reloaded_cache_continues_decoding() {
         let mut cache = populated(2, 32);
-        let bytes = cache.to_bytes();
-        let mut back = HeadKvCache::from_bytes(&bytes).unwrap();
+        let bytes = serialize_head_cache(&cache);
+        let mut back = deserialize_head_cache(&bytes).unwrap();
         // Appending to both must produce identical states.
         let row = [0.25f32; 16];
-        cache.append(&row, &row);
-        back.append(&row, &row);
+        cache.try_append(&row, &row).unwrap();
+        back.try_append(&row, &row).unwrap();
         assert_eq!(back.dequantize_all(), cache.dequantize_all());
     }
 
     #[test]
     fn payload_is_compact() {
         let cache = populated(3, 256);
-        let bytes = cache.to_bytes();
+        let bytes = serialize_head_cache(&cache);
         // Must be well under the FP16 footprint of the same tokens.
         let fp16 = 2 * 2 * 256 * 16;
         assert!(bytes.len() * 2 < fp16, "{} vs {fp16}", bytes.len());
@@ -633,7 +616,7 @@ mod tests {
     #[test]
     fn bad_magic_rejected() {
         assert_eq!(
-            HeadKvCache::from_bytes(b"NOPE").unwrap_err(),
+            deserialize_head_cache(b"NOPE").unwrap_err(),
             PersistError::BadMagic
         );
     }
@@ -642,9 +625,9 @@ mod tests {
     fn truncation_rejected_everywhere() {
         // Cutting the payload at every prefix length must yield an error,
         // never a panic or a silently-wrong cache.
-        let bytes = populated(4, 20).to_bytes();
+        let bytes = serialize_head_cache(&populated(4, 20));
         for cut in 0..bytes.len() {
-            let err = HeadKvCache::from_bytes(&bytes[..cut]);
+            let err = deserialize_head_cache(&bytes[..cut]);
             assert!(err.is_err(), "prefix of {cut} bytes decoded successfully");
         }
     }
@@ -653,30 +636,30 @@ mod tests {
     fn bit_flips_are_caught_or_benign() {
         // Structural fields are validated; flipped code bytes decode to a
         // different but well-formed cache. Either way: no panic.
-        let bytes = populated(5, 24).to_bytes();
+        let bytes = serialize_head_cache(&populated(5, 24));
         for i in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0xFF;
-            let _ = HeadKvCache::from_bytes(&corrupted); // must not panic
+            let _ = deserialize_head_cache(&corrupted); // must not panic
         }
     }
 
     #[test]
     fn version_gate() {
-        let mut bytes = populated(6, 8).to_bytes();
+        let mut bytes = serialize_head_cache(&populated(6, 8));
         bytes[4] = 99; // version low byte
         assert_eq!(
-            HeadKvCache::from_bytes(&bytes).unwrap_err(),
+            deserialize_head_cache(&bytes).unwrap_err(),
             PersistError::UnsupportedVersion(99)
         );
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut bytes = populated(7, 8).to_bytes();
+        let mut bytes = serialize_head_cache(&populated(7, 8));
         bytes.push(0);
         assert_eq!(
-            HeadKvCache::from_bytes(&bytes).unwrap_err(),
+            deserialize_head_cache(&bytes).unwrap_err(),
             PersistError::Corrupt("trailing bytes")
         );
     }
@@ -687,14 +670,14 @@ mod tests {
         // a single-bit flip anywhere must be rejected or change nothing
         // observable.
         let cache = populated(9, 40);
-        let bytes = cache.to_bytes();
+        let bytes = serialize_head_cache(&cache);
         assert_eq!(bytes[4], 3, "the format is v3");
         let mut caught = 0usize;
         let mut survived = 0usize;
         for i in 0..bytes.len() {
             let mut corrupted = bytes.clone();
             corrupted[i] ^= 0x01;
-            match HeadKvCache::from_bytes(&corrupted) {
+            match deserialize_head_cache(&corrupted) {
                 Err(_) => caught += 1,
                 Ok(back) => {
                     // A flip may only survive if it demonstrably changed
@@ -725,7 +708,7 @@ mod tests {
         header.extend_from_slice(&0u32.to_le_bytes()); // n_blocks
         let crc = crc32(&header);
         header.extend_from_slice(&crc.to_le_bytes());
-        assert!(HeadKvCache::from_bytes(&header).is_err());
+        assert!(deserialize_head_cache(&header).is_err());
         if let Ok((back, report)) = recover_head_cache(&header, None) {
             assert!(back.is_empty());
             assert!(!report.complete);
@@ -736,7 +719,7 @@ mod tests {
     fn recover_salvages_valid_prefix() {
         use turbo_robust::{HealthEvent, HealthStats};
         let cache = populated(10, 50); // 3 sealed blocks of 16 + 2 buffered
-        let mut bytes = cache.to_bytes();
+        let mut bytes = serialize_head_cache(&cache);
         // Find the second block pair's K block and corrupt deep inside it:
         // flip a byte ~60% into the payload (inside block data, after the
         // first pair). Use a byte known to sit in a packed-code region by
@@ -767,7 +750,7 @@ mod tests {
     #[test]
     fn recover_on_clean_payload_is_complete() {
         let cache = populated(11, 50);
-        let (back, report) = recover_head_cache(&cache.to_bytes(), None).unwrap();
+        let (back, report) = recover_head_cache(&serialize_head_cache(&cache), None).unwrap();
         assert!(report.complete);
         assert_eq!(report.dropped_blocks, 0);
         assert_eq!(report.valid_tokens, cache.len());
@@ -777,7 +760,7 @@ mod tests {
     #[test]
     fn recover_truncated_payload_keeps_whole_blocks() {
         let cache = populated(12, 50);
-        let bytes = cache.to_bytes();
+        let bytes = serialize_head_cache(&cache);
         let truncated = &bytes[..bytes.len() * 2 / 3];
         let (back, report) = recover_head_cache(truncated, None).unwrap();
         assert!(!report.complete);

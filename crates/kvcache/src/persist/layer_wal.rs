@@ -45,13 +45,12 @@
 //! long the *next* replay can take. Instead a [`CheckpointPolicy`] is
 //! consulted after every group commit (and after recovery replay):
 //!
-//! * [`ByteBudget`] — checkpoint once the WAL exceeds a byte budget;
 //! * [`RecordBudget`] — checkpoint once the WAL holds that many records;
 //! * [`ReplayBudget`] — checkpoint once `records / replay_rate` exceeds a
 //!   wall-clock budget, i.e. a direct bound on worst-case replay time.
 //!
-//! Since at most `budget` records (equivalently bytes, or seconds at the
-//! assumed replay rate) ever accumulate between checkpoints, recovery
+//! Since at most `budget` records (equivalently seconds at the assumed
+//! replay rate) ever accumulate between checkpoints, recovery
 //! replays at most that much regardless of how long the episode ran or
 //! how many crashes it saw — the replay-length bound.
 //!
@@ -60,7 +59,7 @@
 //! checkpoint of a deep model scales with cores while staying
 //! bit-identical to the serial result.
 
-use super::{recover_head_cache, serialize_head_cache, PersistError};
+use super::{deserialize_head_cache, serialize_head_cache, PersistError};
 use crate::error::CacheError;
 use crate::head::KvCacheConfig;
 use crate::layer::LayerKvCache;
@@ -84,8 +83,6 @@ const CKPT_VERSION: u16 = 1;
 /// Why the adaptive scheduler decided to checkpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointCause {
-    /// The WAL exceeded its byte budget.
-    Bytes,
     /// The WAL exceeded its record budget.
     Records,
     /// The estimated replay time exceeded its wall-clock budget.
@@ -96,7 +93,6 @@ impl CheckpointCause {
     /// The [`HealthEvent`] counting this trigger cause.
     pub fn event(self) -> HealthEvent {
         match self {
-            CheckpointCause::Bytes => HealthEvent::CheckpointByBytes,
             CheckpointCause::Records => HealthEvent::CheckpointByRecords,
             CheckpointCause::ReplayBudget => HealthEvent::CheckpointByReplayBudget,
         }
@@ -106,14 +102,12 @@ impl CheckpointCause {
 /// When should a [`DurableLayerSet`] cut a fresh checkpoint?
 ///
 /// Consulted after every group commit and after every recovery replay
-/// with the WAL's current size. Returning `Some(cause)` triggers an
+/// with the WAL's current record count. Returning `Some(cause)` triggers an
 /// immediate checkpoint; the cause is recorded in [`HealthStats`] and the
 /// set's [`GroupCommitStats`].
 pub trait CheckpointPolicy: std::fmt::Debug + Send + Sync {
-    /// Decide from the WAL's current byte and record counts.
-    fn should_checkpoint(&self, wal_bytes: usize, wal_records: usize) -> Option<CheckpointCause>;
-    /// Short stable name for logs.
-    fn name(&self) -> &'static str;
+    /// Decide from the WAL's current record count.
+    fn should_checkpoint(&self, wal_records: usize) -> Option<CheckpointCause>;
     /// Clones the policy behind its trait object.
     fn clone_box(&self) -> Box<dyn CheckpointPolicy>;
 }
@@ -121,26 +115,6 @@ pub trait CheckpointPolicy: std::fmt::Debug + Send + Sync {
 impl Clone for Box<dyn CheckpointPolicy> {
     fn clone(&self) -> Self {
         self.clone_box()
-    }
-}
-
-/// Checkpoint when the WAL exceeds `max_bytes` of log.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ByteBudget {
-    /// WAL bytes (records only, excluding the fixed header) tolerated
-    /// before a checkpoint fires.
-    pub max_bytes: usize,
-}
-
-impl CheckpointPolicy for ByteBudget {
-    fn should_checkpoint(&self, wal_bytes: usize, _wal_records: usize) -> Option<CheckpointCause> {
-        (wal_bytes >= self.max_bytes).then_some(CheckpointCause::Bytes)
-    }
-    fn name(&self) -> &'static str {
-        "bytes"
-    }
-    fn clone_box(&self) -> Box<dyn CheckpointPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -152,11 +126,8 @@ pub struct RecordBudget {
 }
 
 impl CheckpointPolicy for RecordBudget {
-    fn should_checkpoint(&self, _wal_bytes: usize, wal_records: usize) -> Option<CheckpointCause> {
+    fn should_checkpoint(&self, wal_records: usize) -> Option<CheckpointCause> {
         (wal_records >= self.max_records).then_some(CheckpointCause::Records)
-    }
-    fn name(&self) -> &'static str {
-        "records"
     }
     fn clone_box(&self) -> Box<dyn CheckpointPolicy> {
         Box::new(*self)
@@ -174,12 +145,9 @@ pub struct ReplayBudget {
 }
 
 impl CheckpointPolicy for ReplayBudget {
-    fn should_checkpoint(&self, _wal_bytes: usize, wal_records: usize) -> Option<CheckpointCause> {
+    fn should_checkpoint(&self, wal_records: usize) -> Option<CheckpointCause> {
         (wal_records as f64 / self.replay_rate >= self.max_replay_secs)
             .then_some(CheckpointCause::ReplayBudget)
-    }
-    fn name(&self) -> &'static str {
-        "replay"
     }
     fn clone_box(&self) -> Box<dyn CheckpointPolicy> {
         Box::new(*self)
@@ -192,11 +160,8 @@ impl CheckpointPolicy for ReplayBudget {
 pub struct NeverCheckpoint;
 
 impl CheckpointPolicy for NeverCheckpoint {
-    fn should_checkpoint(&self, _wal_bytes: usize, _wal_records: usize) -> Option<CheckpointCause> {
+    fn should_checkpoint(&self, _wal_records: usize) -> Option<CheckpointCause> {
         None
-    }
-    fn name(&self) -> &'static str {
-        "never"
     }
     fn clone_box(&self) -> Box<dyn CheckpointPolicy> {
         Box::new(*self)
@@ -587,8 +552,6 @@ pub struct GroupCommitStats {
     pub group_commits: usize,
     /// K/V row-pairs those records carried (`appends × cells`).
     pub rows_committed: usize,
-    /// Adaptive checkpoints fired on the byte budget.
-    pub checkpoints_by_bytes: usize,
     /// Adaptive checkpoints fired on the record budget.
     pub checkpoints_by_records: usize,
     /// Adaptive checkpoints fired on the replay-time budget.
@@ -603,7 +566,6 @@ pub struct GroupCommitStats {
 impl GroupCommitStats {
     fn count_cause(&mut self, cause: CheckpointCause) {
         match cause {
-            CheckpointCause::Bytes => self.checkpoints_by_bytes += 1,
             CheckpointCause::Records => self.checkpoints_by_records += 1,
             CheckpointCause::ReplayBudget => self.checkpoints_by_replay_budget += 1,
         }
@@ -611,8 +573,7 @@ impl GroupCommitStats {
 
     /// Total checkpoints, adaptive plus manual.
     pub fn checkpoints(&self) -> usize {
-        self.checkpoints_by_bytes
-            + self.checkpoints_by_records
+        self.checkpoints_by_records
             + self.checkpoints_by_replay_budget
             + self.manual_checkpoints
     }
@@ -757,11 +718,6 @@ impl DurableLayerSet {
     /// Group-commit and checkpoint accounting.
     pub fn stats(&self) -> GroupCommitStats {
         self.stats
-    }
-
-    /// The active checkpoint policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Owned copies of the durable pair `(checkpoint, wal)` — what a
@@ -1063,7 +1019,7 @@ impl DurableLayerSet {
     fn maybe_checkpoint(&mut self, health: Option<&HealthStats>) -> Option<CheckpointCause> {
         let cause = self
             .policy
-            .should_checkpoint(self.wal.record_bytes(), self.wal.records())?;
+            .should_checkpoint(self.wal.records())?;
         self.checkpoint_with_cause(turbo_runtime::global(), Some(cause), health);
         Some(cause)
     }
@@ -1149,7 +1105,6 @@ impl DurableLayerSet {
         layers: usize,
         heads: usize,
         d: usize,
-        health: Option<&HealthStats>,
     ) -> Result<Vec<LayerKvCache>, PersistError> {
         const HEAD: usize = 18; // magic(4) + version(2) + 3×u32
         if blob.len() < HEAD + 4 {
@@ -1195,12 +1150,10 @@ impl DurableLayerSet {
                 if pos + len > body_end {
                     return Err(PersistError::Truncated);
                 }
-                let (cache, report) = recover_head_cache(&blob[pos..pos + len], health)?;
-                if !report.complete {
-                    // The trailing CRC validated, so an incomplete head
-                    // snapshot means a corrupt writer, not storage rot.
-                    return Err(PersistError::Corrupt("incomplete head inside checkpoint"));
-                }
+                // The trailing CRC validated, so a head snapshot that
+                // fails strict decoding means a corrupt writer, not
+                // storage rot: nothing inside it is worth salvaging.
+                let cache = deserialize_head_cache(&blob[pos..pos + len])?;
                 if cache.head_dim() != d || *tokens.get_or_insert(cache.len()) != cache.len() {
                     return Err(PersistError::Corrupt("head geometry mismatch inside checkpoint"));
                 }
@@ -1244,7 +1197,7 @@ impl DurableLayerSet {
         wal_bytes: &[u8],
         health: Option<&HealthStats>,
     ) -> Result<(Self, LayerRecoverOutcome), PersistError> {
-        let mut caches = Self::decode_checkpoint(checkpoint, layers, heads, d, health)?;
+        let mut caches = Self::decode_checkpoint(checkpoint, layers, heads, d)?;
         let wal_report = match replay_layer_wal(wal_bytes, &mut caches, health) {
             Ok(r) => Some(r),
             // Unreadable WAL header: the checkpoint alone is still a
@@ -1282,10 +1235,7 @@ impl DurableLayerSet {
             durable_watermark,
             detached: false,
         };
-        let checkpointed = match set
-            .policy
-            .should_checkpoint(set.wal.record_bytes(), set.wal.records())
-        {
+        let checkpointed = match set.policy.should_checkpoint(set.wal.records()) {
             Some(cause) => {
                 set.checkpoint_with_cause(rt, Some(cause), health);
                 Some(cause)
@@ -1597,18 +1547,8 @@ mod tests {
     }
 
     #[test]
-    fn byte_and_replay_budget_policies_fire_with_their_cause() {
+    fn replay_budget_policy_fires_with_its_cause() {
         let data = TensorRng::new(7).normal(16, D * CELLS, 0.0, 1.0);
-        let record_size = RECORD_OVERHEAD + CELLS * 8 * D;
-        let mut by_bytes = DurableLayerSet::new(
-            LAYERS,
-            HEADS,
-            D,
-            cfg(),
-            Box::new(ByteBudget {
-                max_bytes: 3 * record_size,
-            }),
-        );
         // 10 records/s replay with a 0.35 s budget → every 4th record.
         let mut by_replay = DurableLayerSet::new(
             LAYERS,
@@ -1623,15 +1563,9 @@ mod tests {
         let health = HealthStats::new();
         for t in 0..16 {
             let rows = cell_rows(&data, t);
-            by_bytes.try_append_token(&rows, &rows, Some(&health)).unwrap();
             by_replay.try_append_token(&rows, &rows, Some(&health)).unwrap();
         }
-        assert!(by_bytes.stats().checkpoints_by_bytes > 0);
         assert!(by_replay.stats().checkpoints_by_replay_budget > 0);
-        assert_eq!(
-            health.count(HealthEvent::CheckpointByBytes),
-            by_bytes.stats().checkpoints_by_bytes as u64
-        );
         assert_eq!(
             health.count(HealthEvent::CheckpointByReplayBudget),
             by_replay.stats().checkpoints_by_replay_budget as u64
@@ -1763,7 +1697,7 @@ mod tests {
             let data = TensorRng::new(tokens as u64).normal(tokens, dim, 0.0, 1.0);
             let mut cache = HeadKvCache::new(dim, cfg());
             for t in 0..tokens {
-                cache.append(data.row(t), data.row(t));
+                cache.try_append(data.row(t), data.row(t)).unwrap();
             }
             cache
         };

@@ -14,7 +14,7 @@ use turbo_baselines::{
     Fp16Cache, Fp8Cache, GearCache, GearConfig, KiviCache, KiviConfig, KvCompressor,
 };
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
-use turbo_quant::BitWidth;
+use turbo_quant::{BitWidth, SymQuantized};
 use turbo_softmax::Sas;
 use turbo_tensor::{matmul_f16, Matrix};
 
@@ -150,7 +150,10 @@ impl PreparedAttention for PreparedSasOnly {
                 let qm = Matrix::from_vec(1, d, q.clone());
                 let mut s = matmul_f16(&qm, &k.transpose());
                 s.scale_in_place(1.0 / (d as f32).sqrt());
-                let p = self.sas.softmax(&s);
+                let p = self
+                    .sas
+                    .try_softmax(&s)
+                    .expect("scores of finite rows are finite");
                 matmul_f16(&p, v).row(0).to_vec()
             })
             .collect()
@@ -282,7 +285,10 @@ impl Backend for TurboBackend {
                 );
                 for (start, k_blk) in k.row_blocks(self.config.block_c) {
                     let v_blk = v.row_block(start, k_blk.rows());
-                    cache.append_prefill_block(&k_blk, &v_blk);
+                    cache.append_prefill_block(
+                        &SymQuantized::quantize(&k_blk),
+                        &SymQuantized::quantize(&v_blk),
+                    );
                 }
                 cache
             })

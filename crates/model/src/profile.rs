@@ -39,12 +39,6 @@ pub struct ModelProfile {
     cluster_size: usize,
     score_temp: f32,
     value_noise: f32,
-    /// Fraction of filler pairs whose value row is an amplitude outlier
-    /// (attention-sink-like tokens; harmless to exact retrieval, hostile
-    /// to group-quantization scales).
-    v_token_outlier_frac: f32,
-    /// Amplitude multiplier of those outlier rows.
-    v_token_outlier_scale: f32,
     seed: u64,
     k_tf: Vec<ChannelOutliers>,
     v_tf: Vec<ChannelOutliers>,
@@ -64,7 +58,9 @@ const SCORE_TEMP: f32 = 8.0;
 const CLUSTER: usize = 4;
 /// Within-cluster cosine similarity: the decision margin is `1 − RHO`.
 const RHO: f32 = 0.87;
-/// Fraction of filler value rows that are amplitude outliers.
+/// Fraction of filler value rows that are amplitude outliers
+/// (attention-sink-like tokens: harmless to exact retrieval, hostile to
+/// group-quantization scales).
 const V_TOKEN_OUTLIER_FRAC: f32 = 0.015;
 /// Amplitude of those rows.
 const V_TOKEN_OUTLIER_SCALE: f32 = 5.0;
@@ -135,23 +131,12 @@ impl ModelProfile {
             cluster_size,
             score_temp,
             value_noise,
-            v_token_outlier_frac: V_TOKEN_OUTLIER_FRAC,
-            v_token_outlier_scale: V_TOKEN_OUTLIER_SCALE,
             seed,
             k_tf,
             v_tf,
             k_vocabs,
             v_vocabs,
         }
-    }
-
-    /// Overrides the token-outlier injection (0.0 disables it).
-    pub fn with_token_outliers(mut self, frac: f32, scale: f32) -> Self {
-        assert!((0.0..=1.0).contains(&frac), "fraction must be in [0,1]");
-        assert!(scale >= 1.0, "scale must be ≥ 1");
-        self.v_token_outlier_frac = frac;
-        self.v_token_outlier_scale = scale;
-        self
     }
 
     /// LLaMA3-8B-like profile: key anisotropy on half the heads and mild
@@ -258,11 +243,6 @@ impl ModelProfile {
         self.cluster_size
     }
 
-    /// The per-head key transforms (exposed for Figure 4 generation).
-    pub fn key_transform(&self, h: usize) -> &ChannelOutliers {
-        &self.k_tf[h]
-    }
-
     /// The per-head value transforms.
     pub fn value_transform(&self, h: usize) -> &ChannelOutliers {
         &self.v_tf[h]
@@ -328,8 +308,8 @@ impl ModelProfile {
         let token_scale: Vec<f32> = (0..n)
             .map(|i| {
                 let filler = !chain_clusters.contains(&(ep.keys[i] / self.cluster_size));
-                if filler && noise_rng.uniform_value(0.0, 1.0) < self.v_token_outlier_frac {
-                    self.v_token_outlier_scale
+                if filler && noise_rng.uniform_value(0.0, 1.0) < V_TOKEN_OUTLIER_FRAC {
+                    V_TOKEN_OUTLIER_SCALE
                 } else {
                     1.0
                 }

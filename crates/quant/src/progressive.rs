@@ -40,15 +40,12 @@ fn div_round(a: i32, b: i32) -> i32 {
 
 /// Why checked progressive quantization refused an input.
 ///
-/// Produced by [`ProgressiveBlock::try_quantize`] and
-/// [`ProgressiveBlock::try_quantize_from_int8`] — the non-panicking
-/// entry points the fault-tolerant cache path uses. A caller that sees
-/// one of these is expected to degrade (sanitize the input, fall back a
-/// precision rung) rather than abort.
+/// Produced by [`ProgressiveBlock::try_quantize_from_int8`] — the
+/// non-panicking entry point the fault-tolerant cache path uses. A
+/// caller that sees one is expected to degrade (sanitize the input, fall
+/// back a precision rung) rather than abort.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuantError {
-    /// The input tile contains NaN or ±Inf.
-    NonFiniteInput,
     /// The stage-1 scale is so large that dequantization would overflow
     /// f32 (an extreme outlier drove `max|x|` near `f32::MAX`), or it is
     /// not a positive finite number at all.
@@ -58,7 +55,6 @@ pub enum QuantError {
 impl std::fmt::Display for QuantError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            QuantError::NonFiniteInput => write!(f, "non-finite value in quantizer input"),
             QuantError::ScaleOverflow => write!(f, "quantization scale overflow"),
         }
     }
@@ -176,27 +172,6 @@ impl ProgressiveBlock {
             params,
             outer_scale: q1.scale(),
         }
-    }
-
-    /// Checked variant of [`ProgressiveBlock::quantize`]: screens the
-    /// tile for non-finite values and the stage-1 scale for overflow
-    /// instead of producing a silently corrupt block.
-    ///
-    /// # Errors
-    ///
-    /// [`QuantError::NonFiniteInput`] if the tile contains NaN/±Inf;
-    /// [`QuantError::ScaleOverflow`] if an outlier pushes the stage-1
-    /// scale past the reconstructible range.
-    ///
-    /// # Panics
-    ///
-    /// Still panics on *caller* bugs: `bits == Int8` or `group_size == 0`.
-    pub fn try_quantize(x: &Matrix, bits: BitWidth, group_size: usize) -> Result<Self, QuantError> {
-        if x.as_slice().iter().any(|v| !v.is_finite()) {
-            return Err(QuantError::NonFiniteInput);
-        }
-        let q1 = SymQuantized::quantize_with_divisor(x, SYM_INT8_DIVISOR);
-        Self::try_quantize_from_int8(&q1, bits, group_size)
     }
 
     /// Checked variant of [`ProgressiveBlock::quantize_from_int8`]:
@@ -504,27 +479,12 @@ mod tests {
     }
 
     #[test]
-    fn try_quantize_screens_non_finite() {
-        let mut m = Matrix::filled(8, 4, 1.0);
-        m.set(3, 2, f32::NAN);
-        assert_eq!(
-            ProgressiveBlock::try_quantize(&m, BitWidth::Int4, 8),
-            Err(QuantError::NonFiniteInput)
-        );
-        m.set(3, 2, f32::INFINITY);
-        assert_eq!(
-            ProgressiveBlock::try_quantize(&m, BitWidth::Int4, 8),
-            Err(QuantError::NonFiniteInput)
-        );
-    }
-
-    #[test]
     fn try_quantize_detects_scale_overflow() {
         // max|x| near f32::MAX makes the stage-1 scale too large to
         // dequantize: 127 * scale would overflow to Inf.
-        let m = Matrix::filled(8, 4, f32::MAX);
+        let q1 = SymQuantized::quantize(&Matrix::filled(8, 4, f32::MAX));
         assert_eq!(
-            ProgressiveBlock::try_quantize(&m, BitWidth::Int4, 8),
+            ProgressiveBlock::try_quantize_from_int8(&q1, BitWidth::Int4, 8),
             Err(QuantError::ScaleOverflow)
         );
     }
@@ -533,7 +493,8 @@ mod tests {
     fn try_quantize_accepts_ordinary_tiles() {
         let mut rng = TensorRng::new(28);
         let m = rng.normal(32, 8, 0.0, 2.0);
-        let pq = ProgressiveBlock::try_quantize(&m, BitWidth::Int4, 16).unwrap();
+        let q1 = SymQuantized::quantize(&m);
+        let pq = ProgressiveBlock::try_quantize_from_int8(&q1, BitWidth::Int4, 16).unwrap();
         assert_eq!(pq, ProgressiveBlock::quantize(&m, BitWidth::Int4, 16));
     }
 

@@ -113,8 +113,6 @@ health_events! {
     /// `record_n`; divided by [`HealthEvent::LayerGroupCommit`] this gives
     /// the mean group-commit size).
     LayerGroupRows => "layer_group_rows",
-    /// The adaptive checkpoint scheduler fired on bytes-since-checkpoint.
-    CheckpointByBytes => "checkpoint_by_bytes",
     /// The adaptive checkpoint scheduler fired on records-since-checkpoint.
     CheckpointByRecords => "checkpoint_by_records",
     /// The adaptive checkpoint scheduler fired because the estimated WAL

@@ -44,12 +44,13 @@ impl std::error::Error for SoftmaxError {}
 /// use turbo_tensor::Matrix;
 ///
 /// let sas = Sas::paper_default();
-/// let probs = sas.softmax(&Matrix::from_rows(&[&[2.0, 1.0, -9.0]]));
+/// let probs = sas.try_softmax(&Matrix::from_rows(&[&[2.0, 1.0, -9.0]]))?;
 /// let row = probs.row(0);
 /// assert!(row[0] > row[1]);
 /// assert_eq!(row[2], 0.0); // 11 below the max: sparsified
 /// let sum: f32 = row.iter().sum();
 /// assert!((sum - 1.0).abs() < 1e-6);
+/// # Ok::<(), turbo_softmax::SoftmaxError>(())
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sas {
@@ -284,23 +285,10 @@ impl Sas {
     }
 
     /// Full Algorithm 3: row-max subtraction, sparsification, LUT×POLY
-    /// exponentiation, and row-sum normalization.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any row has no finite maximum (fully masked row).
-    /// [`Sas::try_softmax`] is the non-panicking equivalent.
-    pub fn softmax(&self, scores: &Matrix) -> Matrix {
-        match self.try_softmax(scores) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Non-panicking [`Sas::softmax`]. Rows containing *some* NaN/±Inf
-    /// entries still normalize — the poisoned entries get weight 0, like
-    /// masked positions — but a row with no finite entry at all is an
-    /// error because no distribution exists for it.
+    /// exponentiation, and row-sum normalization. Rows containing *some*
+    /// NaN/±Inf entries still normalize — the poisoned entries get weight
+    /// 0, like masked positions — but a row with no finite entry at all
+    /// is an error because no distribution exists for it.
     ///
     /// # Errors
     ///
@@ -417,7 +405,7 @@ mod tests {
         let sas = Sas::paper_default();
         let mut rng = TensorRng::new(1);
         let scores = rng.normal(8, 32, 0.0, 3.0);
-        let p = sas.softmax(&scores);
+        let p = sas.try_softmax(&scores).unwrap();
         for r in 0..8 {
             let sum: f32 = p.row(r).iter().sum();
             assert!((sum - 1.0).abs() < 1e-5);
@@ -430,7 +418,7 @@ mod tests {
         let sas = Sas::paper_default();
         let mut rng = TensorRng::new(2);
         let scores = rng.normal(16, 64, 0.0, 2.0);
-        let approx = sas.softmax(&scores);
+        let approx = sas.try_softmax(&scores).unwrap();
         let exact = crate::exact::softmax(&scores);
         // Sparsification zeroes tail probabilities < e^-6 ≈ 2.5e-3 each;
         // renormalization over a 64-wide row concentrates the removed mass
@@ -445,7 +433,7 @@ mod tests {
         for _ in 0..20 {
             let scores = rng.normal(1, 50, 0.0, 4.0);
             let exact = crate::exact::softmax(&scores);
-            let approx = sas.softmax(&scores);
+            let approx = sas.try_softmax(&scores).unwrap();
             let am = |m: &Matrix| {
                 m.row(0)
                     .iter()
@@ -537,7 +525,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "no finite entry")]
     fn softmax_still_panics_on_masked_row() {
-        Sas::paper_default().softmax(&Matrix::filled(1, 4, f32::NEG_INFINITY));
+        Sas::paper_default()
+            .try_softmax(&Matrix::filled(1, 4, f32::NEG_INFINITY))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Next f32 toward −∞ (larger magnitude for negative inputs).
@@ -615,7 +605,7 @@ mod tests {
         // Max-subtracted scores: max 0, one entry exactly at n_r, one a
         // single ULP below.
         let scores = Matrix::from_rows(&[&[0.0, thr, next_below(thr)]]);
-        let p = sas.softmax(&scores);
+        let p = sas.try_softmax(&scores).unwrap();
         assert!(p.get(0, 1) > 0.0, "entry exactly at n_r keeps weight");
         assert_eq!(p.get(0, 2), 0.0, "entry one ULP below n_r is zeroed");
         // sparsity() counts with the same strict `<`: exactly 1 of 3.

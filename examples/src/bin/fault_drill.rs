@@ -73,7 +73,7 @@ fn main() {
     let mut disk_cache = HeadKvCache::new(8, KvCacheConfig::default());
     let data = rng.normal(200, 8, 0.0, 1.0);
     for t in 0..200 {
-        disk_cache.append(data.row(t), data.row(t));
+        disk_cache.try_append(data.row(t), data.row(t)).expect("normal samples are finite");
     }
     let mut payload = serialize_head_cache(&disk_cache);
     let mid = payload.len() / 2;

@@ -10,7 +10,7 @@
 use turbo_attention::{
     turbo_attend_cache, turbo_attend_group, GqaLayout, TurboAttention, TurboConfig,
 };
-use turbo_kvcache::HeadKvCache;
+use turbo_kvcache::{deserialize_head_cache, serialize_head_cache, HeadKvCache};
 use turbo_tensor::{Matrix, TensorRng};
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
     let (_, cache) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 1);
 
     let payloads: Vec<Vec<u8>> = (0..layout.kv_heads)
-        .map(|h| cache.head(h).to_bytes())
+        .map(|h| serialize_head_cache(cache.head(h)))
         .collect();
     let stored: usize = payloads.iter().map(Vec::len).sum();
     let fp16 = 2 * 2 * prefix_len * d * layout.kv_heads;
@@ -47,7 +47,7 @@ fn main() {
     // --- Online: a request arrives; reload the prefix per KV head. -----
     let reloaded: Vec<HeadKvCache> = payloads
         .iter()
-        .map(|p| HeadKvCache::from_bytes(p).expect("stored prefix must decode"))
+        .map(|p| deserialize_head_cache(p).expect("stored prefix must decode"))
         .collect();
     println!(
         "reloaded prefix: {} tokens x {} KV heads (bit-identical to the original: {})",

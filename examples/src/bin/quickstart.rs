@@ -5,7 +5,7 @@
 //! reports accuracy against exact attention plus the cache's compression
 //! ratio.
 
-use turbo_attention::{naive_attention, Masking, TurboAttention, TurboConfig};
+use turbo_attention::{naive_attention, turbo_attend_cache, Masking, TurboAttention, TurboConfig};
 use turbo_tensor::{relative_error, Matrix, TensorRng};
 
 fn main() {
@@ -37,7 +37,10 @@ fn main() {
         let vt = rng.normal(1, d, 0.0, 1.0);
         ks.append_rows(&kt);
         vs.append_rows(&vt);
-        let step = engine.decode_head(qt.row(0), kt.row(0), vt.row(0), &mut cache);
+        cache
+            .try_append(kt.row(0), vt.row(0))
+            .expect("normal samples are finite");
+        let step = turbo_attend_cache(qt.row(0), &cache, engine.sas());
         let exact_step = naive_attention(&qt, &ks, &vs, Masking::Causal);
         let step_m = Matrix::from_vec(1, d, step);
         last_err = relative_error(&step_m, &exact_step);

@@ -9,8 +9,8 @@
 
 use turbo_attention::{multilayer_episode_pipelined_on, multilayer_episode_serialized};
 use turbo_kvcache::{
-    frame_boundaries, recover_head_cache, DurableLayerSet, HeadKvCache, KvCacheConfig,
-    LayerWriteAheadLog, NeverCheckpoint,
+    frame_boundaries, recover_head_cache, serialize_head_cache, DurableLayerSet, HeadKvCache,
+    KvCacheConfig, LayerWriteAheadLog, NeverCheckpoint,
 };
 use turbo_quant::BitWidth;
 use turbo_robust::FaultInjector;
@@ -49,7 +49,7 @@ fn snapshot_framing_boundaries_recover_cleanly() {
         cache.try_append(data.row(t), data.row(t)).unwrap();
     }
 
-    let payload = cache.to_bytes();
+    let payload = serialize_head_cache(&cache);
     let boundaries = frame_boundaries(&payload).expect("clean payload frames");
     assert_eq!(*boundaries.last().unwrap(), payload.len());
     for &b in &boundaries {
@@ -178,8 +178,8 @@ fn every_layer_wal_crash_point_recovers_a_common_prefix() {
                     "cell ({l},{h}) desynced from the group prefix at cut {cut}"
                 );
                 assert_eq!(
-                    head.to_bytes(),
-                    reference[l * HEADS + h].to_bytes(),
+                    serialize_head_cache(head),
+                    serialize_head_cache(&reference[l * HEADS + h]),
                     "cell ({l},{h}) not bit-identical at cut {cut}"
                 );
             }
@@ -455,8 +455,8 @@ fn pipelined_crash_cut_replays_same_wal_prefix_as_serialized() {
             for l in 0..ML_LAYERS {
                 for h in 0..ML_HEADS {
                     assert_eq!(
-                        back_p.layer(l).head(h).to_bytes(),
-                        back_s.layer(l).head(h).to_bytes(),
+                        serialize_head_cache(back_p.layer(l).head(h)),
+                        serialize_head_cache(back_s.layer(l).head(h)),
                         "cell ({l},{h}) diverged at cut {cut}"
                     );
                 }

@@ -100,7 +100,7 @@ fn constant_keys_give_uniform_attention() {
     let sas = Sas::paper_default();
     let mut cache = HeadKvCache::new(2, KvCacheConfig::default());
     for t in 0..3 {
-        cache.append(k.row(t), v.row(t));
+        cache.try_append(k.row(t), v.row(t)).unwrap();
     }
     let out = turbo_attend_cache(&[1.0, 1.0], &cache, &sas);
     assert!((out[0] - 1.0).abs() < 0.1);
@@ -117,7 +117,7 @@ fn zero_queries_attend_uniformly() {
     let sas = Sas::paper_default();
     let mut cache = HeadKvCache::new(4, KvCacheConfig::default());
     for t in 0..8 {
-        cache.append(k.row(t), v.row(t));
+        cache.try_append(k.row(t), v.row(t)).unwrap();
     }
     let out = turbo_attend_cache(&[0.0; 4], &cache, &sas);
     let mean: Vec<f32> = (0..4)
@@ -163,7 +163,7 @@ fn decode_after_many_flushes_stays_stable() {
     );
     let data = rng.normal(1000, d, 0.0, 1.0);
     for t in 0..1000 {
-        cache.append(data.row(t), data.row(t));
+        cache.try_append(data.row(t), data.row(t)).unwrap();
     }
     let q = rng.normal(1, d, 0.0, 1.0);
     let out = turbo_attend_cache(q.row(0), &cache, &sas);
@@ -215,7 +215,7 @@ fn persist_deserialization_survives_arbitrary_byte_mutations() {
     );
     let data = rng.normal(37, 6, 0.0, 1.0);
     for t in 0..37 {
-        cache.append(data.row(t), data.row(t));
+        cache.try_append(data.row(t), data.row(t)).unwrap();
     }
     let clean = serialize_head_cache(&cache);
     assert_eq!(deserialize_head_cache(&clean).unwrap().len(), 37);

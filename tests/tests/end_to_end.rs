@@ -5,7 +5,7 @@ use turbo_attention::{
     naive_attention, turbo_attend_cache, GqaLayout, Masking, TurboAttention, TurboConfig,
 };
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
-use turbo_quant::BitWidth;
+use turbo_quant::{BitWidth, SymQuantized};
 use turbo_softmax::Sas;
 use turbo_tensor::{relative_error, Matrix, TensorRng};
 
@@ -39,7 +39,8 @@ fn long_generation_stays_accurate() {
         let vt = rng.normal(1, d, 0.0, 1.0);
         ks.append_rows(&kt);
         vs.append_rows(&vt);
-        let out = engine.decode_head(qt.row(0), kt.row(0), vt.row(0), &mut cache);
+        cache.try_append(kt.row(0), vt.row(0)).unwrap();
+        let out = turbo_attend_cache(qt.row(0), &cache, engine.sas());
         assert_eq!(cache.len(), 257 + step);
         if step % 16 == 0 {
             let exact = naive_attention(&qt, &ks, &vs, Masking::Causal);
@@ -66,12 +67,12 @@ fn prefill_cache_equals_decode_built_cache_closely() {
         buffer_capacity: 64,
     };
     let mut prefill_cache = HeadKvCache::new(d, cfg);
-    prefill_cache.append_prefill_block(&k, &v);
+    prefill_cache.append_prefill_block(&SymQuantized::quantize(&k), &SymQuantized::quantize(&v));
     let mut decode_cache = HeadKvCache::new(d, cfg);
     for t in 0..64 {
-        decode_cache.append(k.row(t), v.row(t));
+        decode_cache.try_append(k.row(t), v.row(t)).unwrap();
     }
-    decode_cache.flush();
+    decode_cache.try_flush().unwrap();
     let (kp, _) = prefill_cache.dequantize_all();
     let (kd, _) = decode_cache.dequantize_all();
     assert!(relative_error(&kp, &k) < 0.12);

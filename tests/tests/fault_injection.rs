@@ -30,7 +30,7 @@ fn filled_head_cache(seed: u64, tokens: usize, d: usize) -> HeadKvCache {
     let mut cache = HeadKvCache::new(d, cache_config());
     let data = rng.normal(tokens, d, 0.0, 1.0);
     for t in 0..tokens {
-        cache.append(data.row(t), data.row(t));
+        cache.try_append(data.row(t), data.row(t)).unwrap();
     }
     cache
 }
@@ -47,7 +47,7 @@ fn bit_flips_in_paged_pool_are_detected_dropped_and_counted() {
     let data = rng.normal(50, 8, 0.0, 1.0);
     for &s in &seqs {
         for t in 0..50 {
-            pool.append(s, data.row(t), data.row(t));
+            pool.try_append(s, data.row(t), data.row(t)).unwrap();
         }
     }
 
@@ -65,9 +65,9 @@ fn bit_flips_in_paged_pool_are_detected_dropped_and_counted() {
     // runs to the old sequence end.
     assert_eq!(report.reprefill, vec![(seqs[1].raw(), 16..50)]);
     // Unaffected sequences still serve their full range.
-    let (k0, _) = pool.dequantize_sequence(seqs[0]);
+    let (k0, _) = pool.try_dequantize_sequence(seqs[0]).unwrap();
     assert_eq!(k0.rows(), 50);
-    assert_eq!(pool.seq_len(seqs[1]), 16);
+    assert_eq!(pool.try_seq_len(seqs[1]).unwrap(), 16);
     // A second scrub finds nothing: the fault was fully repaired.
     assert!(pool.scrub(Some(&health)).is_clean());
 }
@@ -81,7 +81,7 @@ fn every_scrubbed_fault_count_matches_the_injection_count() {
     let s = pool.create_sequence();
     let data = rng.normal(16 * 6, 4, 0.0, 1.0);
     for t in 0..16 * 6 {
-        pool.append(s, data.row(t), data.row(t));
+        pool.try_append(s, data.row(t), data.row(t)).unwrap();
     }
     // Tamper a deterministic-random subset of the sealed pages.
     let tampered = [1usize, 3, 4];
@@ -99,7 +99,7 @@ fn every_scrubbed_fault_count_matches_the_injection_count() {
         tampered.len() as u64
     );
     // Truncation happens at the FIRST corrupt page.
-    assert_eq!(pool.seq_len(s), 16);
+    assert_eq!(pool.try_seq_len(s).unwrap(), 16);
 }
 
 #[test]

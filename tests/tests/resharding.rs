@@ -26,7 +26,7 @@ use turbo_gpusim::{
     run_sharded_episode, run_sharded_episode_on, uniform_workload, AttnMethod, GpuSpec,
     ModelGeometry, RequestSpec, ShardMap, ShardedConfig, ShardedStats,
 };
-use turbo_kvcache::{DurableLayerSet, LayerWriteAheadLog, RecordBudget};
+use turbo_kvcache::{serialize_head_cache, DurableLayerSet, LayerWriteAheadLog, RecordBudget};
 use turbo_robust::{ChaosAction, ChaosConfig, ChaosEvent, ChaosPlan, HealthEvent, HealthStats};
 use turbo_runtime::Runtime;
 use turbo_tensor::TensorRng;
@@ -109,8 +109,8 @@ fn assert_sets_identical(a: &DurableLayerSet, b: &DurableLayerSet, what: &str) {
     for l in 0..a.num_layers() {
         for h in 0..a.heads_per_layer() {
             assert_eq!(
-                a.layer(l).head(h).to_bytes(),
-                b.layer(l).head(h).to_bytes(),
+                serialize_head_cache(a.layer(l).head(h)),
+                serialize_head_cache(b.layer(l).head(h)),
                 "{what}: layer {l} head {h} not bit-identical"
             );
         }
