@@ -38,7 +38,7 @@ use crate::scratch::{RowState, Scratch};
 use turbo_kvcache::{DequantTile, HeadKvCache};
 use turbo_quant::quantize_row_sym_into;
 use turbo_softmax::Sas;
-use turbo_tensor::matmul_i8_transposed_b_into;
+use turbo_tensor::{matmul_i8_transposed_b_into, transpose_into};
 
 /// Attends a single query over an existing quantized cache *without*
 /// appending anything — the read-only half of Algorithm 2. Useful when the
@@ -149,11 +149,7 @@ pub fn turbo_attend_group_into(
         let rows = kb.len();
         vt.clear();
         vt.resize(rows * d, 0);
-        for (r, v_row) in vb.codes().chunks_exact(d).enumerate() {
-            for (c, &x) in v_row.iter().enumerate() {
-                vt[c * rows + r] = x;
-            }
-        }
+        transpose_into(vb.codes(), rows, d, vt);
         let view = TileView {
             k_codes: kb.codes(),
             k_scale: kb.scale().expect("non-empty buffer has a scale"),

@@ -17,7 +17,7 @@ use crate::reference::Masking;
 use turbo_kvcache::HeadKvCache;
 use turbo_quant::symmetric::{quantize_slice_sym_into, SymQuantized};
 use turbo_softmax::Sas;
-use turbo_tensor::{matmul_i8_transposed_b_into, Matrix};
+use turbo_tensor::{matmul_i8_transposed_b_into, transpose_into, Matrix};
 
 /// Result of a prefill pass over one head.
 #[derive(Clone, Debug)]
@@ -120,13 +120,8 @@ struct VTile {
 impl VTile {
     fn new(v8: &SymQuantized) -> Self {
         let (rows, d) = (v8.rows(), v8.cols());
-        let codes = v8.codes();
         let mut vt = vec![0i8; rows * d];
-        for (r, v_row) in codes.chunks_exact(d).enumerate() {
-            for (c, &x) in v_row.iter().enumerate() {
-                vt[c * rows + r] = x;
-            }
-        }
+        transpose_into(v8.codes(), rows, d, &mut vt);
         Self {
             vt,
             scale: v8.scale(),

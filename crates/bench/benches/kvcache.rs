@@ -6,10 +6,11 @@ use turbo_bench::harness::{BatchSize, Criterion};
 use turbo_bench::{criterion_group, criterion_main};
 use std::hint::black_box;
 use turbo_kvcache::{
-    deserialize_head_cache, serialize_head_cache, HeadKvCache, Int8Buffer, KvCacheConfig,
+    deserialize_head_cache, serialize_head_cache, DequantTile, HeadKvCache, Int8Buffer,
+    KvCacheConfig,
 };
 use turbo_quant::symmetric::quantize_slice_sym;
-use turbo_quant::{BitWidth, SymQuantized};
+use turbo_quant::{BitWidth, ProgressiveBlock, SymQuantized};
 use turbo_tensor::{Matrix, TensorRng};
 
 const D: usize = 128;
@@ -98,6 +99,20 @@ fn bench_prefill_block(c: &mut Criterion) {
     });
 }
 
+/// A decode-side tile-cache miss: expand one resident K/V block pair to
+/// INT8 (K row-major, V channel-major).
+fn bench_tile_build(c: &mut Criterion) {
+    let k = ProgressiveBlock::quantize(&rows(64), BitWidth::Int4, 64);
+    let v = ProgressiveBlock::quantize(
+        &TensorRng::new(42).normal(64, D, 0.0, 1.0),
+        BitWidth::Int4,
+        64,
+    );
+    c.bench_function("kvcache/tile_build_64x128_int4", |b| {
+        b.iter(|| DequantTile::from_blocks(black_box(&k), black_box(&v)))
+    });
+}
+
 fn bench_persistence(c: &mut Criterion) {
     let data = rows(256);
     let mut cache = HeadKvCache::new(D, KvCacheConfig::default());
@@ -118,6 +133,7 @@ criterion_group!(
     bench_buffer_append,
     bench_decode_append_and_flush,
     bench_prefill_block,
+    bench_tile_build,
     bench_persistence
 );
 criterion_main!(benches);

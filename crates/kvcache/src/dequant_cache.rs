@@ -10,7 +10,14 @@
 //! kernel consumes — so a warm decode step performs no dequantization and
 //! no transposition at all.
 //!
-//! Correctness does not depend on the cache: `dequantize_to_int8` is a
+//! A miss builds the tile in one pass per block
+//! ([`ProgressiveBlock::dequantize_channel_major_into`]): the packed codes
+//! are stored channel-major, which is already the `Vᵀ` layout, so V is
+//! expanded straight into `vt_codes` and K takes one transpose to
+//! row-major. The first decode step after a prefill misses on every
+//! prefill block, so this build sets that step's latency.
+//!
+//! Correctness does not depend on the cache: the expansion is a
 //! deterministic pure function of the block, so a cached tile is
 //! bit-identical to a freshly built one. Resident blocks are immutable
 //! once pushed, so a buffer flush or prefill append — which only adds a
@@ -31,6 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use turbo_quant::ProgressiveBlock;
 use turbo_robust::{HealthEvent, HealthStats};
+use turbo_tensor::transpose_into;
 
 /// Default tile-cache byte budget (32 MiB): comfortably holds the
 /// resident set of the bench and test workloads while still exercising
@@ -68,20 +76,19 @@ impl DequantTile {
         assert_eq!(k.cols(), v.cols(), "K/V channel mismatch");
         let rows = k.rows();
         let d = k.cols();
-        let k8 = k.dequantize_to_int8();
-        let v8 = v.dequantize_to_int8();
-        let v_codes = v8.codes();
+        // Blocks are stored channel-major, which is already Vᵀ; K takes
+        // one transpose to row-major.
         let mut vt_codes = vec![0i8; rows * d];
-        for r in 0..rows {
-            for c in 0..d {
-                vt_codes[c * rows + r] = v_codes[r * d + c];
-            }
-        }
+        v.dequantize_channel_major_into(&mut vt_codes);
+        let mut kt_codes = vec![0i8; rows * d];
+        k.dequantize_channel_major_into(&mut kt_codes);
+        let mut k_codes = vec![0i8; rows * d];
+        transpose_into(&kt_codes, d, rows, &mut k_codes);
         Self {
-            k_codes: k8.codes().to_vec(),
-            k_scale: k8.scale(),
+            k_codes,
+            k_scale: k.outer_scale(),
             vt_codes,
-            v_scale: v8.scale(),
+            v_scale: v.outer_scale(),
             rows,
             d,
         }
@@ -325,7 +332,8 @@ impl std::fmt::Debug for TileCacheCell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turbo_quant::BitWidth;
+    use turbo_quant::progressive::GroupParams;
+    use turbo_quant::{BitWidth, PackedCodes, SymQuantized};
     use turbo_tensor::TensorRng;
 
     fn block(seed: u64, rows: usize, d: usize) -> ProgressiveBlock {
@@ -349,6 +357,85 @@ mod tests {
             }
         }
         assert_eq!(tile.bytes(), 16 * 8 * 2 + 8);
+    }
+
+    /// The per-element tile build the fused expand replaced: one checked
+    /// `PackedCodes::get` and one formula evaluation per code, scattered
+    /// to row-major or, with `channel_major`, channel-major.
+    fn reference_expand(b: &ProgressiveBlock, channel_major: bool) -> Vec<i8> {
+        let (rows, cols, gs) = (b.rows(), b.cols(), b.group_size());
+        let groups = rows.div_ceil(gs);
+        let mut out = vec![0i8; rows * cols];
+        let mut idx = 0;
+        for c in 0..cols {
+            for r in 0..rows {
+                let p = b.group_params()[c * groups + r / gs];
+                let q2 = b.packed().get(idx) as i32;
+                idx += 1;
+                let at = if channel_major {
+                    c * rows + r
+                } else {
+                    r * cols + c
+                };
+                out[at] = ((q2 + p.zero as i32) * p.scale as i32).clamp(-127, 127) as i8;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn fused_tile_build_matches_per_element_formula() {
+        let mut seed = 0u64;
+        for bits in [BitWidth::Int2, BitWidth::Int3, BitWidth::Int4] {
+            for rows in 1..=70 {
+                for group_size in [1, 6, 16, 64, 100] {
+                    for d in [1, 3, 8, 64, 128] {
+                        // K from stage 2 of random INT8 codes; V from
+                        // random bytes and arbitrary stored parameters,
+                        // as a deserialized or bit-flipped block has.
+                        seed += 1;
+                        let mut state = seed;
+                        let mut next = move || {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            (state >> 33) as u8
+                        };
+                        let n = rows * d;
+                        let codes = (0..n).map(|_| next() as i8).collect();
+                        let q1 = SymQuantized::from_parts(codes, 0.5, rows, d);
+                        let k = ProgressiveBlock::quantize_from_int8(&q1, bits, group_size);
+                        let bytes = (0..bits.packed_bytes(n)).map(|_| next()).collect();
+                        let params = (0..d * rows.div_ceil(group_size))
+                            .map(|_| GroupParams {
+                                scale: next() as i8,
+                                zero: next() as i8,
+                            })
+                            .collect();
+                        let packed = PackedCodes::from_bytes(bytes, n, bits);
+                        let v = ProgressiveBlock::from_parts(
+                            rows, d, bits, group_size, packed, params, 2.0,
+                        );
+                        let tile = DequantTile::from_blocks(&k, &v);
+                        let what = format!("{bits:?} {rows}x{d} group {group_size}");
+                        assert_eq!(
+                            tile.k_codes(),
+                            &reference_expand(&k, false)[..],
+                            "{what}: K"
+                        );
+                        assert_eq!(
+                            tile.vt_codes(),
+                            &reference_expand(&v, true)[..],
+                            "{what}: Vt"
+                        );
+                        assert_eq!(
+                            (tile.k_scale(), tile.v_scale()),
+                            (k.outer_scale(), v.outer_scale())
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -446,6 +446,9 @@ pub fn replay_layer_wal(
         valid_end: LAYER_WAL_HEADER_LEN,
         complete: true,
     };
+    // One decode buffer for every group record: cell `i`'s K row is
+    // `rows[2i·d..][..d]` and its V row follows it.
+    let mut rows: Vec<f32> = Vec::with_capacity(cells * 2 * h.d);
     let mut pos = LAYER_WAL_HEADER_LEN;
     'records: while pos < bytes.len() {
         let ok_frame = (|| -> Option<(u8, usize, usize)> {
@@ -481,25 +484,20 @@ pub fn replay_layer_wal(
         let payload = &bytes[pos + 5..pos + 5 + len];
         match kind {
             KIND_GROUP_APPEND if len == cells * 2 * row_bytes => {
-                let row = |cell: usize, half: usize| -> Vec<f32> {
-                    let start = (cell * 2 + half) * row_bytes;
-                    payload[start..start + row_bytes]
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                        .collect()
-                };
                 // Decode and sanity-check the whole group before touching
                 // any cache, so a CRC-colliding corruption that decodes to
                 // a row the caches would reject cannot half-apply.
-                let mut rows: Vec<(Vec<f32>, Vec<f32>)> = Vec::with_capacity(cells);
-                for cell in 0..cells {
-                    let (k, v) = (row(cell, 0), row(cell, 1));
-                    if k.iter().chain(v.iter()).any(|x| !x.is_finite()) {
-                        break 'records;
-                    }
-                    rows.push((k, v));
+                rows.clear();
+                rows.extend(
+                    payload
+                        .chunks_exact(4)
+                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                );
+                if rows.iter().any(|x| !x.is_finite()) {
+                    break 'records;
                 }
-                for (cell, (k, v)) in rows.iter().enumerate() {
+                for (cell, kv) in rows.chunks_exact(2 * h.d).enumerate() {
+                    let (k, v) = kv.split_at(h.d);
                     let cache = layers[cell / h.heads].head_mut(cell % h.heads);
                     match cache.try_append(k, v) {
                         // ScaleOverflow buffered the token — identical to

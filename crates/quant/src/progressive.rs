@@ -20,22 +20,93 @@
 //! which is what makes TurboAttention's decompression so much cheaper than
 //! the FP16 dequantization of KIVI/GEAR: the result feeds the INT8 matmul
 //! directly and only the stage-1 f32 scale survives as a scalar correction.
+//!
+//! Both transforms walk the block in its packed order, channel by channel,
+//! so each (channel, group) is one contiguous run:
+//!
+//! * **Compress** ([`ProgressiveBlock::quantize_from_int8`]) transposes
+//!   the row-major INT8 tile once, takes each run's min/max, rounds every
+//!   code with a reciprocal multiply-shift instead of an integer division
+//!   (exact over every numerator and divisor stage 2 can produce), and
+//!   packs the codes a byte at a time.
+//! * **Expand** ([`ProgressiveBlock::dequantize_channel_major_into`])
+//!   unpacks the codes a byte at a time and evaluates each group's
+//!   `(q² + z)·s` in 16-bit lanes. Its channel-major output is the `Vᵀ`
+//!   layout the `P·V` kernel reads; [`ProgressiveBlock::dequantize_to_int8`]
+//!   adds one transpose for the row-major layout.
 
 use crate::bitwidth::BitWidth;
-use crate::packing::PackedCodes;
+use crate::packing::{pack_into, unpack_into, PackedCodes};
 use crate::symmetric::{SymQuantized, SYM_INT8_DIVISOR};
-use turbo_tensor::Matrix;
+use turbo_tensor::{transpose_into, Matrix};
 
-/// Integer division rounding half away from zero, matching `f32::round`
-/// on the exact quotients that arise in BPQ.
-#[inline]
-fn div_round(a: i32, b: i32) -> i32 {
-    debug_assert!(b > 0, "divisor must be positive");
-    if a >= 0 {
-        (a + b / 2) / b
-    } else {
-        -((-a + b / 2) / b)
+/// `⌈2¹⁶ / s⌉` for every divisor `2 ≤ s ≤ 255` stage 2 can meet.
+const RECIP: [u16; 256] = {
+    let mut t = [0u16; 256];
+    let mut s = 2;
+    while s < 256 {
+        t[s] = (1u32 << 16).div_ceil(s as u32) as u16;
+        s += 1;
     }
+    t
+};
+
+/// `⌊n / s⌋` as `(n · ⌈2¹⁶ / s⌉) >> 16`, exact whenever
+/// `n · (s − 1) < 2¹⁶`; `2 ≤ s ≤ 255`.
+#[inline]
+fn div_floor(n: u32, s: usize) -> u32 {
+    (n * u32::from(RECIP[s])) >> 16
+}
+
+/// Integer division by one fixed divisor `s`, rounding half away from
+/// zero (`f32::round` of the exact quotient), without a division.
+///
+/// Stage 2 divides INT8 codes (`|a| ≤ 128`) by scales `s ≤ 255`, so the
+/// numerator `n = |a| + ⌊s/2⌋ ≤ 255` keeps [`div_floor`] exact, and all
+/// of it fits 16-bit lanes (a high-half multiply). `s = 1`, whose
+/// reciprocal would be 2¹⁶, passes `n` through instead.
+#[derive(Clone, Copy, Debug)]
+struct RoundDiv {
+    half: u16,
+    recip: u16,
+    pass: u16,
+}
+
+impl RoundDiv {
+    fn new(s: i32) -> Self {
+        debug_assert!(
+            (1..=255).contains(&s),
+            "divisor {s} outside stage 2's range"
+        );
+        if s == 1 {
+            return Self {
+                half: 0,
+                recip: 0,
+                pass: u16::MAX,
+            };
+        }
+        Self {
+            half: (s / 2) as u16,
+            recip: RECIP[s as usize],
+            pass: 0,
+        }
+    }
+
+    #[inline]
+    fn apply(self, a: i16) -> i16 {
+        let n = a.unsigned_abs() + self.half;
+        let q = ((u32::from(n) * u32::from(self.recip)) >> 16) as u16 + (n & self.pass);
+        if a < 0 {
+            -(q as i16)
+        } else {
+            q as i16
+        }
+    }
+}
+
+/// Groups per channel of a `rows`-token block (0 for an empty block).
+fn groups_per_channel(rows: usize, group_size: usize) -> usize {
+    rows.div_ceil(group_size)
 }
 
 /// Why checked progressive quantization refused an input.
@@ -129,46 +200,54 @@ impl ProgressiveBlock {
         );
         assert!(group_size > 0, "group size must be positive");
         let (rows, cols) = (q1.rows(), q1.cols());
-        let groups_per_channel = rows.div_ceil(group_size).max(if rows == 0 { 0 } else { 1 });
-        let mut params = Vec::with_capacity(cols * groups_per_channel);
-        let mut codes = Vec::with_capacity(rows * cols);
-        let q1_codes = q1.codes();
-
-        for c in 0..cols {
-            for g in 0..groups_per_channel {
-                let start = g * group_size;
-                let len = group_size.min(rows - start);
-                let mut min = i32::MAX;
-                let mut max = i32::MIN;
-                for r in start..start + len {
-                    let v = q1_codes[r * cols + c] as i32;
-                    min = min.min(v);
-                    max = max.max(v);
-                }
+        let n = rows * cols;
+        let mut params = Vec::with_capacity(cols * groups_per_channel(rows, group_size));
+        // Channel-major copy: each (channel, group) is one contiguous run,
+        // in the order the codes are packed.
+        let mut t = vec![0i8; n];
+        transpose_into(q1.codes(), rows, cols, &mut t);
+        let mut codes = vec![0u8; n];
+        let denom = bits.levels() as usize - 1;
+        let max_code = i16::from(bits.max_code());
+        // `max(1)`: an empty tile has no channels to walk, but
+        // `chunks_exact` rejects a zero length.
+        let channel_len = rows.max(1);
+        let channels = t
+            .chunks_exact(channel_len)
+            .zip(codes.chunks_exact_mut(channel_len));
+        for (channel, out) in channels {
+            for (run, out) in channel.chunks(group_size).zip(out.chunks_mut(group_size)) {
+                // Min and max as unsigned bytes (bias 0x80), which every
+                // SIMD level compares natively.
+                let (lo, hi) = run.iter().fold((u8::MAX, 0u8), |(lo, hi), &v| {
+                    let u = v as u8 ^ 0x80;
+                    (lo.min(u), hi.max(u))
+                });
+                let min = (lo ^ 0x80) as i8;
                 // Ceiling division: guarantees (max-min)/s ≤ levels-1 so
                 // codes cannot systematically overflow the range.
-                let gap = max - min; // ≥ 0
-                let denom = (bits.levels() - 1) as i32;
-                let s = ((gap + denom - 1) / denom).max(1);
-                let z = div_round(min, s);
+                let gap = u32::from(hi - lo);
+                let s = (div_floor(gap + denom as u32 - 1, denom) as i32).max(1);
+                let div = RoundDiv::new(s);
+                let z = div.apply(min.into());
                 params.push(GroupParams {
                     scale: s as i8,
                     zero: z as i8,
                 });
-                for r in start..start + len {
-                    let v = q1_codes[r * cols + c] as i32;
-                    let q2 = (div_round(v, s) - z).clamp(0, bits.max_code() as i32);
-                    codes.push(q2 as u8);
+                for (o, &v) in out.iter_mut().zip(run) {
+                    *o = (div.apply(v.into()) - z).clamp(0, max_code) as u8;
                 }
             }
         }
+        let mut bytes = vec![0u8; bits.packed_bytes(n)];
+        pack_into(&codes, bits, &mut bytes);
 
         ProgressiveBlock {
             rows,
             cols,
             bits,
             group_size,
-            packed: PackedCodes::pack(&codes, bits),
+            packed: PackedCodes::from_bytes(bytes, n, bits),
             params,
             outer_scale: q1.scale(),
         }
@@ -218,14 +297,9 @@ impl ProgressiveBlock {
         assert!(group_size > 0, "group size must be positive");
         assert_eq!(packed.bits(), bits, "packed width mismatch");
         assert_eq!(packed.len(), rows * cols, "packed length mismatch");
-        let groups = if rows == 0 {
-            0
-        } else {
-            rows.div_ceil(group_size)
-        };
         assert_eq!(
             params.len(),
-            cols * groups,
+            cols * groups_per_channel(rows, group_size),
             "group parameter count mismatch"
         );
         assert!(
@@ -257,29 +331,51 @@ impl ProgressiveBlock {
     }
 
     /// Integer-only dequantization back to INT8 codes with the original
-    /// stage-1 scale: `q̂¹ = clamp((q² + z)·s, −127, 127)`.
+    /// stage-1 scale: `q̂¹ = clamp((q² + z)·s, −127, 127)`, row-major.
     pub fn dequantize_to_int8(&self) -> SymQuantized {
-        let groups_per_channel = if self.rows == 0 {
-            0
-        } else {
-            self.rows.div_ceil(self.group_size)
-        };
-        let mut out = vec![0i8; self.rows * self.cols];
-        let mut idx = 0;
-        for c in 0..self.cols {
-            for g in 0..groups_per_channel {
-                let p = self.params[c * groups_per_channel + g];
-                let start = g * self.group_size;
-                let len = self.group_size.min(self.rows - start);
-                for r in start..start + len {
-                    let q2 = self.packed.get(idx) as i32;
-                    idx += 1;
-                    let q1 = ((q2 + p.zero as i32) * p.scale as i32).clamp(-127, 127);
-                    out[r * self.cols + c] = q1 as i8;
+        let n = self.rows * self.cols;
+        let mut channel_major = vec![0i8; n];
+        self.dequantize_channel_major_into(&mut channel_major);
+        let mut out = vec![0i8; n];
+        transpose_into(&channel_major, self.cols, self.rows, &mut out);
+        SymQuantized::from_parts(out, self.outer_scale, self.rows, self.cols)
+    }
+
+    /// The same integer dequantization as
+    /// [`ProgressiveBlock::dequantize_to_int8`], written channel-major
+    /// (`out[c · rows + r]`) — the block's packed order, and the
+    /// transposed-value layout the `P·V` kernel consumes. The packed
+    /// stream is unpacked a byte at a time, then each (channel, group)
+    /// run evaluates its `clamp((q² + z)·s, −127, 127)` in 16-bit lanes.
+    /// The stored parameters are used exactly as stored, whatever they
+    /// are: `|(q² + z)·s| ≤ 143 · 128` fits an `i16`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `rows · cols` long.
+    pub fn dequantize_channel_major_into(&self, out: &mut [i8]) {
+        assert_eq!(out.len(), self.rows * self.cols, "output length mismatch");
+        if out.is_empty() {
+            return;
+        }
+        let mut codes = vec![0u8; out.len()];
+        unpack_into(self.packed.bytes(), self.bits, &mut codes);
+        let groups = groups_per_channel(self.rows, self.group_size);
+        let runs = out
+            .chunks_exact_mut(self.rows)
+            .zip(codes.chunks_exact(self.rows))
+            .zip(self.params.chunks_exact(groups));
+        for ((out, codes), params) in runs {
+            let runs = out
+                .chunks_mut(self.group_size)
+                .zip(codes.chunks(self.group_size));
+            for ((out, codes), p) in runs.zip(params) {
+                let (s, z) = (i16::from(p.scale), i16::from(p.zero));
+                for (o, &q2) in out.iter_mut().zip(codes) {
+                    *o = ((i16::from(q2) + z) * s).clamp(-127, 127) as i8;
                 }
             }
         }
-        SymQuantized::from_parts(out, self.outer_scale, self.rows, self.cols)
     }
 
     /// Full dequantization to f32.
@@ -343,6 +439,213 @@ impl ProgressiveBlock {
 mod tests {
     use super::*;
     use turbo_tensor::{max_abs_error, mse, TensorRng};
+
+    /// Integer division rounding half away from zero, matching `f32::round`
+    /// on the exact quotients that arise in BPQ — the per-element divide
+    /// [`RoundDiv`] replaced, kept as its oracle.
+    fn div_round(a: i32, b: i32) -> i32 {
+        assert!(b > 0, "divisor must be positive");
+        if a >= 0 {
+            (a + b / 2) / b
+        } else {
+            -((-a + b / 2) / b)
+        }
+    }
+
+    /// The per-element stage-2 compress the fused pass replaced: strided
+    /// reads of the row-major tile, a division per code, and packing one
+    /// code at a time. Returns the packed bytes and the group parameters.
+    fn reference_compress(
+        q1: &SymQuantized,
+        bits: BitWidth,
+        group_size: usize,
+    ) -> (Vec<u8>, Vec<GroupParams>) {
+        let (rows, cols) = (q1.rows(), q1.cols());
+        let groups = rows.div_ceil(group_size);
+        let (per_byte, width) = (bits.elems_per_byte(), bits.bits() as usize);
+        let mut params = Vec::new();
+        let mut bytes = vec![0u8; bits.packed_bytes(rows * cols)];
+        let mut idx = 0;
+        for c in 0..cols {
+            for g in 0..groups {
+                let start = g * group_size;
+                let len = group_size.min(rows - start);
+                let col = || (start..start + len).map(|r| q1.codes()[r * cols + c] as i32);
+                let (min, max) = (col().min().unwrap(), col().max().unwrap());
+                let denom = (bits.levels() - 1) as i32;
+                let s = ((max - min + denom - 1) / denom).max(1);
+                let z = div_round(min, s);
+                params.push(GroupParams {
+                    scale: s as i8,
+                    zero: z as i8,
+                });
+                for v in col() {
+                    let q2 = (div_round(v, s) - z).clamp(0, bits.max_code() as i32);
+                    bytes[idx / per_byte] |= (q2 as u8) << ((idx % per_byte) * width);
+                    idx += 1;
+                }
+            }
+        }
+        (bytes, params)
+    }
+
+    /// The per-element stage-2 expand the fused pass replaced: one
+    /// checked `PackedCodes::get` and one formula evaluation per code,
+    /// scattered to row-major.
+    fn reference_expand(pq: &ProgressiveBlock) -> Vec<i8> {
+        let (rows, cols, gs) = (pq.rows(), pq.cols(), pq.group_size());
+        let groups = rows.div_ceil(gs);
+        let mut out = vec![0i8; rows * cols];
+        let mut idx = 0;
+        for c in 0..cols {
+            for g in 0..groups {
+                let p = pq.group_params()[c * groups + g];
+                for r in g * gs..(g * gs + gs).min(rows) {
+                    let q2 = pq.packed().get(idx) as i32;
+                    idx += 1;
+                    out[r * cols + c] =
+                        ((q2 + p.zero as i32) * p.scale as i32).clamp(-127, 127) as i8;
+                }
+            }
+        }
+        out
+    }
+
+    const WIDTHS: [BitWidth; 3] = [BitWidth::Int2, BitWidth::Int3, BitWidth::Int4];
+    const GROUP_SIZES: [usize; 5] = [1, 6, 16, 64, 100];
+    const CHANNELS: [usize; 5] = [1, 3, 8, 64, 128];
+
+    /// Checks both fused kernels of `pq` against [`reference_expand`].
+    fn assert_expand_matches_reference(pq: &ProgressiveBlock, what: &str) {
+        let expect = reference_expand(pq);
+        let got = pq.dequantize_to_int8();
+        assert_eq!(got.codes(), &expect[..], "{what}: row-major expand");
+        assert_eq!(got.scale(), pq.outer_scale(), "{what}: scale");
+        let (rows, cols) = pq.shape();
+        let mut cm = vec![0i8; rows * cols];
+        pq.dequantize_channel_major_into(&mut cm);
+        for r in 0..rows {
+            for c in 0..cols {
+                assert_eq!(
+                    cm[c * rows + r],
+                    expect[r * cols + c],
+                    "{what}: channel-major ({r},{c})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scale_ceiling_division_is_exact_for_every_gap() {
+        for bits in WIDTHS {
+            let denom = bits.levels() as usize - 1;
+            for gap in 0..=255u32 {
+                let expect = gap.div_ceil(denom as u32);
+                assert_eq!(
+                    div_floor(gap + denom as u32 - 1, denom),
+                    expect,
+                    "{bits:?} gap {gap}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_div_matches_div_round_exhaustively() {
+        // Every INT8 numerator (including −128, which `from_parts` admits)
+        // against every divisor up to 255 — stage 2's scales stop at
+        // ⌈255 / 3⌉ = 85.
+        for s in 1..=255 {
+            let div = RoundDiv::new(s);
+            for a in -128..=127 {
+                assert_eq!(div.apply(a) as i32, div_round(a.into(), s), "a={a} s={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn fused_compress_and_expand_match_the_per_element_formulas() {
+        let mut case = 0u64;
+        for bits in WIDTHS {
+            for rows in 1..=70usize {
+                for group_size in GROUP_SIZES {
+                    for d in CHANNELS {
+                        case += 1;
+                        let mut rng = CaseRng(case.wrapping_mul(0x9E37_79B9));
+                        // Full i8 range, plus narrow bands so small scales
+                        // and constant groups occur too.
+                        let band = [255, 40, 3, 0][case as usize % 4];
+                        let center = rng.in_range(-128, 127);
+                        let codes: Vec<i8> = (0..rows * d)
+                            .map(|_| {
+                                let v = if band == 255 {
+                                    rng.in_range(-128, 127)
+                                } else {
+                                    center + rng.in_range(-band, band)
+                                };
+                                v.clamp(-128, 127) as i8
+                            })
+                            .collect();
+                        let q1 = SymQuantized::from_parts(codes, 0.25, rows, d);
+                        let what = format!("{bits:?} {rows}x{d} group {group_size}");
+                        let pq = ProgressiveBlock::quantize_from_int8(&q1, bits, group_size);
+                        let (bytes, params) = reference_compress(&q1, bits, group_size);
+                        assert_eq!(pq.packed().bytes(), &bytes[..], "{what}: packed bytes");
+                        assert_eq!(pq.group_params(), &params[..], "{what}: params");
+                        assert_expand_matches_reference(&pq, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fused_expand_uses_arbitrary_stored_params_as_stored() {
+        // Deserialization and bit flips can hand the expand parameters
+        // stage 2 never produces: zero or negative scales, extreme zeros.
+        let scales = [-128i8, -1, 0, 1, 127];
+        let zeros = [-128i8, 127];
+        let mut case = 0u64;
+        for bits in WIDTHS {
+            for rows in 1..=70usize {
+                for group_size in GROUP_SIZES {
+                    for d in CHANNELS {
+                        case += 1;
+                        let mut rng = CaseRng(case ^ 0xA5A5_5A5A);
+                        let n = rows * d;
+                        let bytes: Vec<u8> = (0..bits.packed_bytes(n))
+                            .map(|_| rng.next_u64() as u8)
+                            .collect();
+                        // Unused high bits of a ragged last byte stay
+                        // set: the expand must ignore them.
+                        let packed = PackedCodes::from_bytes(bytes, n, bits);
+                        let params = (0..d * rows.div_ceil(group_size))
+                            .map(|_| GroupParams {
+                                scale: scales[rng.in_range(0, 4) as usize],
+                                zero: zeros[rng.in_range(0, 1) as usize],
+                            })
+                            .collect();
+                        let pq = ProgressiveBlock::from_parts(
+                            rows, d, bits, group_size, packed, params, 0.5,
+                        );
+                        let what = format!("{bits:?} {rows}x{d} group {group_size} from_parts");
+                        assert_expand_matches_reference(&pq, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_blocks_compress_and_expand_to_nothing() {
+        for (rows, cols) in [(0, 8), (8, 0), (0, 0)] {
+            let q1 = SymQuantized::from_parts(vec![], 1.0, rows, cols);
+            let pq = ProgressiveBlock::quantize_from_int8(&q1, BitWidth::Int4, 16);
+            assert!(pq.group_params().is_empty());
+            assert!(pq.packed().is_empty());
+            assert_eq!(pq.dequantize_to_int8().codes(), &[] as &[i8]);
+        }
+    }
 
     #[test]
     fn div_round_matches_f32_round() {

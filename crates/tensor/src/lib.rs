@@ -56,6 +56,6 @@ pub use matmul::{
     matmul_i8_transposed_b_into, matmul_transposed_b, DOT_I8_MAX_LEN,
 };
 pub use simd::{simd_level, SimdLevel};
-pub use matrix::Matrix;
+pub use matrix::{transpose_into, Matrix};
 pub use reduce::{col_max_min, row_abs_max, row_max, row_sum};
 pub use rng::TensorRng;

@@ -195,11 +195,7 @@ impl Matrix {
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                t.set(c, r, self.get(r, c));
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut t.data);
         t
     }
 
@@ -363,6 +359,27 @@ impl Matrix {
     }
 }
 
+/// Writes the transpose of the row-major `rows × cols` slice `src` into
+/// `dst` (row-major `cols × rows`): each source row is read once, in
+/// order, and scattered down one destination column.
+///
+/// # Panics
+///
+/// Panics if either slice is not `rows · cols` long.
+pub fn transpose_into<T: Copy>(src: &[T], rows: usize, cols: usize, dst: &mut [T]) {
+    assert_eq!(src.len(), rows * cols, "transpose source length mismatch");
+    assert_eq!(
+        dst.len(),
+        rows * cols,
+        "transpose destination length mismatch"
+    );
+    for (r, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (c, &x) in row.iter().enumerate() {
+            dst[c * rows + r] = x;
+        }
+    }
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -441,6 +458,32 @@ mod tests {
         assert_eq!(t.shape(), (5, 3));
         assert_eq!(t.get(4, 2), m.get(2, 4));
         assert_eq!(t.transpose(), m);
+    }
+
+    #[test]
+    fn transpose_into_matches_elementwise_at_ragged_shapes() {
+        for (rows, cols) in [
+            (0, 3),
+            (1, 1),
+            (1, 70),
+            (70, 1),
+            (17, 33),
+            (64, 128),
+            (37, 5),
+        ] {
+            let src: Vec<i8> = (0..rows * cols).map(|i| (i * 7 % 251) as i8).collect();
+            let mut dst = vec![0i8; rows * cols];
+            transpose_into(&src, rows, cols, &mut dst);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(
+                        dst[c * rows + r],
+                        src[r * cols + c],
+                        "{rows}x{cols} at ({r},{c})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

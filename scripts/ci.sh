@@ -19,8 +19,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> runtime tests under a 2-worker cap (contention path)"
 TURBO_RUNTIME_THREADS=2 cargo test -q -p turbo-runtime
 
-echo "==> kernel tests in release (intrinsics arms at the benchmark's optimisation level)"
-cargo test --release -q -p turbo-tensor -p turbo-attention
+echo "==> kernel tests in release (intrinsics arms and the BPQ stage-2 kernels at the benchmark's optimisation level)"
+cargo test --release -q -p turbo-tensor -p turbo-attention -p turbo-quant -p turbo-kvcache
 
 echo "==> kernel tests with SIMD force-disabled (scalar-fallback coverage)"
 # The equivalence tests pin every arm the machine has in-process (on
