@@ -24,8 +24,9 @@
 //! The hot path is **zero-allocation** in steady state: all intermediate
 //! buffers live in a caller-owned [`Scratch`] arena (the convenience
 //! entry points [`turbo_attend_cache`] and [`turbo_attend_group`] keep
-//! one per thread), value tiles arrive pre-transposed from the cache,
-//! and the only per-step allocation on the convenience path is the
+//! one per thread), every K/V tile — resident or the open buffer —
+//! arrives already packed as the GEMM's second operand, and the only
+//! per-step allocation on the convenience path is the
 //! returned output vector itself. Every kernel here is
 //! bit-identical to the original unfused implementation: integer
 //! accumulation is associative, the scale epilogues multiply the same
@@ -34,11 +35,12 @@
 
 use std::cell::RefCell;
 
+use crate::prefill::max_i32;
 use crate::scratch::{RowState, Scratch};
 use turbo_kvcache::{DequantTile, HeadKvCache};
 use turbo_quant::quantize_row_sym_into;
-use turbo_softmax::Sas;
-use turbo_tensor::{matmul_i8_transposed_b_into, transpose_into};
+use turbo_softmax::{Sas, ScaledRow};
+use turbo_tensor::{matmul_i8_packed_into, PackedB};
 
 /// Attends a single query over an existing quantized cache *without*
 /// appending anything — the read-only half of Algorithm 2. Useful when the
@@ -84,7 +86,8 @@ pub fn turbo_attend_group(qs: &[&[f32]], cache: &HeadKvCache, sas: &Sas) -> Vec<
 ///
 /// Each resident tile is looked up in the tile cache once and feeds one
 /// `G × rows` integer score GEMM and one `G × d` integer `P·V` GEMM for
-/// the whole group; the open buffer's value codes are transposed once.
+/// the whole group; the open buffer takes part through the packed views
+/// the cache keeps of it.
 /// Every query row keeps its own quantization scale and online-softmax
 /// state, and every float operation runs in the same per-row order as a
 /// one-row call, so row `i` is bit-identical to attending `qs[i]` alone.
@@ -113,7 +116,8 @@ pub fn turbo_attend_group_into(
         p,
         p8,
         pv,
-        vt,
+        exp_rows,
+        sums,
         o,
         rows: state,
     } = scratch;
@@ -125,39 +129,44 @@ pub fn turbo_attend_group_into(
     }
     o.clear();
     o.resize(g * d, 0.0);
-    let mut bufs = TileBufs { si, p, p8, pv };
+    let mut bufs = TileBufs {
+        si,
+        p,
+        p8,
+        pv,
+        exp_rows,
+        sums,
+    };
 
     // Resident progressive blocks: memoized integer dequantization, one
     // lookup per block for the whole group.
     for b in 0..cache.resident_blocks().len() {
         let tile: std::sync::Arc<DequantTile> = cache.resident_tile(b);
         let view = TileView {
-            k_codes: tile.k_codes(),
+            k: tile.keys(),
             k_scale: tile.k_scale(),
-            vt_codes: tile.vt_codes(),
+            v: tile.values(),
             v_scale: tile.v_scale(),
-            rows: tile.rows(),
         };
-        attend_tile(q8, scale, d, &view, sas, &mut bufs, o, state);
+        attend_tile(q8, scale, &view, sas, &mut bufs, o, state);
     }
 
-    // Open INT8 buffer: codes are used in place (no snapshot clone); only
-    // the value transpose is materialized, into the reusable arena.
+    // Open INT8 buffer: its codes arrive already packed, kept in step
+    // with every append by the cache.
     if cache.buffer_len() > 0 {
-        let kb = cache.key_buffer();
-        let vb = cache.value_buffer();
-        let rows = kb.len();
-        vt.clear();
-        vt.resize(rows * d, 0);
-        transpose_into(vb.codes(), rows, d, vt);
         let view = TileView {
-            k_codes: kb.codes(),
-            k_scale: kb.scale().expect("non-empty buffer has a scale"),
-            vt_codes: vt,
-            v_scale: vb.scale().expect("non-empty buffer has a scale"),
-            rows,
+            k: cache.key_view(),
+            k_scale: cache
+                .key_buffer()
+                .scale()
+                .expect("non-empty buffer has a scale"),
+            v: cache.value_view(),
+            v_scale: cache
+                .value_buffer()
+                .scale()
+                .expect("non-empty buffer has a scale"),
         };
-        attend_tile(q8, scale, d, &view, sas, &mut bufs, o, state);
+        attend_tile(q8, scale, &view, sas, &mut bufs, o, state);
     }
 
     out.clear();
@@ -176,14 +185,14 @@ fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// One INT8 K/V tile as the fused kernel consumes it: key codes
-/// row-major (`rows × d`), value codes channel-major (`d × rows`).
+/// One INT8 K/V tile as the fused kernel consumes it: both halves packed
+/// as GEMM operands, keys one column per token, values one column per
+/// channel.
 struct TileView<'a> {
-    k_codes: &'a [i8],
+    k: &'a PackedB,
     k_scale: f32,
-    vt_codes: &'a [i8],
+    v: &'a PackedB,
     v_scale: f32,
-    rows: usize,
 }
 
 /// The per-tile intermediates of [`attend_tile`], borrowed from the
@@ -193,6 +202,8 @@ struct TileBufs<'a> {
     p: &'a mut Vec<f32>,
     p8: &'a mut Vec<i8>,
     pv: &'a mut Vec<i32>,
+    exp_rows: &'a mut Vec<ScaledRow>,
+    sums: &'a mut Vec<f32>,
 }
 
 /// Fused attention of `G` query rows over one INT8 K/V tile, folded into
@@ -200,29 +211,25 @@ struct TileBufs<'a> {
 ///
 /// Bit-identical, row by row, to the original single-row
 /// `matmul → Matrix → online_update` chain:
-/// * scores stay in raw `i32` through one SIMD-dispatched
-///   `Q⁸ · (K⁸)ᵀ` GEMM (exact integer accumulation, so sharing the GEMM
-///   across rows changes no sum), and each row's max is taken over its
-///   integer sums — `i32 → f32` conversion and the positive
-///   `s_q·s_k/√d` scale are weakly monotone, so the scaled integer max
-///   *is* the f32 row max the old code folded;
-/// * SAS consumes each row's codes plus scale directly via
-///   `exp_scaled_row_into`, which evaluates the exact
-///   `code as f32 * s_scale - m_new` expression per element (vectorized
-///   when the evaluator qualifies), zeroing exactly the entries
-///   `Sas::exp` zeroes;
+/// * scores stay in raw `i32` through one packed `Q⁸ · (K⁸)ᵀ` GEMM
+///   (exact integer accumulation, so sharing the GEMM across rows
+///   changes no sum), and each row's max is taken over its integer sums
+///   — `i32 → f32` conversion and the positive `s_q·s_k/√d` scale are
+///   weakly monotone, so the scaled integer max *is* the f32 row max the
+///   old code folded;
+/// * SAS consumes every row's codes plus its own scale in one
+///   [`Sas::exp_scaled_rows_into`] call, which evaluates the exact
+///   `code as f32 * s_scale - m_new` expression per element and sums
+///   each row left to right;
 /// * each probability row is re-quantized with its own `max|p|/119`
-///   fold, and one integer `P⁸·V⁸` GEMM consumes the pre-transposed
-///   value codes for every row at once.
+///   fold, and one packed integer `P⁸·V⁸` GEMM serves every row at once.
 ///
 /// A row whose running max stays `−∞` (possible only for a non-finite
 /// query scale) contributes nothing: its probability codes are zero and
 /// its state and output row are left untouched.
-#[allow(clippy::too_many_arguments)]
 fn attend_tile(
     q8: &[i8],
     scale: f32,
-    d: usize,
     tile: &TileView<'_>,
     sas: &Sas,
     bufs: &mut TileBufs<'_>,
@@ -230,52 +237,64 @@ fn attend_tile(
     state: &mut [RowState],
 ) {
     let g = state.len();
-    let rows = tile.rows;
-    debug_assert_eq!(tile.k_codes.len(), rows * d, "K tile shape mismatch");
-    debug_assert_eq!(tile.vt_codes.len(), rows * d, "V tile shape mismatch");
+    let rows = tile.k.n();
+    let d = tile.v.n();
+    debug_assert_eq!(tile.v.k(), rows, "K/V tile row mismatch");
 
     // Fused integer score kernel: one G × rows GEMM against the key
     // tile; the scores never leave i32 until SAS consumes them.
-    matmul_i8_transposed_b_into(q8, tile.k_codes, g, d, rows, bufs.si);
+    matmul_i8_packed_into(q8, g, tile.k, bufs.si);
 
-    bufs.p.clear();
-    bufs.p.resize(g * rows, 0.0);
-    bufs.p8.clear();
-    bufs.p8.resize(g * rows, 0);
-    let per_row = bufs
-        .si
-        .chunks_exact(rows)
-        .zip(bufs.p.chunks_exact_mut(rows))
-        .zip(bufs.p8.chunks_exact_mut(rows));
-    for (st, ((s_row, p_row), p8_row)) in state.iter_mut().zip(per_row) {
+    bufs.exp_rows.clear();
+    for (st, s_row) in state.iter_mut().zip(bufs.si.chunks_exact(rows)) {
         let s_scale = st.s_q * tile.k_scale * scale;
-        let row_max = match s_row.iter().max() {
-            Some(&mx) => mx as f32 * s_scale,
+        let row_max = match max_i32(s_row) {
+            Some(mx) => mx as f32 * s_scale,
             None => f32::NEG_INFINITY,
         };
         let m_new = st.m.max(row_max);
+        // A dead row (cannot happen with finite scores) gets an empty
+        // span: the tile contributes nothing to it, as in the original
+        // code, which left (o, l) unchanged.
         st.live = m_new != f32::NEG_INFINITY;
+        if st.live {
+            st.corr = if st.m == f32::NEG_INFINITY {
+                0.0
+            } else {
+                sas.exp(st.m - m_new)
+            };
+        }
+        let span = if st.live { (0, rows) } else { (0, 0) };
+        bufs.exp_rows.push(ScaledRow {
+            s_scale,
+            m_new,
+            span,
+        });
+    }
+    bufs.p.resize(g * rows, 0.0);
+    bufs.sums.resize(g, 0.0);
+    sas.exp_scaled_rows_into(bufs.si, rows, bufs.exp_rows, bufs.p, bufs.sums);
+
+    bufs.p8.clear();
+    bufs.p8.resize(g * rows, 0);
+    let per_row = bufs.exp_rows.iter().zip(bufs.sums.iter()).zip(
+        bufs.p
+            .chunks_exact(rows)
+            .zip(bufs.p8.chunks_exact_mut(rows)),
+    );
+    for (st, ((row, &row_sum), (p_row, p8_row))) in state.iter_mut().zip(per_row) {
         if !st.live {
-            // Tile contributed nothing (cannot happen with finite
-            // scores); the original code also left (o, l) unchanged.
             continue;
         }
-        st.corr = if st.m == f32::NEG_INFINITY {
-            0.0
-        } else {
-            sas.exp(st.m - m_new)
-        };
-        let row_sum = sas.exp_scaled_row_into(s_row, s_scale, m_new, p_row);
         st.l = st.l * st.corr + row_sum;
-        st.m = m_new;
+        st.m = row.m_new;
         // Quantize the probability row (Algorithm 1: s_P = max|P̃|/119).
         let s_p = quantize_row_sym_into(p_row, p8_row);
         st.pv_scale = s_p * tile.v_scale;
     }
 
-    // One integer P·V product for the group against the pre-transposed
-    // values.
-    matmul_i8_transposed_b_into(bufs.p8, tile.vt_codes, g, rows, d, bufs.pv);
+    // One integer P·V product for the group against the packed values.
+    matmul_i8_packed_into(bufs.p8, g, tile.v, bufs.pv);
     for ((st, o_row), pv_row) in state
         .iter()
         .zip(o.chunks_exact_mut(d))

@@ -13,7 +13,7 @@
 //!
 //! Prefill runs in two phases. Phase 1 is one task per KV head: it builds
 //! the head's cache and runs the K/V pre-pass once (stage-1 tiles, the
-//! progressive cache blocks, the transposed value tiles). Phase 2 is one
+//! progressive cache blocks, the packed K/V tiles). Phase 2 is one
 //! flat batch of `(query head, row block)` tasks, each sweeping its KV
 //! head's frozen tiles ([`turbo_prefill_head`](crate::prefill::turbo_prefill_head)
 //! runs the same two parts serially for one head).

@@ -16,8 +16,8 @@
 use crate::reference::Masking;
 use turbo_kvcache::HeadKvCache;
 use turbo_quant::symmetric::{quantize_slice_sym_into, SymQuantized};
-use turbo_softmax::Sas;
-use turbo_tensor::{matmul_i8_transposed_b_into, transpose_into, Matrix};
+use turbo_softmax::{Sas, ScaledRow};
+use turbo_tensor::{matmul_i8_packed_into, Matrix, PackedB};
 
 /// Result of a prefill pass over one head.
 #[derive(Clone, Debug)]
@@ -107,35 +107,23 @@ pub(crate) fn query_offset(q: &Matrix, k: &Matrix, masking: Masking) -> usize {
     k.rows() - q.rows()
 }
 
-/// A stage-1-quantized value tile with its codes stored channel-major
-/// (`d × rows`) — the transpose the integer `P⁸·V⁸` GEMM consumes. The
-/// transpose is paid once in the pre-pass instead of once per
-/// `(q-block, k-tile)` pair.
-struct VTile {
-    vt: Vec<i8>,
+/// A stage-1-quantized K or V tile, packed once in the pre-pass as the
+/// second operand of its GEMM ([`PackedB`]) instead of once per
+/// `(q-block, k-tile)` pair: a key tile as the `Kᵀ` of `Q⁸·(K⁸)ᵀ` (one
+/// column per key), a value tile as the `V` of `P⁸·V⁸` (one column per
+/// channel).
+struct PackedTile {
+    codes: PackedB,
     scale: f32,
-    rows: usize,
-}
-
-impl VTile {
-    fn new(v8: &SymQuantized) -> Self {
-        let (rows, d) = (v8.rows(), v8.cols());
-        let mut vt = vec![0i8; rows * d];
-        transpose_into(v8.codes(), rows, d, &mut vt);
-        Self {
-            vt,
-            scale: v8.scale(),
-            rows,
-        }
-    }
 }
 
 /// One KV head's INT8 tiles after the pre-pass. Every query head that
 /// shares the KV head sweeps these same frozen tiles, so each K/V tile is
 /// quantized once per prefill, as in Algorithm 1.
 pub(crate) struct KvTiles {
-    k_tiles: Vec<(usize, SymQuantized)>,
-    v_tiles: Vec<VTile>,
+    /// Each key tile with its first key's index.
+    k_tiles: Vec<(usize, PackedTile)>,
+    v_tiles: Vec<PackedTile>,
     n_k: usize,
     d: usize,
 }
@@ -143,7 +131,7 @@ pub(crate) struct KvTiles {
 impl KvTiles {
     /// The K/V pre-pass: stage-1 quantizes each `block_c`-row K/V tile,
     /// writes its progressive block to `cache` as Algorithm 1 does on the
-    /// first row sweep, and keeps the INT8 tiles (values transposed).
+    /// first row sweep, and keeps the INT8 tiles packed for the GEMMs.
     ///
     /// # Panics
     ///
@@ -165,8 +153,18 @@ impl KvTiles {
             let k8 = SymQuantized::quantize(&k_blk);
             let v8 = SymQuantized::quantize(&v_blk);
             cache.append_prefill_block(&k8, &v8);
-            k_tiles.push((kj, k8));
-            v_tiles.push(VTile::new(&v8));
+            let (rows, d) = (k8.rows(), k8.cols());
+            k_tiles.push((
+                kj,
+                PackedTile {
+                    codes: PackedB::from_rows(k8.codes(), rows, d),
+                    scale: k8.scale(),
+                },
+            ));
+            v_tiles.push(PackedTile {
+                codes: PackedB::from_cols(v8.codes(), rows, d),
+                scale: v8.scale(),
+            });
         }
         Self {
             k_tiles,
@@ -209,9 +207,9 @@ impl HeadSweep<'_> {
     /// logsumexp values.
     ///
     /// All intermediates (score tile, probability tile, its INT8
-    /// re-quantization, the integer `P·V` accumulator, the correction
-    /// row) are allocated once per *row block* and reused across every
-    /// K tile of the sweep — the old code reallocated each per tile.
+    /// re-quantization, the integer `P·V` accumulator, the per-row SAS
+    /// parameters, corrections and sums) are allocated once per *row
+    /// block* and reused across every K tile of the sweep.
     pub(crate) fn q_block(&self, qi: usize, q_blk: &Matrix) -> (Matrix, Vec<f32>) {
         let tiles = self.tiles;
         let (d, n_k, masking, offset) = (tiles.d, tiles.n_k, self.masking, self.offset);
@@ -224,17 +222,25 @@ impl HeadSweep<'_> {
 
         // Per-row-block scratch, reused for every K tile below.
         let mut s_int: Vec<i32> = Vec::new();
-        let mut spans = vec![(0usize, 0usize); br];
+        let mut rows = vec![
+            ScaledRow {
+                s_scale: 0.0,
+                m_new: 0.0,
+                span: (0, 0),
+            };
+            br
+        ];
         let mut p: Vec<f32> = Vec::new();
         let mut p8: Vec<i8> = Vec::new();
         let mut corr = vec![0.0f32; br];
+        let mut sums = vec![0.0f32; br];
         let mut pv: Vec<i32> = Vec::new();
 
         let (blk_lo, _) = masking.visible_range(qi + offset, n_k);
         let (_, blk_hi) = masking.visible_range(qi + br - 1 + offset, n_k);
-        for (tile_idx, (kj, k8)) in tiles.k_tiles.iter().enumerate() {
+        for ((kj, k8), v8) in tiles.k_tiles.iter().zip(&tiles.v_tiles) {
             let kj = *kj;
-            let bc = k8.rows();
+            let bc = k8.codes.n();
             if masking.is_causal_like() {
                 if kj > blk_hi {
                     break;
@@ -249,126 +255,157 @@ impl HeadSweep<'_> {
             // exponential consumes the raw codes plus `s_scale` directly
             // (masked entries contribute exactly 0.0 either way, so the
             // span form is value-identical to writing −∞ sentinels).
-            matmul_i8_transposed_b_into(q8.codes(), k8.codes(), br, d, bc, &mut s_int);
-            let s_scale = q8.scale() * k8.scale() * scale;
-            if masking.is_causal_like() {
-                for (i, span) in spans.iter_mut().enumerate() {
+            matmul_i8_packed_into(q8.codes(), br, &k8.codes, &mut s_int);
+            let s_scale = q8.scale() * k8.scale * scale;
+            for (i, row) in rows.iter_mut().enumerate() {
+                row.s_scale = s_scale;
+                row.span = if masking.is_causal_like() {
                     let (lo, hi) = masking.visible_range(qi + i + offset, n_k);
                     // Intersect [lo, hi] with this tile's keys [kj, kj+bc).
                     let j0 = lo.max(kj) - kj;
                     let j1 = (hi + 1).min(kj + bc).saturating_sub(kj);
-                    *span = if j0 < j1 { (j0, j1) } else { (0, 0) };
-                }
-            } else {
-                spans.fill((0, bc));
+                    if j0 < j1 {
+                        (j0, j1)
+                    } else {
+                        (0, 0)
+                    }
+                } else {
+                    (0, bc)
+                };
             }
 
-            online_update_quantized(
-                &mut o,
-                &mut m,
-                &mut l,
-                &s_int,
-                s_scale,
-                &spans,
-                bc,
-                &tiles.v_tiles[tile_idx],
-                self.sas,
-                &mut p,
-                &mut p8,
-                &mut corr,
-                &mut pv,
-            );
+            let mut bufs = TileBufs {
+                rows: &mut rows,
+                p: &mut p,
+                p8: &mut p8,
+                corr: &mut corr,
+                sums: &mut sums,
+                pv: &mut pv,
+            };
+            online_update_quantized(&mut o, &mut m, &mut l, &s_int, v8, self.sas, &mut bufs);
         }
 
-        let mut blk_out = Matrix::zeros(br, d);
+        // Normalize in place, one row slice at a time.
         let mut blk_lse = vec![0.0f32; br];
-        for i in 0..br {
-            assert!(l[i] > 0.0, "row {} attended to nothing", qi + i);
-            let inv = 1.0 / l[i];
-            for c in 0..d {
-                blk_out.set(i, c, o.get(i, c) * inv);
+        let rows = o.as_mut_slice().chunks_exact_mut(d);
+        for (i, ((o_row, lse), (&mi, &li))) in
+            rows.zip(&mut blk_lse).zip(m.iter().zip(&l)).enumerate()
+        {
+            assert!(li > 0.0, "row {} attended to nothing", qi + i);
+            let inv = 1.0 / li;
+            for x in o_row {
+                *x *= inv;
             }
-            blk_lse[i] = m[i] + l[i].ln();
+            *lse = mi + li.ln();
         }
-        (blk_out, blk_lse)
+        (o, blk_lse)
     }
+}
+
+/// The per-tile scratch of [`online_update_quantized`], reused across
+/// the tiles of one row block.
+struct TileBufs<'a> {
+    /// Each row's SAS parameters; the caller fills the visible spans and
+    /// the score scale.
+    rows: &'a mut [ScaledRow],
+    p: &'a mut Vec<f32>,
+    p8: &'a mut Vec<i8>,
+    corr: &'a mut [f32],
+    sums: &'a mut [f32],
+    pv: &'a mut Vec<i32>,
 }
 
 /// Shared quantized online-softmax update (steps 3–4 of Algorithm 1 and
 /// the body of Algorithm 2), fused on the *integer* score tile: per-row
-/// max over the raw `i32` codes, SAS exponentiation straight from codes
-/// plus `s_scale` ([`Sas::exp_scaled_row_into`]), INT8 re-quantization of
-/// the whole probability tile with a single scale (Algorithm 1:
-/// `s_P = max|P̃|/119`), and the integer `P⁸·V⁸` accumulation against the
-/// pre-transposed value codes. The f32 score tile never materializes.
+/// max over the raw `i32` codes, SAS exponentiation of the whole tile
+/// straight from codes plus `s_scale` ([`Sas::exp_scaled_rows_into`]),
+/// INT8 re-quantization of the whole probability tile with a single
+/// scale (Algorithm 1: `s_P = max|P̃|/119`), and the integer `P⁸·V⁸`
+/// accumulation against the packed value tile. The f32 score tile never
+/// materializes.
 ///
 /// Value-identical to the unfused form (dequantize → mask with −∞ →
 /// f32 row max → `exp_row_into`): `i32 → f32` conversion and the
 /// positive-scale multiply are weakly monotone, so the converted integer
 /// max *is* the f32 row max; masked/out-of-span entries produce exactly
 /// `0.0` on both paths, and `+0.0` terms do not perturb the non-negative
-/// left-to-right row sum. All buffers are caller-owned scratch; nothing
-/// is allocated here.
-#[allow(clippy::too_many_arguments)]
+/// left-to-right row sum. The row sums run as interleaved chains across
+/// rows, each row still in order, and the output epilogue walks row
+/// slices. All buffers are caller-owned scratch; nothing is allocated
+/// here once they have grown.
 fn online_update_quantized(
     o: &mut Matrix,
     m: &mut [f32],
     l: &mut [f32],
     s_int: &[i32],
-    s_scale: f32,
-    spans: &[(usize, usize)],
-    bc: usize,
-    v8: &VTile,
+    v8: &PackedTile,
     sas: &Sas,
-    p: &mut Vec<f32>,
-    p8: &mut Vec<i8>,
-    corr: &mut [f32],
-    pv: &mut Vec<i32>,
+    bufs: &mut TileBufs<'_>,
 ) {
     let br = m.len();
     let d = o.cols();
+    let bc = v8.codes.k();
     debug_assert_eq!(s_int.len(), br * bc, "score tile shape mismatch");
-    debug_assert_eq!(spans.len(), br, "span row-count mismatch");
-    debug_assert_eq!(v8.rows, bc, "V tile height mismatch");
-    debug_assert_eq!(v8.vt.len(), bc * d, "V tile width mismatch");
+    debug_assert_eq!(bufs.rows.len(), br, "row-count mismatch");
+    debug_assert_eq!(v8.codes.n(), d, "V tile width mismatch");
 
-    // Compute the SAS probability tile row-by-row, then one integer GEMM.
-    p.clear();
-    p.resize(br * bc, 0.0);
-    for i in 0..br {
-        let (j0, j1) = spans[i];
-        let row_codes = &s_int[i * bc + j0..i * bc + j1];
-        let row_max = match row_codes.iter().max() {
-            Some(&mx) => mx as f32 * s_scale,
+    for (i, row) in bufs.rows.iter_mut().enumerate() {
+        let (j0, j1) = row.span;
+        let row_max = match max_i32(&s_int[i * bc + j0..i * bc + j1]) {
+            Some(mx) => mx as f32 * row.s_scale,
             None => f32::NEG_INFINITY, // fully masked row in this tile
         };
-        let m_new = m[i].max(row_max);
-        if m_new == f32::NEG_INFINITY {
-            corr[i] = 1.0; // row untouched by this tile
+        row.m_new = m[i].max(row_max);
+        if row.m_new == f32::NEG_INFINITY {
+            // Row untouched by this tile: its probabilities stay zero.
+            bufs.corr[i] = 1.0;
+            row.span = (0, 0);
             continue;
         }
-        corr[i] = if m[i] == f32::NEG_INFINITY {
+        bufs.corr[i] = if m[i] == f32::NEG_INFINITY {
             0.0
         } else {
-            sas.exp(m[i] - m_new)
+            sas.exp(m[i] - row.m_new)
         };
-        let row_sum =
-            sas.exp_scaled_row_into(row_codes, s_scale, m_new, &mut p[i * bc + j0..i * bc + j1]);
-        l[i] = l[i] * corr[i] + row_sum;
-        m[i] = m_new;
+    }
+    bufs.p.resize(br * bc, 0.0);
+    sas.exp_scaled_rows_into(s_int, bc, bufs.rows, bufs.p, bufs.sums);
+    for (i, row) in bufs.rows.iter().enumerate() {
+        if row.m_new != f32::NEG_INFINITY {
+            l[i] = l[i] * bufs.corr[i] + bufs.sums[i];
+            m[i] = row.m_new;
+        }
     }
 
     // One scale over the whole tile, as the paper's P quantization does.
-    let s_p = quantize_slice_sym_into(p, p8);
-    matmul_i8_transposed_b_into(p8, &v8.vt, br, bc, d, pv);
+    let s_p = quantize_slice_sym_into(bufs.p, bufs.p8);
+    matmul_i8_packed_into(bufs.p8, br, &v8.codes, bufs.pv);
     let pv_scale = s_p * v8.scale;
-    for i in 0..br {
-        let ci = corr[i];
-        for c in 0..d {
-            let acc = o.get(i, c) * ci + pv[i * d + c] as f32 * pv_scale;
-            o.set(i, c, acc);
+    let rows = o
+        .as_mut_slice()
+        .chunks_exact_mut(d)
+        .zip(bufs.pv.chunks_exact(d));
+    for ((o_row, pv_row), &ci) in rows.zip(bufs.corr.iter()) {
+        for (x, &acc) in o_row.iter_mut().zip(pv_row) {
+            *x = *x * ci + acc as f32 * pv_scale;
         }
     }
+}
+
+/// The maximum of `x`, folded in eight independent lanes (integer `max`
+/// is order-free), or `None` if `x` is empty.
+pub(crate) fn max_i32(x: &[i32]) -> Option<i32> {
+    const LANES: usize = 8;
+    let first = *x.first()?;
+    let mut lanes = [first; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = (*m).max(v);
+        }
+    }
+    let folded = lanes.into_iter().fold(first, i32::max);
+    Some(chunks.remainder().iter().fold(folded, |m, &v| m.max(v)))
 }
 
 #[cfg(test)]

@@ -2,9 +2,9 @@
 //!
 //! Every fused decode step needs a handful of short-lived buffers: the
 //! quantized query rows, one score block, one probability block, its
-//! INT8 re-quantization, the integer `P·V` accumulator, a transposed copy
-//! of the open buffer's value codes, the unnormalized output rows, and
-//! one online-softmax state per query row. A grouped-query step attends
+//! INT8 re-quantization, the integer `P·V` accumulator, the per-row SAS
+//! parameters and sums, the unnormalized output rows, and one
+//! online-softmax state per query row. A grouped-query step attends
 //! `G` query rows at once, so every per-row buffer holds `G` rows laid
 //! out row-major. The original kernels allocated each of these per call
 //! (and some per *tile*); a [`Scratch`] owns them all so a steady-state
@@ -18,6 +18,7 @@
 //! they read.
 
 use turbo_kvcache::HeadKvCache;
+use turbo_softmax::ScaledRow;
 
 /// Reusable buffer arena for
 /// [`turbo_attend_group_into`](crate::decode::turbo_attend_group_into)
@@ -41,10 +42,10 @@ pub struct Scratch {
     pub(crate) p8: Vec<i8>,
     /// Integer `P·V` accumulator (`G × d` lanes).
     pub(crate) pv: Vec<i32>,
-    /// Channel-major transpose of the open buffer's value codes
-    /// (`d × buffer_len`; resident blocks carry theirs pre-transposed in
-    /// the tile cache).
-    pub(crate) vt: Vec<i8>,
+    /// Per-row SAS parameters for the current tile (`G` entries).
+    pub(crate) exp_rows: Vec<ScaledRow>,
+    /// Per-row probability sums for the current tile (`G` entries).
+    pub(crate) sums: Vec<f32>,
     /// Unnormalized output accumulators (`G × d` floats).
     pub(crate) o: Vec<f32>,
     /// Online-softmax state, one per query row (`G` entries).
@@ -125,7 +126,8 @@ impl Scratch {
         ensure_cap(&mut self.p, g * max_bc);
         ensure_cap(&mut self.p8, g * max_bc);
         ensure_cap(&mut self.pv, g * d);
-        ensure_cap(&mut self.vt, d * max_bc);
+        ensure_cap(&mut self.exp_rows, g);
+        ensure_cap(&mut self.sums, g);
         ensure_cap(&mut self.o, g * d);
         ensure_cap(&mut self.rows, g);
     }
@@ -163,7 +165,8 @@ mod tests {
         assert!(s.p.capacity() >= 16);
         assert!(s.p8.capacity() >= 16);
         assert!(s.pv.capacity() >= 8);
-        assert!(s.vt.capacity() >= 8 * 16);
+        assert!(s.exp_rows.capacity() >= 1);
+        assert!(s.sums.capacity() >= 1);
         assert!(s.o.capacity() >= 8);
         assert!(s.rows.capacity() >= 1);
 
@@ -172,7 +175,8 @@ mod tests {
         assert!(g.si.capacity() >= 4 * 16);
         assert!(g.p8.capacity() >= 4 * 16);
         assert!(g.pv.capacity() >= 4 * 8);
-        assert!(g.vt.capacity() >= 8 * 16);
+        assert!(g.exp_rows.capacity() >= 4);
+        assert!(g.sums.capacity() >= 4);
         assert!(g.o.capacity() >= 4 * 8);
         assert!(g.rows.capacity() >= 4);
     }

@@ -221,15 +221,17 @@ fn bench_decode(c: &mut Criterion) {
 /// the shapes the fused sweeps actually run (64-wide dot for QK^T at
 /// d=64; a 64×64×64 tile GEMM; the grouped-decode GEMMs of G=4 query
 /// rows at d=128 over a 64-row tile, scores 4×128×64 and `P·V`
-/// 4×64×128, and their one-row twin at d=64), plus one G=4 grouped
+/// 4×64×128, and their one-row twin at d=64; the `matmul_*` rows pack
+/// their second operand per call, the `matmul_packed_*` rows multiply
+/// an operand packed once), plus one G=4 grouped
 /// attend over 1024 cached tokens at d=128 beside its G=1 twin. On a
 /// machine without vector support the scalar and dispatched rows
 /// coincide; the delta is the per-call win the SIMD layer buys before
 /// any fusion. These rows are recorded for the trend, not gated — the
 /// end-to-end prefill/decode rows above are the gate.
 fn bench_i8_kernels(c: &mut Criterion) {
-    use turbo_tensor::simd::{dot_i8_on, matmul_i8t_on};
-    use turbo_tensor::{simd_level, SimdLevel};
+    use turbo_tensor::simd::{dot_i8_on, matmul_i8_packed_on, matmul_i8t_on};
+    use turbo_tensor::{simd_level, PackedB, SimdLevel};
     let mut rng = TensorRng::new(41);
     let mk = |n: usize, rng: &mut TensorRng| -> Vec<i8> {
         (0..n)
@@ -291,6 +293,22 @@ fn bench_i8_kernels(c: &mut Criterion) {
             black_box(out[0])
         })
     });
+    // The same GEMMs against an operand packed once, as the attention
+    // sweeps run them: the rows above include a pack per call.
+    let tile64 = PackedB::from_rows(&gb, 64, D);
+    let tile128 = PackedB::from_rows(&tile, 64, GD);
+    for (name, a, m, b) in [
+        ("matmul_packed_64x64x64", &ga, 64, &tile64),
+        ("matmul_packed_4x128x64", &qa, 4, &tile128),
+        ("matmul_packed_1x64x64", &a, 1, &tile64),
+    ] {
+        g.bench_function(name, |bch| {
+            bch.iter(|| {
+                matmul_i8_packed_on(level, black_box(a), m, black_box(b), &mut out);
+                black_box(out[0])
+            })
+        });
+    }
 
     let ctx = rng.normal(1024, GD, 0.0, 1.0);
     let mut cache = HeadKvCache::new(GD, KvCacheConfig::default());

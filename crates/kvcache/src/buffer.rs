@@ -1,7 +1,7 @@
 //! The enhanced INT8 decode buffer with a universal scale.
 
 use crate::error::CacheError;
-use turbo_quant::symmetric::{SymQuantized, SYM_INT8_DIVISOR};
+use turbo_quant::symmetric::{encode_row_sym_into, SymQuantized, SYM_INT8_DIVISOR};
 use turbo_tensor::Matrix;
 
 /// Headroom multiplier applied to the first token's range when the buffer
@@ -10,6 +10,9 @@ use turbo_tensor::Matrix;
 /// peak) while INT8 still leaves ~30 codes of resolution per unit of the
 /// opening range — far finer than the INT4/2 resident cache.
 const UNIVERSAL_SCALE_HEADROOM: f32 = 4.0;
+
+/// Smallest `|x / s|` that rounds outside the INT8 code range `±127`.
+const CLAMP_EDGE: f32 = 127.5;
 
 /// An INT8 token buffer whose scale is fixed at open time.
 ///
@@ -88,7 +91,7 @@ impl Int8Buffer {
             return Err(CacheError::NonFinite { channel });
         }
         let scale = *self.scale.get_or_insert_with(|| {
-            let abs_max = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+            let abs_max = turbo_tensor::abs_max(row);
             if abs_max == 0.0 {
                 1.0
             } else {
@@ -102,14 +105,16 @@ impl Int8Buffer {
                 (abs_max / SYM_INT8_DIVISOR * UNIVERSAL_SCALE_HEADROOM).min(f32::MAX / 128.0)
             }
         });
-        let mut clamped_here = 0usize;
-        for &x in row {
-            let q = (x / scale).round();
-            if !(-127.0..=127.0).contains(&q) {
-                clamped_here += 1;
-            }
-            self.codes.push(q.clamp(-127.0, 127.0) as i8);
-        }
+        let start = self.codes.len();
+        self.codes.resize(start + self.d, 0);
+        encode_row_sym_into(row, scale, &mut self.codes[start..]);
+        // `x / s` rounds (half away from zero) outside ±127 exactly when
+        // its magnitude reaches 127.5; the row is finite and the scale
+        // positive, so no quotient is NaN.
+        let clamped_here: usize = row
+            .iter()
+            .map(|&x| usize::from((x / scale).abs() >= CLAMP_EDGE))
+            .sum();
         self.rows += 1;
         self.clamped += clamped_here as u64;
         Ok(clamped_here)
@@ -143,6 +148,16 @@ impl Int8Buffer {
     /// The INT8 codes, row-major `rows × d`.
     pub fn codes(&self) -> &[i8] {
         &self.codes
+    }
+
+    /// The codes of the newest row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer is empty.
+    pub fn last_row(&self) -> &[i8] {
+        assert!(!self.is_empty(), "empty buffer has no last row");
+        &self.codes[self.codes.len() - self.d..]
     }
 
     /// Snapshot of the buffer as a [`SymQuantized`] block (for integer
@@ -315,6 +330,73 @@ mod tests {
             assert_eq!(b.codes.capacity(), cap, "append grew capacity");
             b.clear();
             assert_eq!(b.codes.capacity(), cap, "clear dropped capacity");
+        }
+    }
+
+    /// The scalar encode the dispatched one replaced: divide, round,
+    /// count the out-of-range codes, clamp.
+    fn scalar_append(row: &[f32], scale: f32, codes: &mut Vec<i8>) -> usize {
+        let mut clamped = 0;
+        for &x in row {
+            let q = (x / scale).round();
+            if !(-127.0..=127.0).contains(&q) {
+                clamped += 1;
+            }
+            codes.push(q.clamp(-127.0, 127.0) as i8);
+        }
+        clamped
+    }
+
+    #[test]
+    fn dispatched_encode_matches_the_scalar_formula() {
+        let mut state = 0x5EEDu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) as f32 / (1u64 << 24) as f32) * 2.0 - 1.0
+        };
+        for d in [1usize, 3, 7, 8, 31, 32, 33, 64, 100, 128] {
+            // A plain opening row, then rows up to 8× its peak (clamping
+            // past the 4× headroom), the exact ±127.5 rounding edges, and
+            // an opening row at f32::MAX on a second buffer.
+            let open: Vec<f32> = (0..d).map(|_| next()).collect();
+            let mut rows = vec![open.clone()];
+            for gain in [0.5f32, 2.0, 4.0, 6.0, 8.0] {
+                rows.push((0..d).map(|_| next() * gain).collect());
+            }
+            for (first, buffer_rows) in [
+                (open, rows),
+                (
+                    (0..d)
+                        .map(|i| {
+                            if i % 2 == 0 {
+                                f32::MAX
+                            } else {
+                                -f32::MAX / 3.0
+                            }
+                        })
+                        .collect(),
+                    vec![(0..d).map(|_| next() * 1e37).collect()],
+                ),
+            ] {
+                let mut b = Int8Buffer::new(d);
+                b.try_append(&first).unwrap();
+                let scale = b.scale().unwrap();
+                let mut want = Vec::new();
+                let mut want_clamped = scalar_append(&first, scale, &mut want) as u64;
+                let edges: Vec<f32> = (0..d)
+                    .map(|i| [127.5, -127.5, 127.49, -127.49][i % 4] * scale)
+                    .collect();
+                for row in buffer_rows.iter().chain([&edges]) {
+                    let got = b.try_append(row).unwrap();
+                    let clamped = scalar_append(row, scale, &mut want);
+                    assert_eq!(got, clamped, "d {d}: clamp count");
+                    want_clamped += clamped as u64;
+                }
+                assert_eq!(b.codes(), &want[..], "d {d}: codes");
+                assert_eq!(b.clamped_elements(), want_clamped, "d {d}: clamped total");
+            }
         }
     }
 

@@ -5,17 +5,18 @@
 //! flushes, yet the naive hot path re-ran the pure-integer INT4/2 → INT8
 //! expansion (`dequantize_to_int8`) for both K and V of every block on
 //! every token. This module memoizes that expansion: a [`DequantTile`]
-//! holds the INT8 key codes (row-major, matmul-ready) and the value codes
-//! *pre-transposed* to channel-major — the exact layout the fused `P·V`
-//! kernel consumes — so a warm decode step performs no dequantization and
-//! no transposition at all.
+//! holds the INT8 key and value codes already packed as the operands of
+//! the decode GEMMs ([`PackedB`]: the 4-byte interleave the `vpdpbusd`
+//! and `SDOT` kernels read), so a warm decode step performs no
+//! dequantization, transposition or packing at all.
 //!
 //! A miss builds the tile in one pass per block
-//! ([`ProgressiveBlock::dequantize_channel_major_into`]): the packed codes
-//! are stored channel-major, which is already the `Vᵀ` layout, so V is
-//! expanded straight into `vt_codes` and K takes one transpose to
-//! row-major. The first decode step after a prefill misses on every
-//! prefill block, so this build sets that step's latency.
+//! ([`ProgressiveBlock::dequantize_channels`]): the packed codes are
+//! stored channel-major, and each expanded channel goes straight to its
+//! place in the packed operand — a value channel is one output column of
+//! `P·V`, four key channels are one quad of every token's column of
+//! `q·Kᵀ`. The first decode step after a prefill misses on every prefill
+//! block, so this build sets that step's latency.
 //!
 //! Correctness does not depend on the cache: the expansion is a
 //! deterministic pure function of the block, so a cached tile is
@@ -38,7 +39,8 @@ use std::sync::{Arc, Mutex};
 
 use turbo_quant::ProgressiveBlock;
 use turbo_robust::{HealthEvent, HealthStats};
-use turbo_tensor::transpose_into;
+use turbo_tensor::packed::{PANEL, QUAD};
+use turbo_tensor::PackedB;
 
 /// Default tile-cache byte budget (32 MiB): comfortably holds the
 /// resident set of the bench and test workloads while still exercising
@@ -46,18 +48,18 @@ use turbo_tensor::transpose_into;
 pub const DEFAULT_TILE_CACHE_BUDGET: usize = 32 << 20;
 
 /// The memoized INT8 expansion of one resident K/V block pair, laid out
-/// exactly as the fused decode kernels consume it.
+/// exactly as the decode GEMMs consume it: both halves are
+/// [`PackedB`] operands of [`matmul_i8_packed_into`](turbo_tensor::matmul_i8_packed_into).
 ///
-/// * `k_codes` — key codes row-major (`rows × d`), ready to be the
-///   transposed-B operand of the `q·Kᵀ` INT8 matmul.
-/// * `vt_codes` — value codes **channel-major** (`d × rows`), i.e. the
-///   transpose the `P·V` kernel needs; computing it here removes the
-///   per-step `transpose_codes` allocation from the hot path.
+/// * keys — one output column per token (`rows` columns, reduction over
+///   the `d` channels): the `Kᵀ` of the score GEMM `q · Kᵀ`;
+/// * values — one output column per channel (`d` columns, reduction over
+///   the `rows` tokens): the `V` of the `P · V` GEMM.
 #[derive(Clone, Debug)]
 pub struct DequantTile {
-    k_codes: Vec<i8>,
+    k: PackedB,
     k_scale: f32,
-    vt_codes: Vec<i8>,
+    v: PackedB,
     v_scale: f32,
     rows: usize,
     d: usize,
@@ -68,6 +70,11 @@ impl DequantTile {
     /// the blocks: two calls on the same blocks produce bit-identical
     /// tiles, which is why memoization cannot change attention output.
     ///
+    /// Each block expands a few channels at a time
+    /// ([`ProgressiveBlock::dequantize_channels`]) straight into its
+    /// packed operand: eight value channels are one panel of columns, and
+    /// four key channels are one quad of every token's column.
+    ///
     /// # Panics
     ///
     /// Panics if the blocks disagree in shape.
@@ -76,27 +83,43 @@ impl DequantTile {
         assert_eq!(k.cols(), v.cols(), "K/V channel mismatch");
         let rows = k.rows();
         let d = k.cols();
-        // Blocks are stored channel-major, which is already Vᵀ; K takes
-        // one transpose to row-major.
-        let mut vt_codes = vec![0i8; rows * d];
-        v.dequantize_channel_major_into(&mut vt_codes);
-        let mut kt_codes = vec![0i8; rows * d];
-        k.dequantize_channel_major_into(&mut kt_codes);
-        let mut k_codes = vec![0i8; rows * d];
-        transpose_into(&kt_codes, d, rows, &mut k_codes);
+        // Eight value channels fill one panel of columns; four key
+        // channels fill one quad of every token's column.
+        let mut vp = PackedB::new();
+        vp.reset(d, rows);
+        v.dequantize_channels(PANEL, |c0, codes| {
+            let mut cols = [&[][..]; PANEL];
+            for (col, codes) in cols.iter_mut().zip(codes.chunks_exact(rows)) {
+                *col = codes;
+            }
+            vp.write_panel(c0 / PANEL, &cols[..codes.len() / rows]);
+        });
+        let mut kp = PackedB::new();
+        kp.reset(rows, d);
+        k.dequantize_channels(QUAD, |c0, codes| {
+            if codes.len() == QUAD * rows {
+                let quad = std::array::from_fn(|t| &codes[t * rows..(t + 1) * rows]);
+                kp.write_reduction_quad(c0 / QUAD, quad);
+            } else {
+                for (t, channel) in codes.chunks_exact(rows).enumerate() {
+                    kp.write_reduction(c0 + t, channel);
+                }
+            }
+        });
         Self {
-            k_codes,
+            k: kp,
             k_scale: k.outer_scale(),
-            vt_codes,
+            v: vp,
             v_scale: v.outer_scale(),
             rows,
             d,
         }
     }
 
-    /// INT8 key codes, row-major `rows × d`.
-    pub fn k_codes(&self) -> &[i8] {
-        &self.k_codes
+    /// INT8 key codes as the score GEMM's packed operand: `rows` columns
+    /// of `d` channels.
+    pub fn keys(&self) -> &PackedB {
+        &self.k
     }
 
     /// Scale of the key codes.
@@ -104,9 +127,10 @@ impl DequantTile {
         self.k_scale
     }
 
-    /// INT8 value codes, channel-major `d × rows` (pre-transposed).
-    pub fn vt_codes(&self) -> &[i8] {
-        &self.vt_codes
+    /// INT8 value codes as the `P·V` GEMM's packed operand: `d` columns
+    /// of `rows` tokens.
+    pub fn values(&self) -> &PackedB {
+        &self.v
     }
 
     /// Scale of the value codes.
@@ -124,9 +148,9 @@ impl DequantTile {
         self.d
     }
 
-    /// Resident footprint of this tile in bytes.
+    /// Resident footprint of this tile in bytes, panel padding included.
     pub fn bytes(&self) -> usize {
-        self.k_codes.len() + self.vt_codes.len() + 2 * std::mem::size_of::<f32>()
+        self.k.bytes() + self.v.bytes() + 2 * std::mem::size_of::<f32>()
     }
 }
 
@@ -348,14 +372,15 @@ mod tests {
         let tile = DequantTile::from_blocks(&k, &v);
         let k8 = k.dequantize_to_int8();
         let v8 = v.dequantize_to_int8();
-        assert_eq!(tile.k_codes(), k8.codes());
+        assert_eq!(tile.keys().to_rows(), k8.codes());
         assert_eq!(tile.k_scale(), k8.scale());
         assert_eq!(tile.v_scale(), v8.scale());
         for r in 0..16 {
             for c in 0..8 {
-                assert_eq!(tile.vt_codes()[c * 16 + r], v8.codes()[r * 8 + c]);
+                assert_eq!(tile.values().get(c, r), v8.codes()[r * 8 + c]);
             }
         }
+        // 16 × 8 fills whole panels and quads: no padding.
         assert_eq!(tile.bytes(), 16 * 8 * 2 + 8);
     }
 
@@ -419,14 +444,14 @@ mod tests {
                         let tile = DequantTile::from_blocks(&k, &v);
                         let what = format!("{bits:?} {rows}x{d} group {group_size}");
                         assert_eq!(
-                            tile.k_codes(),
-                            &reference_expand(&k, false)[..],
+                            tile.keys().to_rows(),
+                            reference_expand(&k, false),
                             "{what}: K"
                         );
                         assert_eq!(
-                            tile.vt_codes(),
-                            &reference_expand(&v, true)[..],
-                            "{what}: Vt"
+                            tile.values().to_rows(),
+                            reference_expand(&v, true),
+                            "{what}: V"
                         );
                         assert_eq!(
                             (tile.k_scale(), tile.v_scale()),

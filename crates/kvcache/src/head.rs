@@ -8,7 +8,7 @@ use crate::error::CacheError;
 use crate::stats::MemoryStats;
 use turbo_quant::{BitWidth, ProgressiveBlock, SymQuantized};
 use turbo_robust::HealthStats;
-use turbo_tensor::Matrix;
+use turbo_tensor::{Matrix, PackedB};
 
 /// Configuration of one head's KV cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,6 +54,14 @@ pub struct HeadKvCache {
     /// same immutable block.
     generation: u64,
     tile_cache: TileCacheCell,
+    /// The open key buffer as the score GEMM's packed operand, one column
+    /// per buffered token. Like the tile cache, derived working state:
+    /// rebuilt from the buffer, never serialized, not in
+    /// [`MemoryStats`].
+    k_view: PackedB,
+    /// The open value buffer as the `P·V` GEMM's packed operand, one
+    /// reduction index per buffered token.
+    v_view: PackedB,
 }
 
 /// Ceiling on the rows pre-reserved in the open buffers at construction.
@@ -64,6 +72,16 @@ const MAX_EAGER_RESERVE_ROWS: usize = 4096;
 
 fn eager_reserve_rows(config: &KvCacheConfig) -> usize {
     config.buffer_capacity.min(MAX_EAGER_RESERVE_ROWS)
+}
+
+/// The packed views of empty open buffers of width `d`: keys with no
+/// columns yet, values with no reduction indices yet.
+fn empty_views(d: usize) -> (PackedB, PackedB) {
+    let mut k_view = PackedB::new();
+    k_view.reset(0, d);
+    let mut v_view = PackedB::new();
+    v_view.reset(d, 0);
+    (k_view, v_view)
 }
 
 impl HeadKvCache {
@@ -92,6 +110,9 @@ impl HeadKvCache {
         // so sentinel "never flush" capacities don't demand the universe.
         k_buf.reserve_rows(eager_reserve_rows(&config));
         v_buf.reserve_rows(eager_reserve_rows(&config));
+        let (mut k_view, mut v_view) = empty_views(d);
+        k_view.reserve_columns(eager_reserve_rows(&config));
+        v_view.reserve_reduction(eager_reserve_rows(&config));
         Self {
             d,
             config,
@@ -102,6 +123,8 @@ impl HeadKvCache {
             resident_tokens: 0,
             generation: 0,
             tile_cache: TileCacheCell::new(DEFAULT_TILE_CACHE_BUDGET),
+            k_view,
+            v_view,
         }
     }
 
@@ -133,6 +156,15 @@ impl HeadKvCache {
         // Recovery (WAL replay, deserialization) starts with a cold tile
         // cache: the rebuilt blocks get a fresh generation-0 identity, so
         // nothing from a previous life of the cache can be served.
+        let (mut k_view, mut v_view) = empty_views(d);
+        for (k, v) in k_buf
+            .codes()
+            .chunks_exact(d)
+            .zip(v_buf.codes().chunks_exact(d))
+        {
+            k_view.push_column(k);
+            v_view.push_reduction(v);
+        }
         Self {
             d,
             config,
@@ -143,6 +175,8 @@ impl HeadKvCache {
             resident_tokens,
             generation: 0,
             tile_cache: TileCacheCell::new(DEFAULT_TILE_CACHE_BUDGET),
+            k_view,
+            v_view,
         }
     }
 
@@ -191,6 +225,21 @@ impl HeadKvCache {
         &self.v_buf
     }
 
+    /// The open key buffer's codes as the packed operand of the score
+    /// GEMM `q · Kᵀ`: one column per buffered token. It grows by one
+    /// column per append and empties at a flush.
+    pub fn key_view(&self) -> &PackedB {
+        &self.k_view
+    }
+
+    /// The open value buffer's codes as the packed operand of the `P · V`
+    /// GEMM: one column per channel, one reduction index per buffered
+    /// token. It grows by one reduction index per append and empties at
+    /// a flush.
+    pub fn value_view(&self) -> &PackedB {
+        &self.v_view
+    }
+
     /// Appends one decoded token's key/value vectors, flushing the buffer
     /// into a progressive block when it reaches capacity.
     ///
@@ -217,6 +266,8 @@ impl HeadKvCache {
         self.v_buf
             .try_append(v)
             .expect("V row validated before K was appended");
+        self.k_view.push_column(self.k_buf.last_row());
+        self.v_view.push_reduction(self.v_buf.last_row());
         if self.k_buf.len() >= self.config.buffer_capacity {
             self.try_flush()?;
         }
@@ -276,6 +327,8 @@ impl HeadKvCache {
         self.resident_tokens += self.k_buf.len();
         self.k_buf.clear();
         self.v_buf.clear();
+        self.k_view.reset(0, self.d);
+        self.v_view.clear_reduction();
         Ok(())
     }
 
@@ -626,6 +679,39 @@ mod tests {
         assert_eq!(c.key_buffer().len(), c.value_buffer().len());
     }
 
+    /// The open buffer's packed views hold exactly the buffer's codes
+    /// after every append and flush, and recovery rebuilds them.
+    #[test]
+    fn buffer_views_track_appends_flushes_and_recovery() {
+        let mut rng = TensorRng::new(44);
+        let d = 6;
+        let data = rng.normal(29, d, 0.0, 1.0);
+        let mut c = HeadKvCache::new(d, cfg(BitWidth::Int4, 8));
+        let views_match = |c: &HeadKvCache| {
+            let (kb, vb) = (c.key_buffer().codes(), c.value_buffer().codes());
+            let rows = c.buffer_len();
+            assert_eq!(c.key_view().to_rows(), kb);
+            assert_eq!((c.value_view().n(), c.value_view().k()), (d, rows));
+            for t in 0..rows {
+                for ch in 0..d {
+                    let (got, want) = (c.value_view().get(ch, t), vb[t * d + ch]);
+                    assert_eq!(got, want, "token {t} channel {ch}");
+                }
+            }
+        };
+        for t in 0..29 {
+            let v: Vec<f32> = data.row(t).iter().map(|x| -x).collect();
+            c.try_append(data.row(t), &v).unwrap();
+            views_match(&c);
+        }
+        assert_eq!((c.resident_blocks().len(), c.buffer_len()), (3, 5));
+        let bytes = crate::persist::serialize_head_cache(&c);
+        let back = crate::persist::deserialize_head_cache(&bytes).unwrap();
+        views_match(&back);
+        assert_eq!(back.key_view().to_rows(), c.key_view().to_rows());
+        assert_eq!(back.value_view().to_rows(), c.value_view().to_rows());
+    }
+
     #[test]
     fn try_flush_on_empty_buffer_is_ok() {
         let mut c = HeadKvCache::new(2, cfg(BitWidth::Int4, 8));
@@ -647,7 +733,7 @@ mod tests {
         assert_eq!(c.resident_blocks().len(), 2);
         let tile = c.resident_tile(1);
         let k8 = c.resident_blocks()[1].dequantize_to_int8();
-        assert_eq!(tile.k_codes(), k8.codes());
+        assert_eq!(tile.keys().to_rows(), k8.codes());
         assert_eq!(tile.k_scale(), k8.scale());
         let again = c.resident_tile(1);
         assert!(std::sync::Arc::ptr_eq(&tile, &again), "second lookup must hit");
@@ -672,7 +758,7 @@ mod tests {
         assert_eq!(c.generation(), g0, "a flush must not bump");
         let again = c.resident_tile(0);
         assert!(Arc::ptr_eq(&tile, &again), "block 0's tile must survive flushes");
-        assert_eq!(again.k_codes(), c.resident_blocks()[0].dequantize_to_int8().codes());
+        assert_eq!(again.keys().to_rows(), c.resident_blocks()[0].dequantize_to_int8().codes());
 
         // So does a prefill block append (on a fresh cache: prefill
         // precedes decode).
@@ -684,7 +770,7 @@ mod tests {
         assert_eq!(p.generation(), 0, "a prefill append must not bump");
         let kept = p.resident_tile(0);
         assert!(Arc::ptr_eq(&first, &kept), "tile must survive a prefill append");
-        assert_eq!(kept.k_codes(), p.resident_blocks()[0].dequantize_to_int8().codes());
+        assert_eq!(kept.keys().to_rows(), p.resident_blocks()[0].dequantize_to_int8().codes());
         let v8 = p.resident_value_blocks()[0].dequantize_to_int8();
         assert_eq!(kept.v_scale(), v8.scale());
 
@@ -698,7 +784,7 @@ mod tests {
         assert_eq!(c.tile_cache_stats().entries, 0);
         // Tiles for the post-eviction layout still serve correctly.
         let tile = c.resident_tile(1);
-        assert_eq!(tile.k_codes(), c.resident_blocks()[1].dequantize_to_int8().codes());
+        assert_eq!(tile.keys().to_rows(), c.resident_blocks()[1].dequantize_to_int8().codes());
     }
 
     #[test]
@@ -711,7 +797,7 @@ mod tests {
         }
         let a = c.resident_tile(0);
         let b = c.resident_tile(0);
-        assert_eq!(a.k_codes(), b.k_codes());
+        assert_eq!(a.keys().to_rows(), b.keys().to_rows());
         assert_eq!(c.tile_cache_stats().hits, 0);
         assert_eq!(c.tile_cache_stats().misses, 2);
     }

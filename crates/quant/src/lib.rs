@@ -53,6 +53,6 @@ pub use packing::PackedCodes;
 pub use progressive::{ProgressiveBlock, QuantError};
 pub use rotation::{fht, hadamard_rotate};
 pub use symmetric::{
-    quantize_row_sym_into, quantize_slice_sym, quantize_slice_sym_into, SymQuantized,
-    SYM_INT8_DIVISOR,
+    encode_row_sym_into, quantize_row_sym_into, quantize_slice_sym, quantize_slice_sym_into,
+    SymQuantized, SYM_INT8_DIVISOR,
 };

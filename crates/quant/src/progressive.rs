@@ -31,9 +31,12 @@
 //!   packs the codes a byte at a time.
 //! * **Expand** ([`ProgressiveBlock::dequantize_channel_major_into`])
 //!   unpacks the codes a byte at a time and evaluates each group's
-//!   `(q² + z)·s` in 16-bit lanes. Its channel-major output is the `Vᵀ`
-//!   layout the `P·V` kernel reads; [`ProgressiveBlock::dequantize_to_int8`]
-//!   adds one transpose for the row-major layout.
+//!   `(q² + z)·s` in 16-bit lanes, channel by channel.
+//!   [`ProgressiveBlock::dequantize_to_int8`] adds one transpose for the
+//!   row-major layout; [`ProgressiveBlock::dequantize_channels`] hands
+//!   the expanded channels to the caller a few at a time instead, which
+//!   is how the decode tile cache writes the GEMM's packed operands
+//!   directly.
 
 use crate::bitwidth::BitWidth;
 use crate::packing::{pack_into, unpack_into, PackedCodes};
@@ -100,6 +103,18 @@ impl RoundDiv {
             -(q as i16)
         } else {
             q as i16
+        }
+    }
+}
+
+/// Expands one channel: each `group_size` run of second-stage codes
+/// becomes `clamp((q² + z)·s, −127, 127)` with its group's parameters.
+fn expand_channel(codes: &[u8], params: &[GroupParams], group_size: usize, out: &mut [i8]) {
+    let runs = out.chunks_mut(group_size).zip(codes.chunks(group_size));
+    for ((out, codes), p) in runs.zip(params) {
+        let (s, z) = (i16::from(p.scale), i16::from(p.zero));
+        for (o, &q2) in out.iter_mut().zip(codes) {
+            *o = ((i16::from(q2) + z) * s).clamp(-127, 127) as i8;
         }
     }
 }
@@ -343,8 +358,7 @@ impl ProgressiveBlock {
 
     /// The same integer dequantization as
     /// [`ProgressiveBlock::dequantize_to_int8`], written channel-major
-    /// (`out[c · rows + r]`) — the block's packed order, and the
-    /// transposed-value layout the `P·V` kernel consumes. The packed
+    /// (`out[c · rows + r]`) — the block's packed order. The packed
     /// stream is unpacked a byte at a time, then each (channel, group)
     /// run evaluates its `clamp((q² + z)·s, −127, 127)` in 16-bit lanes.
     /// The stored parameters are used exactly as stored, whatever they
@@ -358,24 +372,57 @@ impl ProgressiveBlock {
         if out.is_empty() {
             return;
         }
-        let mut codes = vec![0u8; out.len()];
-        unpack_into(self.packed.bytes(), self.bits, &mut codes);
+        let codes = self.unpacked_codes();
         let groups = groups_per_channel(self.rows, self.group_size);
         let runs = out
             .chunks_exact_mut(self.rows)
             .zip(codes.chunks_exact(self.rows))
             .zip(self.params.chunks_exact(groups));
         for ((out, codes), params) in runs {
-            let runs = out
-                .chunks_mut(self.group_size)
-                .zip(codes.chunks(self.group_size));
-            for ((out, codes), p) in runs.zip(params) {
-                let (s, z) = (i16::from(p.scale), i16::from(p.zero));
-                for (o, &q2) in out.iter_mut().zip(codes) {
-                    *o = ((i16::from(q2) + z) * s).clamp(-127, 127) as i8;
-                }
-            }
+            expand_channel(codes, params, self.group_size, out);
         }
+    }
+
+    /// The same expansion `group` channels at a time: `sink(c, codes)`
+    /// receives channels `c..c + codes.len() / rows`, channel-major, from
+    /// one reused buffer of `group · rows` bytes — so a caller can place
+    /// each group straight into its own layout while it is in L1 (the
+    /// decode tile cache writes the GEMM's packed operands this way),
+    /// without a channel-major copy of the whole block. The last group
+    /// may be short.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `group == 0`.
+    pub fn dequantize_channels(&self, group: usize, mut sink: impl FnMut(usize, &[i8])) {
+        assert!(group > 0, "group must be positive");
+        if self.rows * self.cols == 0 {
+            return;
+        }
+        let codes = self.unpacked_codes();
+        let groups = groups_per_channel(self.rows, self.group_size);
+        let mut buf = vec![0i8; group * self.rows];
+        let channels = codes
+            .chunks(group * self.rows)
+            .zip(self.params.chunks(group * groups));
+        for (i, (codes, params)) in channels.enumerate() {
+            let out = &mut buf[..codes.len()];
+            let runs = out
+                .chunks_exact_mut(self.rows)
+                .zip(codes.chunks_exact(self.rows))
+                .zip(params.chunks_exact(groups));
+            for ((out, codes), params) in runs {
+                expand_channel(codes, params, self.group_size, out);
+            }
+            sink(i * group, out);
+        }
+    }
+
+    /// The second-stage codes, one byte each, channel-major.
+    fn unpacked_codes(&self) -> Vec<u8> {
+        let mut codes = vec![0u8; self.rows * self.cols];
+        unpack_into(self.packed.bytes(), self.bits, &mut codes);
+        codes
     }
 
     /// Full dequantization to f32.

@@ -79,7 +79,7 @@ impl SymQuantized {
     pub fn quantize_with_scale(x: &Matrix, scale: f32) -> Self {
         assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
         let mut data = vec![0i8; x.len()];
-        encode_sym(x.as_slice(), scale, &mut data);
+        encode_row_sym_into(x.as_slice(), scale, &mut data);
         Self {
             data,
             scale,
@@ -179,30 +179,30 @@ pub fn quantize_slice_sym_into(x: &[f32], out: &mut Vec<i8>) -> f32 {
 /// Panics if `x` and `out` differ in length.
 pub fn quantize_row_sym_into(x: &[f32], out: &mut [i8]) -> f32 {
     assert_eq!(x.len(), out.len(), "row length mismatch");
-    let abs_max = x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    let abs_max = turbo_tensor::abs_max(x);
     let scale = if abs_max == 0.0 {
         1.0
     } else {
         abs_max / SYM_INT8_DIVISOR
     };
-    encode_sym(x, scale, out);
+    encode_row_sym_into(x, scale, out);
     scale
 }
 
-/// The shared encode pass behind every symmetric quantizer here:
-/// `(v / scale).round().clamp(-127, 127) as i8` per element, dispatched
-/// to the vectorized arm ([`turbo_tensor::simd::quantize_i8_row_on`])
-/// when one is available — bit-identical to the scalar expression on
-/// every arm (true division, round half away from zero, NaN → 0).
+/// The shared encode pass behind every symmetric quantizer, the decode
+/// buffer's included: `(v / scale).round().clamp(-127, 127) as i8` per
+/// element into `out`, dispatched to the vectorized arm
+/// ([`turbo_tensor::simd::quantize_i8_row_on`]) when one is available —
+/// bit-identical to the scalar expression on every arm (true division,
+/// round half away from zero, NaN → 0).
 ///
-/// The abs-max *scale* fold stays scalar by design: it folds with
-/// `f32::max`, whose NaN-skipping semantics (`m.max(NaN) == m`) would
-/// need per-lane replication for no measurable win — the encode division
-/// pass dominates the cost.
-fn encode_sym(x: &[f32], scale: f32, out: &mut [i8]) {
+/// # Panics
+///
+/// Panics if `x` and `out` differ in length.
+pub fn encode_row_sym_into(x: &[f32], scale: f32, out: &mut [i8]) {
     if !turbo_tensor::simd::quantize_i8_row_on(turbo_tensor::simd_level(), x, scale, out) {
         for (o, &v) in out.iter_mut().zip(x) {
-            *o = (v / scale).round().clamp(-127.0, 127.0) as i8;
+            *o = turbo_tensor::simd::quantize_i8_scalar(v, scale);
         }
     }
 }

@@ -39,4 +39,4 @@ pub mod sas;
 pub use exact::{softmax, softmax_in_place};
 pub use online::OnlineSoftmax;
 pub use poly::{fit_exp_poly, Poly3, PAPER_POLY};
-pub use sas::{Sas, SoftmaxError, PAPER_THRESHOLD};
+pub use sas::{Sas, ScaledRow, SoftmaxError, PAPER_THRESHOLD};

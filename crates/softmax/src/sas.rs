@@ -30,6 +30,51 @@ impl std::fmt::Display for SoftmaxError {
 
 impl std::error::Error for SoftmaxError {}
 
+/// One row of a [`Sas::exp_scaled_rows_into`] call.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ScaledRow {
+    /// Dequantization scale of the row's integer scores.
+    pub s_scale: f32,
+    /// The row's running maximum, subtracted before the exponential.
+    pub m_new: f32,
+    /// Visible columns `[start, end)`; the row is written as `0.0`
+    /// outside them. An empty span writes a zero row.
+    pub span: (usize, usize),
+}
+
+/// Left-to-right sum of each `width`-wide row of `p` into `sums`, eight
+/// rows' chains interleaved at a time (then four, two, one), so the
+/// additions of different rows overlap instead of waiting on one row's
+/// dependent chain. Every row's own additions keep their order.
+fn interleaved_row_sums(p: &[f32], width: usize, sums: &mut [f32]) {
+    let mut rows = p.chunks_exact(width);
+    let mut sums = sums;
+    for chains in [8, 4, 2, 1] {
+        while sums.len() >= chains {
+            let (block, rest) = std::mem::take(&mut sums).split_at_mut(chains);
+            match chains {
+                8 => sum_rows::<8>(&mut rows, block),
+                4 => sum_rows::<4>(&mut rows, block),
+                2 => sum_rows::<2>(&mut rows, block),
+                _ => sum_rows::<1>(&mut rows, block),
+            }
+            sums = rest;
+        }
+    }
+}
+
+/// The next `N` rows' left-to-right sums, as `N` interleaved chains.
+fn sum_rows<'a, const N: usize>(rows: &mut impl Iterator<Item = &'a [f32]>, sums: &mut [f32]) {
+    let block: [&[f32]; N] = std::array::from_fn(|_| rows.next().expect("one row per sum"));
+    let mut acc = [0.0f32; N];
+    for j in 0..block[0].len() {
+        for (a, row) in acc.iter_mut().zip(&block) {
+            *a += row[j];
+        }
+    }
+    sums.copy_from_slice(&acc);
+}
+
 /// The SAS approximate exponential: a small LUT for the integer part of
 /// the (negated) exponent and a cubic polynomial for the fractional part.
 ///
@@ -229,10 +274,8 @@ impl Sas {
     /// As [`Sas::exp_row_into`], fused with the integer-score epilogue of
     /// the quantized attention kernels: the row arrives as raw `i32`
     /// QK^T sums plus their dequantization scale, and each element
-    /// evaluates `exp(codes[j] as f32 * s_scale - m_new)`. The score
-    /// tile never materializes as an `f32` buffer — the convert,
-    /// dequantize-scale, max-subtract, and SAS exponential all happen
-    /// in registers.
+    /// evaluates `exp(codes[j] as f32 * s_scale - m_new)`. The one-row
+    /// call of [`Sas::exp_scaled_rows_into`].
     ///
     /// Bit-identical to dequantizing into a temporary and calling
     /// [`Sas::exp_row_into`] on it, on every dispatch arm.
@@ -247,15 +290,77 @@ impl Sas {
         m_new: f32,
         out: &mut [f32],
     ) -> f32 {
-        assert_eq!(codes.len(), out.len(), "score/probability length mismatch");
-        let mut sum = 0.0f32;
+        let row = ScaledRow {
+            s_scale,
+            m_new,
+            span: (0, codes.len()),
+        };
+        let mut sum = [0.0];
+        self.exp_scaled_rows_into(codes, codes.len(), &[row], out, &mut sum);
+        sum[0]
+    }
+
+    /// The fused integer-score SAS over a block of rows, each `width`
+    /// wide, with its own scale, running max and visible span
+    /// ([`ScaledRow`]): writes every row of `out` whole — zeros outside
+    /// the span, `exp(codes[j] as f32 * s_scale - m_new)` inside — and
+    /// each row's left-to-right `f32` sum into `sums`. The score tile
+    /// never materializes as an `f32` buffer: the convert,
+    /// dequantize-scale, max-subtract and SAS exponential all happen in
+    /// registers (vectorized when the evaluator qualifies).
+    ///
+    /// The row sums run as interleaved chains, up to eight rows at a
+    /// time, instead of one row's dependent additions after another's.
+    /// Each row is still summed left to right over its whole width, and
+    /// the zeros outside its span leave a sum that starts at `+0.0`
+    /// unchanged, so every sum is bit-identical to summing the span's
+    /// probabilities in order — what [`Sas::exp_scaled_row_into`] on the
+    /// span returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codes` or `out` is not `rows.len() · width` long,
+    /// `sums` is not `rows.len()` long, or a span is not inside `width`.
+    pub fn exp_scaled_rows_into(
+        &self,
+        codes: &[i32],
+        width: usize,
+        rows: &[ScaledRow],
+        out: &mut [f32],
+        sums: &mut [f32],
+    ) {
+        assert_eq!(codes.len(), rows.len() * width, "score tile shape mismatch");
+        assert_eq!(out.len(), codes.len(), "score/probability length mismatch");
+        assert_eq!(sums.len(), rows.len(), "row-sum count mismatch");
+        if width == 0 {
+            sums.fill(0.0);
+            return;
+        }
+        let tiles = codes.chunks_exact(width).zip(out.chunks_exact_mut(width));
+        for (row, (codes, out)) in rows.iter().zip(tiles) {
+            let (j0, j1) = row.span;
+            assert!(
+                j0 <= j1 && j1 <= width,
+                "span {j0}..{j1} outside width {width}"
+            );
+            out[..j0].fill(0.0);
+            out[j1..].fill(0.0);
+            self.exp_scaled_span(&codes[j0..j1], row.s_scale, row.m_new, &mut out[j0..j1]);
+        }
+        interleaved_row_sums(out, width, sums);
+    }
+
+    /// Writes `exp(codes[j] as f32 * s_scale - m_new)` into `out[j]`: the
+    /// vector arm when the evaluator qualifies, else a scalar loop with a
+    /// threshold-skip short-circuit that avoids the LUT/polynomial for
+    /// sparsified entries (`x < n_r` is false for NaN, so poisoned scores
+    /// still get exactly 0 from [`Sas::exp`]).
+    fn exp_scaled_span(&self, codes: &[i32], s_scale: f32, m_new: f32, out: &mut [f32]) {
         if self.exact {
             for (o, &cv) in out.iter_mut().zip(codes) {
-                let p = self.exp(cv as f32 * s_scale - m_new);
-                *o = p;
-                sum += p;
+                *o = self.exp(cv as f32 * s_scale - m_new);
             }
-            return sum;
+            return;
         }
         if self.simd_eligible()
             && turbo_tensor::simd::sas_exp_scaled_row_on(
@@ -269,19 +374,13 @@ impl Sas {
                 out,
             )
         {
-            for &p in out.iter() {
-                sum += p;
-            }
-            return sum;
+            return;
         }
         let thr = self.threshold as f32;
         for (o, &cv) in out.iter_mut().zip(codes) {
             let x = cv as f32 * s_scale - m_new;
-            let p = if x < thr { 0.0 } else { self.exp(x) };
-            *o = p;
-            sum += p;
+            *o = if x < thr { 0.0 } else { self.exp(x) };
         }
-        sum
     }
 
     /// Full Algorithm 3: row-max subtraction, sparsification, LUT×POLY
@@ -682,6 +781,75 @@ mod tests {
                     );
                 }
                 assert_eq!(sum_fused.to_bits(), sum_f32.to_bits());
+            }
+        }
+    }
+
+    /// Rows of `width` raw scores shaped like a causal prefill tile:
+    /// row `i` sees keys `[lo_i, hi_i)`, with fully masked rows mixed in.
+    fn causal_rows(br: usize, width: usize) -> (Vec<i32>, Vec<ScaledRow>) {
+        let codes = (0..br * width)
+            .map(|j| ((j as i64 * 7919 % 40001) - 20000) as i32)
+            .collect();
+        let rows = (0..br)
+            .map(|i| {
+                let hi = (i * width / br.max(1) + 3).min(width);
+                let span = match i % 5 {
+                    4 => (0, 0),             // fully masked row
+                    3 => (width / 2, width), // sliding-window-like start
+                    _ => (0, hi),            // causal diagonal
+                };
+                ScaledRow {
+                    s_scale: 3.1e-4 * (1.0 + i as f32 * 0.1),
+                    m_new: (i % 3) as f32,
+                    span,
+                }
+            })
+            .collect();
+        (codes, rows)
+    }
+
+    #[test]
+    fn multi_row_sums_match_the_left_to_right_span_sum() {
+        for sas in [
+            Sas::paper_default(),
+            Sas::new(-9, PAPER_POLY),
+            Sas::paper_default().with_f16_poly(true),
+            Sas::exact_reference(),
+        ] {
+            // br around the interleave widths (8, 4, 2, 1), none a
+            // multiple of 8 but 8 and 64 themselves.
+            for br in [1usize, 2, 3, 5, 7, 8, 9, 13, 15, 64, 67] {
+                for width in [1usize, 7, 16, 64, 65] {
+                    let (codes, rows) = causal_rows(br, width);
+                    let mut out = vec![f32::NAN; br * width];
+                    let mut sums = vec![f32::NAN; br];
+                    sas.exp_scaled_rows_into(&codes, width, &rows, &mut out, &mut sums);
+                    for (i, row) in rows.iter().enumerate() {
+                        let (j0, j1) = row.span;
+                        let codes = &codes[i * width..(i + 1) * width];
+                        let out = &out[i * width..(i + 1) * width];
+                        let mut span_out = vec![f32::NAN; j1 - j0];
+                        let want = sas.exp_scaled_row_into(
+                            &codes[j0..j1],
+                            row.s_scale,
+                            row.m_new,
+                            &mut span_out,
+                        );
+                        let serial = span_out.iter().fold(0.0f32, |s, &p| s + p);
+                        let what = format!("br {br} width {width} row {i}");
+                        assert_eq!(sums[i].to_bits(), want.to_bits(), "{what}: sum");
+                        assert_eq!(sums[i].to_bits(), serial.to_bits(), "{what}: serial");
+                        for (j, &p) in out.iter().enumerate() {
+                            let want = if (j0..j1).contains(&j) {
+                                span_out[j - j0]
+                            } else {
+                                0.0
+                            };
+                            assert_eq!(p.to_bits(), want.to_bits(), "{what}: entry {j}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -13,7 +13,9 @@
 //! * Integer matmul kernels (`i8 × i8 → i32`) mirroring INT8 tensor-core
 //!   semantics, plus an `f32` reference matmul with optional f16 input
 //!   rounding. The integer kernels dispatch once per process to an
-//!   explicit-SIMD arm ([`simd`]) — AVX2 on x86-64, NEON on aarch64 —
+//!   explicit-SIMD arm ([`simd`]) — AVX2 (and AVX-VNNI) on x86-64, NEON
+//!   on aarch64 — and the GEMM takes its second operand packed
+//!   ([`PackedB`]),
 //!   with the scalar kernels kept as the always-correct, bit-identical
 //!   fallback (`TURBO_SIMD=0` forces it).
 //! * Row-wise reductions (max/sum) used by online softmax.
@@ -43,6 +45,7 @@ pub mod fp8;
 pub mod half;
 pub mod matmul;
 pub mod matrix;
+pub mod packed;
 pub mod reduce;
 pub mod rng;
 #[allow(unsafe_code)]
@@ -52,10 +55,11 @@ pub use error::{cosine_similarity, max_abs_error, mean_abs_error, mse, relative_
 pub use fp8::{round_e4m3, round_e5m2, Fp8Format};
 pub use half::{round_bf16, round_f16, round_f16_slice, Bf16, F16};
 pub use matmul::{
-    dot_i8, dot_i8_wide, matmul, matmul_f16, matmul_i8, matmul_i8_transposed_b,
-    matmul_i8_transposed_b_into, matmul_transposed_b, DOT_I8_MAX_LEN,
+    dot_i8, dot_i8_wide, matmul, matmul_f16, matmul_i8, matmul_i8_packed_into,
+    matmul_i8_transposed_b, matmul_i8_transposed_b_into, matmul_transposed_b, DOT_I8_MAX_LEN,
 };
 pub use simd::{simd_level, SimdLevel};
 pub use matrix::{transpose_into, Matrix};
-pub use reduce::{col_max_min, row_abs_max, row_max, row_sum};
+pub use packed::PackedB;
+pub use reduce::{abs_max, col_max_min, row_abs_max, row_max, row_sum};
 pub use rng::TensorRng;

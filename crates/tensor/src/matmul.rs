@@ -17,6 +17,7 @@
 
 use crate::half::round_f16;
 use crate::matrix::Matrix;
+use crate::packed::PackedB;
 use crate::simd;
 
 /// Largest slice length the `i32`-accumulating integer kernels accept
@@ -26,10 +27,10 @@ use crate::simd;
 /// dot, and every partial sum of it, is bounded by `2¹⁴ · k`; the largest
 /// `k` that keeps this within `i32` is `⌊(2³¹−1)/2¹⁴⌋ = 131 071`. At
 /// `2¹⁷ = 131 072` a dot of all −128 reaches exactly 2³¹ and wraps. The
-/// scalar and AVX2 arms never leave `i32`: every partial sum they form is
-/// a sum of a subset of the products. The VNNI arm's biased partial sums
-/// may wrap, but wrapping `i32` arithmetic is exact modulo 2³², so its
-/// corrected result is exact whenever the true sum fits. Callers with
+/// dot kernels never leave `i32`: every partial sum they form is a sum of
+/// a subset of the products. The biased GEMM arms' partial sums may wrap,
+/// but wrapping `i32` arithmetic is exact modulo 2³², so their corrected
+/// results are exact whenever the true sum fits. Callers with
 /// longer reductions (e.g. full-channel statistics over 100k+ token
 /// contexts) must use [`dot_i8_wide`], which chunks into `i64`.
 pub const DOT_I8_MAX_LEN: usize = 131_071;
@@ -229,12 +230,11 @@ pub fn matmul_i8_transposed_b(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) 
 }
 
 /// Allocation-free [`matmul_i8_transposed_b`]: writes the `m × n` result
-/// into `out` (cleared and refilled; no reallocation once `out` has
-/// capacity). The SIMD arm is resolved once up front
-/// ([`simd::matmul_i8t_on`]) rather than per inner dot; on x86 a
-/// register-blocked micro-kernel computes two `a` rows by four `b` rows
-/// at a time, on `vpdpbusd` where the CPU has AVX-VNNI. Bit-identical to
-/// the scalar twin because integer sums are exact.
+/// into `out` (resized and overwritten; no reallocation once `out` has
+/// capacity). A pack-then-multiply wrapper over
+/// [`matmul_i8_packed_into`]: `b` is packed afresh on every call, so a
+/// caller that multiplies the same `b` more than once should pack it once
+/// ([`PackedB::from_rows`]) and call that instead.
 ///
 /// # Panics
 ///
@@ -254,6 +254,26 @@ pub fn matmul_i8_transposed_b_into(
         "matmul_i8_transposed_b k {k} exceeds the i32-safe bound {DOT_I8_MAX_LEN}"
     );
     simd::matmul_i8t_on(simd::simd_level(), a, b, m, k, n, out);
+}
+
+/// The INT8 GEMM every attention matmul runs: `C = A · Bᵀ` with `a`
+/// `m × b.k()` row-major and `B` packed ([`PackedB`]), writing the
+/// `m × b.n()` result into `out` (resized and overwritten; no
+/// reallocation once `out` has capacity). Dispatched once per process
+/// ([`simd::matmul_i8_packed_on`]); every arm is bit-identical to the
+/// scalar one because integer sums are exact.
+///
+/// # Panics
+///
+/// Panics if `a.len() != m · b.k()`. Debug builds additionally assert
+/// `b.k() <= `[`DOT_I8_MAX_LEN`].
+pub fn matmul_i8_packed_into(a: &[i8], m: usize, b: &PackedB, out: &mut Vec<i32>) {
+    debug_assert!(
+        b.k() <= DOT_I8_MAX_LEN,
+        "matmul_i8_packed k {} exceeds the i32-safe bound {DOT_I8_MAX_LEN}",
+        b.k()
+    );
+    simd::matmul_i8_packed_on(simd::simd_level(), a, m, b, out);
 }
 
 /// Row-sum of an `i8` matrix in `i32` — the correction term

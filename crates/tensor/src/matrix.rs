@@ -335,7 +335,7 @@ impl Matrix {
 
     /// Maximum absolute element, or 0 for an empty matrix.
     pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+        crate::reduce::abs_max(&self.data)
     }
 
     /// Minimum element.

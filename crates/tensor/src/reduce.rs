@@ -20,9 +20,33 @@ pub fn row_sum(m: &Matrix) -> Vec<f32> {
 /// Row-wise maximum absolute value — the symmetric-quantization statistic
 /// `max(abs(X))` of Algorithm 1.
 pub fn row_abs_max(m: &Matrix) -> Vec<f32> {
-    (0..m.rows())
-        .map(|r| m.row(r).iter().fold(0.0f32, |a, &x| a.max(x.abs())))
-        .collect()
+    (0..m.rows()).map(|r| abs_max(m.row(r))).collect()
+}
+
+/// `max |x|` over the non-NaN elements of `x`, or `0.0` if there are none
+/// — the value of the serial fold `x.iter().fold(0.0, |m, v| m.max(v.abs()))`
+/// (`f32::max` skips a NaN operand).
+///
+/// Folded in eight independent lanes, which the compiler turns into
+/// vector `max` instructions instead of one serial chain. The order does
+/// not matter: every `|x|` is `+0.0` or above (no `−0.0` to tie with), so
+/// the maximum is one bit pattern, and `v > m` is false for a NaN `v`,
+/// which is skipped exactly as `f32::max` skips it.
+pub fn abs_max(x: &[f32]) -> f32 {
+    const LANES: usize = 8;
+    let keep_greater = |m: f32, v: f32| if v > m { v } else { m };
+    let mut lanes = [0.0f32; LANES];
+    let mut chunks = x.chunks_exact(LANES);
+    for chunk in &mut chunks {
+        for (m, &v) in lanes.iter_mut().zip(chunk) {
+            *m = keep_greater(*m, v.abs());
+        }
+    }
+    let folded = lanes.into_iter().fold(0.0, keep_greater);
+    chunks
+        .remainder()
+        .iter()
+        .fold(folded, |m, &v| keep_greater(m, v.abs()))
 }
 
 /// Per-column `(max, min)` pairs — the channel-range statistic behind the
@@ -47,6 +71,51 @@ pub fn col_max_min(m: &Matrix) -> Vec<(f32, f32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lane_parallel_abs_max_matches_the_serial_fold() {
+        let serial = |x: &[f32]| x.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+        let specials = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            1.5,
+            -7.25,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            -f32::MAX,
+        ];
+        for len in 0..=40 {
+            for shift in 0..specials.len() {
+                let x: Vec<f32> = (0..len)
+                    .map(|i| match (i + shift) % 5 {
+                        0 => specials[(i * 7 + shift) % specials.len()],
+                        _ => (i as f32 - 11.0) * 0.37,
+                    })
+                    .collect();
+                assert_eq!(
+                    abs_max(&x).to_bits(),
+                    serial(&x).to_bits(),
+                    "len {len} shift {shift}"
+                );
+            }
+            // All NaN, all ±0, and a lone NaN among zeros.
+            for fill in [f32::NAN, 0.0, -0.0] {
+                let x = vec![fill; len];
+                assert_eq!(
+                    abs_max(&x).to_bits(),
+                    serial(&x).to_bits(),
+                    "len {len} fill {fill}"
+                );
+            }
+            let mut x = vec![-0.0; len];
+            if len > 0 {
+                x[len / 2] = f32::NAN;
+            }
+            assert_eq!(abs_max(&x).to_bits(), 0.0f32.to_bits(), "len {len}");
+        }
+    }
 
     fn sample() -> Matrix {
         Matrix::from_rows(&[&[1.0, -4.0, 2.0], &[-1.0, 0.5, 3.0]])

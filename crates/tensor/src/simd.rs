@@ -27,6 +27,8 @@
 
 use std::sync::OnceLock;
 
+use crate::packed::{PackedB, PANEL, QUAD, QUAD_BYTES};
+
 /// A kernel arm selectable at runtime.
 ///
 /// [`simd_level`] picks the best available arm once per process; the
@@ -37,12 +39,13 @@ pub enum SimdLevel {
     /// Portable scalar kernels — the always-correct reference arm.
     Scalar,
     /// 256-bit AVX2 kernels (x86-64): widening `i8→i16→i32` integer
-    /// dot via `pmaddwd`, a register-blocked integer GEMM (on `vpdpbusd`
+    /// dot via `pmaddwd`, the packed-operand integer GEMM (on `vpdpbusd`
     /// when the CPU also has AVX-VNNI), plus vectorized SAS
     /// exponentiation and symmetric INT8 encode.
     Avx2,
     /// 128-bit NEON kernels (aarch64): widening `vmull_s8` +
-    /// `vpadalq_s16` integer dot/matmul (four `b` rows per sweep),
+    /// `vpadalq_s16` integer dot, the packed-operand integer GEMM on
+    /// `SDOT` (where the CPU has the dot-product extension),
     /// vectorized SAS exponentiation with a `vqtbl2q`-resident LUT, and
     /// symmetric INT8 encode via `FRINTA` (the hardware round-half-away
     /// the scalar twin specifies).
@@ -139,17 +142,12 @@ pub fn dot_i8_on(level: SimdLevel, a: &[i8], b: &[i8]) -> i32 {
 }
 
 /// `C = A · Bᵀ` integer GEMM on an explicit arm, writing the `m × n`
-/// result into `out` (cleared and refilled; no reallocation once `out`
-/// has capacity). `a` is `m × k`, `b` is `n × k`, both row-major.
+/// result into `out` (resized and overwritten; no reallocation once
+/// `out` has capacity). `a` is `m × k`, `b` is `n × k`, both row-major.
 ///
-/// The AVX2 arm runs a register-blocked micro-kernel: each block of two
-/// `a` rows by four `b` rows keeps eight accumulators in registers, so
-/// every loaded `b` chunk feeds both `a` rows and every `a` chunk four
-/// `b` rows. The tails of `m`, `n` and `k` are handled inside the kernel.
-/// On a CPU with AVX-VNNI (detected once per process) the same blocks use
-/// `vpdpbusd` on `b + 128` and subtract `128 · Σa` once per `a` row;
-/// otherwise they use `pmaddwd` on sign-extended `i16`. Both match the
-/// scalar twin bit for bit for every `k ≤ `[`DOT_I8_MAX_LEN`](crate::matmul::DOT_I8_MAX_LEN).
+/// A pack-then-multiply wrapper: `b` is packed into a fresh [`PackedB`]
+/// on every call and multiplied by [`matmul_i8_packed_on`]. Callers that
+/// reuse an operand pack it once and call that directly.
 ///
 /// # Panics
 ///
@@ -165,42 +163,419 @@ pub fn matmul_i8t_on(
     out: &mut Vec<i32>,
 ) {
     assert_eq!(a.len(), m * k, "a length mismatch");
-    assert_eq!(b.len(), n * k, "b length mismatch");
-    out.clear();
+    matmul_i8_packed_on(level, a, m, &PackedB::from_rows(b, n, k), out);
+}
+
+/// `C = A · Bᵀ` against a packed operand on an explicit arm: `a` is
+/// `m × b.k()` row-major and the `m × b.n()` result goes to `out`
+/// (resized and overwritten; no reallocation once `out` has capacity).
+///
+/// Each arm broadcasts four bytes of an `A` row against one quad of a
+/// [`PackedB`] panel, so every `i32` lane accumulates its own output and
+/// no output needs a horizontal reduction. Rows run in blocks of four
+/// against two panels (AVX-VNNI) or one (the others); a lone row, and
+/// the last `m % 4`, run against up to eight panels at once, so even a
+/// one-row call keeps eight independent accumulators. The arms:
+///
+/// * **scalar** — the portable reference;
+/// * **AVX2** — the stored bytes zero-extended to `i16` and multiplied
+///   by `pmaddwd`; each output's two partial sums meet once, after its
+///   last quad;
+/// * **AVX-VNNI** (detected once per process) — `vpdpbusd` multiplies
+///   the stored `b + 128` bytes directly and subtracts `128 · Σa` once
+///   per output;
+/// * **NEON `SDOT`** (when the CPU has the dot-product extension,
+///   otherwise the scalar arm) — undoes the bias on load.
+///
+/// Every arm matches the scalar one bit for bit for every
+/// `k ≤ `[`DOT_I8_MAX_LEN`](crate::matmul::DOT_I8_MAX_LEN): the products
+/// are exact and wrapping `i32` sums are exact modulo 2³².
+///
+/// # Panics
+///
+/// Panics if `a.len() != m · b.k()` or `level` is not available on this
+/// machine.
+pub fn matmul_i8_packed_on(level: SimdLevel, a: &[i8], m: usize, b: &PackedB, out: &mut Vec<i32>) {
+    assert_eq!(a.len(), m * b.k(), "a length mismatch");
+    // The arms read `b` through raw pointers; `PackedB` keeps this true.
+    assert!(b.holds_layout(), "packed operand shorter than its shape");
+    out.resize(m * b.n(), 0);
     match level {
-        SimdLevel::Scalar => {
-            out.reserve(m * n);
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                for j in 0..n {
-                    out.push(dot_i8_scalar(arow, &b[j * k..(j + 1) * k]));
-                }
-            }
-        }
+        // SAFETY: the scalar arm only needs the shapes checked above.
+        SimdLevel::Scalar => unsafe { gemm_packed::<ScalarArm, 4, 1, 1>(a, m, b, out) },
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 => {
             assert!(level.available(), "AVX2 not available on this machine");
-            out.resize(m * n, 0);
-            // SAFETY: AVX2 support verified at runtime above, AVX-VNNI by
-            // `has_avx_vnni`; `out` was just sized to exactly m*n.
+            // SAFETY: AVX2 verified at runtime above, AVX-VNNI by
+            // `has_avx_vnni`; `out` was just sized to m × n.
             unsafe {
                 if x86::has_avx_vnni() {
-                    x86::matmul_i8t_vnni(a, b, m, k, n, out)
+                    x86::matmul_packed_vnni(a, m, b, out)
                 } else {
-                    x86::matmul_i8t_avx2(a, b, m, k, n, out)
+                    x86::matmul_packed_avx2(a, m, b, out)
                 }
             }
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => {
             assert!(level.available(), "NEON not available on this machine");
-            out.resize(m * n, 0);
-            // SAFETY: NEON support verified at runtime above; `out` was
-            // just sized to exactly m*n.
-            unsafe { arm::matmul_i8t_neon(a, b, m, k, n, out) }
+            // SAFETY: NEON verified at runtime above, the dot-product
+            // extension by `has_dotprod`; `out` was just sized to m × n.
+            unsafe {
+                if arm::has_dotprod() {
+                    arm::matmul_packed_sdot(a, m, b, out)
+                } else {
+                    gemm_packed::<ScalarArm, 4, 1, 1>(a, m, b, out)
+                }
+            }
         }
         #[allow(unreachable_patterns)]
         other => panic!("SIMD level {other:?} is not supported on this target"),
+    }
+}
+
+/// How one arm of the packed GEMM multiplies. The driver
+/// ([`gemm_packed`]) walks rows, panels and quads; the arm supplies the
+/// registers.
+///
+/// The methods are `#[inline(always)]` without `#[target_feature]`: they
+/// compile into the `#[target_feature]` entry point of their arm, which
+/// enables the instructions they use. They are written with plain loops,
+/// not closures over arrays: an out-of-line closure would call the
+/// intrinsics without the entry point's features.
+trait PackedArm {
+    /// Four bytes of one `A` row, broadcast.
+    type A: Copy;
+    /// One quad of one panel: eight columns of four stored bytes.
+    type B: Copy;
+    /// The eight running outputs of one row against one panel.
+    type Acc: Copy;
+
+    /// Whether the arm multiplies the stored `b + 128` bytes as they
+    /// are, so every output carries `128 · Σa` over its `A` row, which
+    /// the driver passes to [`store`](PackedArm::store).
+    const BIASED: bool;
+
+    /// Eight zero outputs.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the arm's instructions.
+    unsafe fn zero() -> Self::Acc;
+
+    /// Loads the 32 bytes of one quad of one panel.
+    ///
+    /// # Safety
+    ///
+    /// `p` must be valid for a 32-byte read, and the CPU must support
+    /// the arm's instructions.
+    unsafe fn load_b(p: *const u8) -> Self::B;
+
+    /// Broadcasts four `A` bytes, little-endian in `quad`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the arm's instructions.
+    unsafe fn bcast_a(quad: i32) -> Self::A;
+
+    /// Adds the products of one quad into the eight outputs.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support the arm's instructions.
+    unsafe fn mac(acc: Self::Acc, b: Self::B, a: Self::A) -> Self::Acc;
+
+    /// Writes the eight outputs, less `offset` each, to `dst`.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for eight `i32` writes, and the CPU must
+    /// support the arm's instructions.
+    unsafe fn store(acc: Self::Acc, offset: i32, dst: *mut i32);
+}
+
+/// The packed GEMM on arm `G`: rows in blocks of `MR` against `NV`
+/// panels at a time, then the last `m % MR` rows one at a time against
+/// `NV1` panels at a time.
+///
+/// # Safety
+///
+/// `a` must be `m × b.k()`, `out` `m × b.n()`, and the CPU must support
+/// the arm's instructions.
+#[inline(always)]
+unsafe fn gemm_packed<G: PackedArm, const MR: usize, const NV: usize, const NV1: usize>(
+    a: &[i8],
+    m: usize,
+    b: &PackedB,
+    out: &mut [i32],
+) {
+    debug_assert!(a.len() == m * b.k() && out.len() == m * b.n());
+    let mut i = 0;
+    // SAFETY: forwarded from the caller; every block stays in rows
+    // `i..i + MR ≤ m`.
+    unsafe {
+        while i + MR <= m {
+            packed_rows::<G, MR, NV>(a, b, i, out);
+            i += MR;
+        }
+        while i < m {
+            packed_rows::<G, 1, NV1>(a, b, i, out);
+            i += 1;
+        }
+    }
+}
+
+/// Output rows `i0..i0 + MR` of [`gemm_packed`], `NV` panels per block
+/// and the last `panels % NV` one at a time.
+///
+/// Each `A` row's last `k % 4` bytes are copied into a zero-padded quad,
+/// so the last quad reads nothing past its row, and its padding bytes,
+/// which meet the stored padding of `b`, add nothing.
+///
+/// # Safety
+///
+/// As [`gemm_packed`], with `i0 + MR ≤ m`.
+#[inline(always)]
+unsafe fn packed_rows<G: PackedArm, const MR: usize, const NV: usize>(
+    a: &[i8],
+    b: &PackedB,
+    i0: usize,
+    out: &mut [i32],
+) {
+    let k = b.k();
+    let full = k / QUAD;
+    let mut rows = PackedRows {
+        i0,
+        row: [std::ptr::null(); MR],
+        tail: [0; MR],
+        offset: [0; MR],
+        full,
+        has_tail: !k.is_multiple_of(QUAD),
+    };
+    for r in 0..MR {
+        let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
+        rows.row[r] = row.as_ptr();
+        // Shifted in byte by byte: a copy into a buffer compiles to a
+        // `memcpy` call, which costs more than a short row's whole GEMM.
+        for (t, &x) in row[full * QUAD..].iter().enumerate() {
+            rows.tail[r] |= i32::from(x as u8) << (8 * t);
+        }
+        if G::BIASED {
+            let sum = row.iter().fold(0i32, |s, &x| s.wrapping_add(i32::from(x)));
+            rows.offset[r] = sum.wrapping_mul(128);
+        }
+    }
+    let panels = b.panels();
+    let mut p = 0;
+    // SAFETY: forwarded from the caller; each block covers panels
+    // `p..p + NV ≤ panels`.
+    unsafe {
+        while p + NV <= panels {
+            packed_block::<G, MR, NV>(&rows, b, p, out);
+            p += NV;
+        }
+        while p < panels {
+            packed_block::<G, MR, 1>(&rows, b, p, out);
+            p += 1;
+        }
+    }
+}
+
+/// The `A` side of one block of `MR` output rows.
+struct PackedRows<const MR: usize> {
+    /// First output row.
+    i0: usize,
+    /// Start of each `A` row.
+    row: [*const i8; MR],
+    /// Each row's last `k % 4` bytes, zero-padded to one quad.
+    tail: [i32; MR],
+    /// Each row's `128 · Σa`, for a [`PackedArm::BIASED`] arm.
+    offset: [i32; MR],
+    /// Whole quads per row.
+    full: usize,
+    /// Whether a partial quad follows them.
+    has_tail: bool,
+}
+
+/// The outputs of rows `rows.i0..` against panels `p0..p0 + NV`.
+///
+/// # Safety
+///
+/// As [`packed_rows`], with `p0 + NV ≤ b.panels()`.
+#[inline(always)]
+unsafe fn packed_block<G: PackedArm, const MR: usize, const NV: usize>(
+    rows: &PackedRows<MR>,
+    b: &PackedB,
+    p0: usize,
+    out: &mut [i32],
+) {
+    let n = b.n();
+    // SAFETY: quad `q ≤ ⌈k/4⌉ − 1 < stride` of panel `p < panels` lies
+    // inside `b`'s data; whole quads of `A` lie inside their row; output
+    // `(i0 + r) · n + 8 · (p0 + v)` starts inside `out`, and a store
+    // that would run past the row's `n` outputs goes through a buffer.
+    unsafe {
+        let mut panel = [b.data().as_ptr(); NV];
+        for (v, pp) in panel.iter_mut().enumerate() {
+            *pp = pp.add(b.panel_start(p0 + v));
+        }
+        let mut acc = [[G::zero(); NV]; MR];
+        let mut va = [G::bcast_a(0); MR];
+        for q in 0..rows.full {
+            for (a, &row) in va.iter_mut().zip(&rows.row) {
+                *a = G::bcast_a((row.add(QUAD * q) as *const i32).read_unaligned());
+            }
+            for (v, &pp) in panel.iter().enumerate() {
+                let vb = G::load_b(pp.add(QUAD_BYTES * q));
+                for (acc_row, &a) in acc.iter_mut().zip(&va) {
+                    acc_row[v] = G::mac(acc_row[v], vb, a);
+                }
+            }
+        }
+        if rows.has_tail {
+            for (a, &tail) in va.iter_mut().zip(&rows.tail) {
+                *a = G::bcast_a(tail);
+            }
+            for (v, &pp) in panel.iter().enumerate() {
+                let vb = G::load_b(pp.add(QUAD_BYTES * rows.full));
+                for (acc_row, &a) in acc.iter_mut().zip(&va) {
+                    acc_row[v] = G::mac(acc_row[v], vb, a);
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate() {
+            let row_out = out.as_mut_ptr().add((rows.i0 + r) * n);
+            for (v, &x) in acc_row.iter().enumerate() {
+                let col = PANEL * (p0 + v);
+                if col + PANEL <= n {
+                    G::store(x, rows.offset[r], row_out.add(col));
+                } else {
+                    let mut last = [0i32; PANEL];
+                    G::store(x, rows.offset[r], last.as_mut_ptr());
+                    std::ptr::copy_nonoverlapping(last.as_ptr(), row_out.add(col), n - col);
+                }
+            }
+        }
+    }
+}
+
+/// The portable arm: the stored bias undone on load, exact products
+/// summed per lane.
+struct ScalarArm;
+
+impl PackedArm for ScalarArm {
+    type A = [i32; QUAD];
+    type B = [i32; QUAD_BYTES];
+    type Acc = [i32; PANEL];
+    const BIASED: bool = false;
+
+    #[inline(always)]
+    unsafe fn zero() -> Self::Acc {
+        [0; PANEL]
+    }
+
+    #[inline(always)]
+    unsafe fn load_b(p: *const u8) -> Self::B {
+        let mut b = [0; QUAD_BYTES];
+        for (i, x) in b.iter_mut().enumerate() {
+            // SAFETY: the caller guarantees 32 readable bytes at `p`.
+            *x = i32::from((unsafe { *p.add(i) } ^ 0x80) as i8);
+        }
+        b
+    }
+
+    #[inline(always)]
+    unsafe fn bcast_a(quad: i32) -> Self::A {
+        quad.to_le_bytes().map(|x| i32::from(x as i8))
+    }
+
+    #[inline(always)]
+    unsafe fn mac(mut acc: Self::Acc, b: Self::B, a: Self::A) -> Self::Acc {
+        for (x, col) in acc.iter_mut().zip(b.chunks_exact(QUAD)) {
+            for (&bv, &av) in col.iter().zip(&a) {
+                *x = x.wrapping_add(av * bv);
+            }
+        }
+        acc
+    }
+
+    #[inline(always)]
+    unsafe fn store(acc: Self::Acc, offset: i32, dst: *mut i32) {
+        for (c, x) in acc.into_iter().enumerate() {
+            // SAFETY: the caller guarantees eight writable outputs.
+            unsafe { *dst.add(c) = x.wrapping_sub(offset) };
+        }
+    }
+}
+
+/// Vector part of [`PackedB::write_panel`](crate::PackedB::write_panel)
+/// on an explicit arm: writes quad rows `0..done` of one whole panel —
+/// row `q` of `dst` (32 bytes) gets the four bytes `4q..4q + 4` of each of
+/// the eight columns, biased by `0x80` — and returns `done`, a multiple of
+/// eight at most `quads`. The caller writes the rest. Returns 0 on an arm
+/// without this kernel.
+///
+/// # Panics
+///
+/// Panics if a column is shorter than `4 · quads` bytes, `dst` shorter
+/// than `32 · quads`, or `level` is not available on this machine.
+pub(crate) fn pack_panel_on(
+    level: SimdLevel,
+    cols: &[&[i8]; PANEL],
+    quads: usize,
+    dst: &mut [u8],
+) -> usize {
+    assert!(
+        cols.iter().all(|c| c.len() >= QUAD * quads),
+        "column too short"
+    );
+    assert!(dst.len() >= QUAD_BYTES * quads, "panel too short");
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            assert!(level.available(), "AVX2 not available on this machine");
+            // SAFETY: AVX2 verified above; the lengths were checked.
+            unsafe { x86::pack_panel_avx2(cols, quads, dst) }
+        }
+        _ => 0,
+    }
+}
+
+/// Vector part of
+/// [`PackedB::write_reduction_quad`](crate::PackedB::write_reduction_quad)
+/// on an explicit arm: for columns `j < done`, writes the interleaved
+/// `[rows[0][j], rows[1][j], rows[2][j], rows[3][j]]`, biased by `0x80`,
+/// at `dst[(j / 8) · panel_bytes + at + 4 · (j % 8)..]`, and returns
+/// `done`, a multiple of 32 at most the rows' length. The caller writes
+/// the rest. Returns 0 on an arm without this kernel.
+///
+/// # Panics
+///
+/// Panics if the rows differ in length, `at + 32 > panel_bytes`, `dst`
+/// does not hold a panel for every column, or `level` is not available
+/// on this machine.
+pub(crate) fn pack_quad_on(
+    level: SimdLevel,
+    rows: &[&[i8]; QUAD],
+    dst: &mut [u8],
+    at: usize,
+    panel_bytes: usize,
+) -> usize {
+    let n = rows[0].len();
+    assert!(rows.iter().all(|r| r.len() == n), "row length mismatch");
+    assert!(at + QUAD_BYTES <= panel_bytes, "quad outside its panel");
+    assert!(
+        dst.len() >= n.div_ceil(PANEL) * panel_bytes,
+        "too few panels"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            assert!(level.available(), "AVX2 not available on this machine");
+            // SAFETY: AVX2 verified above; the lengths were checked.
+            unsafe { x86::pack_quad_avx2(rows, dst, at, panel_bytes) }
+        }
+        _ => 0,
     }
 }
 
@@ -424,352 +799,269 @@ mod x86 {
         *VNNI.get_or_init(|| is_x86_feature_detected!("avxvnni"))
     }
 
-    /// Four accumulators reduced to their four sums, in order.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn reduce4(a: __m256i, b: __m256i, c: __m256i, d: __m256i) -> __m128i {
-        let h = _mm256_hadd_epi32(_mm256_hadd_epi32(a, b), _mm256_hadd_epi32(c, d));
-        _mm_add_epi32(_mm256_castsi256_si128(h), _mm256_extracti128_si256(h, 1))
-    }
-
-    /// Bytes of `k` the widest GEMM step consumes, and so the length of
-    /// the zero-padded tail buffers.
-    const KC_MAX: usize = 32;
-
-    /// One arm of the register-blocked `C = A · Bᵀ` micro-kernel: how a
-    /// step of `KC` bytes of `k` feeds an `MR × NR` block of accumulators.
-    ///
-    /// Each accumulator holds eight `i32` partial sums of one output. After
-    /// the last step the driver reduces them and subtracts the row's
-    /// [`row_offset`](GemmArm::row_offset). The methods are
-    /// `#[inline(always)]` without `#[target_feature]`: they compile into
-    /// the `#[target_feature]` entry point of their arm, which enables the
-    /// instructions they use.
-    trait GemmArm {
-        /// Bytes of `k` one [`step`](GemmArm::step) consumes.
-        const KC: usize;
-
-        /// Adds the products of the `KC` bytes at `a[r] + o` and `b[c] + o`
-        /// into `acc[r][c]`.
-        ///
-        /// Written with plain loops, not closures over arrays: an
-        /// out-of-line closure would call the intrinsics without the
-        /// entry point's features.
-        ///
-        /// # Safety
-        ///
-        /// Every pointer plus `o` must be valid for a `KC`-byte read, and
-        /// the CPU must support the arm's instructions.
-        unsafe fn step<const MR: usize, const NR: usize>(
-            acc: &mut [[__m256i; NR]; MR],
-            a: &[*const i8; MR],
-            b: &[*const i8; NR],
-            o: usize,
-        );
-
-        /// What every output of one `a` row subtracts after reduction. The
-        /// row is `steps` full steps at `a` followed by one step at `tail`.
-        ///
-        /// # Safety
-        ///
-        /// `a` must be valid for `steps · KC` bytes, `tail` for `KC`, and
-        /// the CPU must support the arm's instructions.
-        unsafe fn row_offset(a: *const i8, steps: usize, tail: *const i8) -> i32;
-    }
-
-    /// The AVX2 arm: sign-extend 16 bytes to `i16` and multiply-accumulate
-    /// pairs with `pmaddwd`. Exact for every `i8`, −128 included: a pair
-    /// sums to at most `2 · 128² = 2¹⁵`.
+    /// The AVX2 arm of the packed GEMM: each half-quad (four columns of
+    /// four bytes) is zero-extended to `i16`, the stored `b + 128` as it
+    /// is, and multiplied by the `A` bytes sign-extended to `i16` with
+    /// `pmaddwd`. A pair sums to at most `2 · 255 · 128`, exact in `i32`.
+    /// Each column keeps two partial sums, one per byte pair; they meet
+    /// once, in [`store`](super::PackedArm::store).
     struct Madd;
 
-    impl GemmArm for Madd {
-        const KC: usize = 16;
+    impl super::PackedArm for Madd {
+        type A = __m256i;
+        type B = (__m256i, __m256i);
+        type Acc = (__m256i, __m256i);
+        const BIASED: bool = true;
 
         #[inline(always)]
-        unsafe fn step<const MR: usize, const NR: usize>(
-            acc: &mut [[__m256i; NR]; MR],
-            a: &[*const i8; MR],
-            b: &[*const i8; NR],
-            o: usize,
-        ) {
-            // SAFETY: the caller guarantees 16 readable bytes at each
-            // pointer plus `o`, and AVX2.
+        unsafe fn zero() -> Self::Acc {
+            // SAFETY: the caller guarantees AVX2.
+            unsafe { (_mm256_setzero_si256(), _mm256_setzero_si256()) }
+        }
+
+        #[inline(always)]
+        unsafe fn load_b(p: *const u8) -> Self::B {
+            // SAFETY: the caller guarantees 32 readable bytes and AVX2.
             unsafe {
-                let mut va = [_mm256_setzero_si256(); MR];
-                for (v, &p) in va.iter_mut().zip(a) {
-                    *v = _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(o) as *const __m128i));
-                }
-                for (c, &p) in b.iter().enumerate() {
-                    let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(p.add(o) as *const __m128i));
-                    for (acc_row, &va_r) in acc.iter_mut().zip(&va) {
-                        acc_row[c] = _mm256_add_epi32(acc_row[c], _mm256_madd_epi16(va_r, vb));
-                    }
-                }
+                (
+                    _mm256_cvtepu8_epi16(_mm_loadu_si128(p as *const __m128i)),
+                    _mm256_cvtepu8_epi16(_mm_loadu_si128(p.add(16) as *const __m128i)),
+                )
             }
         }
 
         #[inline(always)]
-        unsafe fn row_offset(_: *const i8, _: usize, _: *const i8) -> i32 {
-            0
+        unsafe fn bcast_a(quad: i32) -> Self::A {
+            // SAFETY: the caller guarantees AVX2.
+            unsafe { _mm256_cvtepi8_epi16(_mm_set1_epi32(quad)) }
+        }
+
+        #[inline(always)]
+        unsafe fn mac(acc: Self::Acc, b: Self::B, a: Self::A) -> Self::Acc {
+            // SAFETY: the caller guarantees AVX2.
+            unsafe {
+                (
+                    _mm256_add_epi32(acc.0, _mm256_madd_epi16(b.0, a)),
+                    _mm256_add_epi32(acc.1, _mm256_madd_epi16(b.1, a)),
+                )
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn store(acc: Self::Acc, offset: i32, dst: *mut i32) {
+            // SAFETY: the caller guarantees eight writable outputs and
+            // AVX2.
+            unsafe {
+                // Per 128-bit lane: [c0, c1, c4, c5 | c2, c3, c6, c7].
+                let h = _mm256_hadd_epi32(acc.0, acc.1);
+                let v = _mm256_permute4x64_epi64::<0b11_01_10_00>(h);
+                let v = _mm256_sub_epi32(v, _mm256_set1_epi32(offset));
+                _mm256_storeu_si256(dst as *mut __m256i, v);
+            }
         }
     }
 
-    /// The AVX-VNNI arm: `vpdpbusd` multiplies unsigned by signed bytes and
-    /// adds four products into each `i32` lane, 32 products per step.
-    ///
-    /// `b` is biased to unsigned with `b ^ 0x80`, which is `b + 128`, so
-    /// every output gains `128 · Σa` over its `a` row;
-    /// [`row_offset`](GemmArm::row_offset) returns that term once per row.
-    /// All sums wrap modulo 2³², so the corrected result is exact whenever
-    /// the true sum fits in `i32`, which
-    /// [`DOT_I8_MAX_LEN`](crate::matmul::DOT_I8_MAX_LEN) guarantees.
+    /// The AVX-VNNI arm of the packed GEMM: `vpdpbusd` multiplies the
+    /// stored `b + 128` bytes (unsigned) by the broadcast `A` bytes
+    /// (signed) and adds four products into each output's lane, so every
+    /// output gains `128 · Σa` over its row, subtracted once in
+    /// [`store`](super::PackedArm::store). The sums wrap modulo 2³², so
+    /// the corrected result is exact whenever the true sum fits in
+    /// `i32`, which [`DOT_I8_MAX_LEN`](crate::matmul::DOT_I8_MAX_LEN)
+    /// guarantees.
     struct Vnni;
 
-    impl GemmArm for Vnni {
-        const KC: usize = 32;
+    impl super::PackedArm for Vnni {
+        type A = __m256i;
+        type B = __m256i;
+        type Acc = __m256i;
+        const BIASED: bool = true;
 
         #[inline(always)]
-        unsafe fn step<const MR: usize, const NR: usize>(
-            acc: &mut [[__m256i; NR]; MR],
-            a: &[*const i8; MR],
-            b: &[*const i8; NR],
-            o: usize,
-        ) {
-            // SAFETY: the caller guarantees 32 readable bytes at each
-            // pointer plus `o`, and AVX2 + AVX-VNNI.
-            unsafe {
-                let bias = _mm256_set1_epi8(-128);
-                let mut vb = [_mm256_setzero_si256(); NR];
-                for (v, &p) in vb.iter_mut().zip(b) {
-                    *v = _mm256_xor_si256(_mm256_loadu_si256(p.add(o) as *const __m256i), bias);
-                }
-                for (acc_row, &p) in acc.iter_mut().zip(a) {
-                    let va = _mm256_loadu_si256(p.add(o) as *const __m256i);
-                    for (x, &vb_c) in acc_row.iter_mut().zip(&vb) {
-                        *x = _mm256_dpbusd_avx_epi32(*x, vb_c, va);
-                    }
-                }
-            }
+        unsafe fn zero() -> Self::Acc {
+            // SAFETY: the caller guarantees AVX2.
+            unsafe { _mm256_setzero_si256() }
         }
 
         #[inline(always)]
-        unsafe fn row_offset(a: *const i8, steps: usize, tail: *const i8) -> i32 {
-            // SAFETY: the caller guarantees the reads and AVX2 + AVX-VNNI.
+        unsafe fn load_b(p: *const u8) -> Self::B {
+            // SAFETY: the caller guarantees 32 readable bytes and AVX2.
+            unsafe { _mm256_loadu_si256(p as *const __m256i) }
+        }
+
+        #[inline(always)]
+        unsafe fn bcast_a(quad: i32) -> Self::A {
+            // SAFETY: the caller guarantees AVX2.
+            unsafe { _mm256_set1_epi32(quad) }
+        }
+
+        #[inline(always)]
+        unsafe fn mac(acc: Self::Acc, b: Self::B, a: Self::A) -> Self::Acc {
+            // SAFETY: the caller guarantees AVX2 and AVX-VNNI.
+            unsafe { _mm256_dpbusd_avx_epi32(acc, b, a) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(acc: Self::Acc, offset: i32, dst: *mut i32) {
+            // SAFETY: the caller guarantees eight writable outputs and
+            // AVX2.
             unsafe {
-                // 0x80 as the unsigned operand: each lane sums 128 · a.
-                let bias = _mm256_set1_epi8(-128);
-                let mut acc = _mm256_setzero_si256();
-                for s in 0..steps {
-                    let va = _mm256_loadu_si256(a.add(s * Self::KC) as *const __m256i);
-                    acc = _mm256_dpbusd_avx_epi32(acc, bias, va);
-                }
-                let vt = _mm256_loadu_si256(tail as *const __m256i);
-                hsum_epi32(_mm256_dpbusd_avx_epi32(acc, bias, vt))
+                let v = _mm256_sub_epi32(acc, _mm256_set1_epi32(offset));
+                _mm256_storeu_si256(dst as *mut __m256i, v);
             }
         }
     }
 
-    /// The `a` side of one block of `MR` output rows.
-    struct Panel<const MR: usize> {
-        /// First output row.
-        i0: usize,
-        /// Start of each `a` row.
-        row: [*const i8; MR],
-        /// Each row's `k % KC` tail bytes, copied into a zero-padded
-        /// `KC_MAX`-byte buffer.
-        tail: [*const i8; MR],
-        /// Each row's [`GemmArm::row_offset`].
-        offset: [i32; MR],
-    }
-
-    /// `C = A · Bᵀ` on arm `G`, two `a` rows by four `b` rows per block:
-    /// each loaded `b` chunk feeds both `a` rows and each `a` chunk four
-    /// `b` rows. An odd last row runs as a one-row block.
+    /// The packed GEMM on the AVX2 `pmaddwd` arm: four rows by one panel
+    /// (eight accumulator pairs), a lone row by four panels.
     ///
     /// # Safety
     ///
-    /// `a` must be `m × k`, `b` `n × k` and `out` `m × n`, and the CPU must
-    /// support the arm's instructions.
-    #[inline(always)]
-    unsafe fn gemm<G: GemmArm>(a: &[i8], b: &[i8], m: usize, k: usize, n: usize, out: &mut [i32]) {
-        debug_assert!(a.len() == m * k && b.len() == n * k && out.len() == m * n);
-        // The last `KC_MAX` bytes of `b` (all of it if shorter), followed
-        // by `KC_MAX` zero bytes: a tail read that would leave `b` reads
-        // the same bytes here instead.
-        let mut b_end = [0i8; 2 * KC_MAX];
-        let last = b.len().min(KC_MAX);
-        b_end[KC_MAX - last..KC_MAX].copy_from_slice(&b[b.len() - last..]);
-        let mut i = 0;
-        // SAFETY: forwarded from the caller; every block stays in rows
-        // `i..i + MR ≤ m`.
-        unsafe {
-            while i + 2 <= m {
-                rows::<G, 2>(a, b, &b_end, i, k, n, out);
-                i += 2;
-            }
-            if i < m {
-                rows::<G, 1>(a, b, &b_end, i, k, n, out);
-            }
-        }
-    }
-
-    /// Output rows `i0..i0 + MR` of [`gemm`], four columns per block and
-    /// the last `n % 4` one at a time.
-    ///
-    /// Each `a` row's `k % KC` tail is copied into a zero-padded buffer and
-    /// runs as one more full step. The `b` side of that step may read past
-    /// the end of its row into the next one: those bytes meet the zero
-    /// padding and add nothing, so only a read that would leave `b` is
-    /// served from `b_end`, the copy of its last bytes.
-    ///
-    /// # Safety
-    ///
-    /// As [`gemm`], with `i0 + MR ≤ m`.
-    #[inline(always)]
-    unsafe fn rows<G: GemmArm, const MR: usize>(
-        a: &[i8],
-        b: &[i8],
-        b_end: &[i8; 2 * KC_MAX],
-        i0: usize,
-        k: usize,
-        n: usize,
-        out: &mut [i32],
-    ) {
-        let steps = k / G::KC;
-        let k_main = steps * G::KC;
-        let mut tail_buf = [[0i8; KC_MAX]; MR];
-        let mut p = Panel {
-            i0,
-            row: [std::ptr::null(); MR],
-            tail: [std::ptr::null(); MR],
-            offset: [0; MR],
-        };
-        for (r, buf) in tail_buf.iter_mut().enumerate() {
-            let row = &a[(i0 + r) * k..(i0 + r + 1) * k];
-            buf[..k - k_main].copy_from_slice(&row[k_main..]);
-            p.row[r] = row.as_ptr();
-            p.tail[r] = buf.as_ptr();
-            // SAFETY: `row` holds `steps · KC` bytes before its tail, the
-            // tail buffer is `KC_MAX ≥ KC` bytes, and the caller
-            // guarantees the CPU features.
-            p.offset[r] = unsafe { G::row_offset(p.row[r], steps, p.tail[r]) };
-        }
-        let mut j = 0;
-        // SAFETY: forwarded from the caller; each block covers columns
-        // `j..j + NR ≤ n`.
-        unsafe {
-            while j + 4 <= n {
-                block::<G, MR, 4>(&p, b, b_end, j, k, n, out);
-                j += 4;
-            }
-            while j < n {
-                block::<G, MR, 1>(&p, b, b_end, j, k, n, out);
-                j += 1;
-            }
-        }
-    }
-
-    /// The `MR × NR` outputs of rows `p.i0..` and columns `j0..j0 + NR`.
-    ///
-    /// # Safety
-    ///
-    /// As [`rows`], with `j0 + NR ≤ n`.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)] // the a panel, both b views and the output geometry
-    unsafe fn block<G: GemmArm, const MR: usize, const NR: usize>(
-        p: &Panel<MR>,
-        b: &[i8],
-        b_end: &[i8; 2 * KC_MAX],
-        j0: usize,
-        k: usize,
-        n: usize,
-        out: &mut [i32],
-    ) {
-        let steps = k / G::KC;
-        let k_main = steps * G::KC;
-        let mut acc = [[_mm256_setzero_si256(); NR]; MR];
-        // SAFETY: full steps read bytes `s·KC..(s+1)·KC ≤ k` of rows that
-        // lie inside `a` and `b`; a tail read of `b` either ends inside
-        // `b` (checked) or starts at `start + KC_MAX - b.len()` in
-        // `b_end`, which lies in `KC_MAX - KC + 1..KC_MAX` since
-        // `b.len() - KC < start < b.len()`, so it ends inside `b_end`; the
-        // tail of `a` comes from its buffer. Output index
-        // `(p.i0 + r) · n + j0 + c` is below `m · n = out.len()` by the
-        // row and column bounds.
-        unsafe {
-            let mut brow = [b.as_ptr(); NR];
-            for (c, bp) in brow.iter_mut().enumerate() {
-                *bp = bp.add((j0 + c) * k);
-            }
-            for s in 0..steps {
-                G::step(&mut acc, &p.row, &brow, s * G::KC);
-            }
-            if k > k_main {
-                for (c, bp) in brow.iter_mut().enumerate() {
-                    let start = (j0 + c) * k + k_main;
-                    *bp = if start + G::KC <= b.len() {
-                        bp.add(k_main)
-                    } else {
-                        b_end.as_ptr().add(start + KC_MAX - b.len())
-                    };
-                }
-                G::step(&mut acc, &p.tail, &brow, 0);
-            }
-            for (r, acc_row) in acc.iter().enumerate() {
-                let dst = out.as_mut_ptr().add((p.i0 + r) * n + j0);
-                let off = p.offset[r];
-                if NR.is_multiple_of(4) {
-                    for c in (0..NR).step_by(4) {
-                        let v = reduce4(acc_row[c], acc_row[c + 1], acc_row[c + 2], acc_row[c + 3]);
-                        let v = _mm_sub_epi32(v, _mm_set1_epi32(off));
-                        _mm_storeu_si128(dst.add(c) as *mut __m128i, v);
-                    }
-                } else {
-                    for (c, &x) in acc_row.iter().enumerate() {
-                        *dst.add(c) = hsum_epi32(x).wrapping_sub(off);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The blocked micro-kernel on the AVX2 `pmaddwd` arm.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must have AVX2; `a` must be `m × k`, `b` `n × k` and `out`
-    /// `m × n`.
+    /// The CPU must have AVX2; `a` must be `m × b.k()` and `out`
+    /// `m × b.n()`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matmul_i8t_avx2(
+    pub(super) unsafe fn matmul_packed_avx2(
         a: &[i8],
-        b: &[i8],
         m: usize,
-        k: usize,
-        n: usize,
+        b: &crate::PackedB,
         out: &mut [i32],
     ) {
         // SAFETY: the caller checked the shapes; AVX2 is enabled here.
-        unsafe { gemm::<Madd>(a, b, m, k, n, out) }
+        unsafe { super::gemm_packed::<Madd, 4, 1, 4>(a, m, b, out) }
     }
 
-    /// The blocked micro-kernel on the AVX-VNNI `vpdpbusd` arm.
+    /// The packed GEMM on the AVX-VNNI `vpdpbusd` arm: four rows by two
+    /// panels, a lone row by eight panels (eight accumulators each).
     ///
     /// # Safety
     ///
-    /// The CPU must have AVX2 and AVX-VNNI; `a` must be `m × k`, `b`
-    /// `n × k` and `out` `m × n`.
+    /// The CPU must have AVX2 and AVX-VNNI; `a` must be `m × b.k()` and
+    /// `out` `m × b.n()`.
     #[target_feature(enable = "avx2,avxvnni")]
-    pub(super) unsafe fn matmul_i8t_vnni(
+    pub(super) unsafe fn matmul_packed_vnni(
         a: &[i8],
-        b: &[i8],
         m: usize,
-        k: usize,
-        n: usize,
+        b: &crate::PackedB,
         out: &mut [i32],
     ) {
         // SAFETY: the caller checked the shapes; AVX2 and AVX-VNNI are
         // enabled here.
-        unsafe { gemm::<Vnni>(a, b, m, k, n, out) }
+        unsafe { super::gemm_packed::<Vnni, 4, 2, 8>(a, m, b, out) }
+    }
+
+    /// Eight whole quad rows at a time: the eight columns' 32-byte runs
+    /// are an 8 × 8 matrix of `u32` quads, transposed in registers so
+    /// each output row is one 32-byte store.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; every column holds `4 · quads` bytes and `dst` `32 · quads`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pack_panel_avx2(
+        cols: &[&[i8]; super::PANEL],
+        quads: usize,
+        dst: &mut [u8],
+    ) -> usize {
+        let done = quads / 8 * 8;
+        // SAFETY: quad rows `q..q + 8 ≤ quads` lie inside every column
+        // and inside `dst`.
+        unsafe {
+            let bias = _mm256_set1_epi8(-128);
+            let mut q = 0;
+            while q < done {
+                let mut r = [_mm256_setzero_si256(); 8];
+                for (v, col) in r.iter_mut().zip(cols) {
+                    *v = _mm256_loadu_si256(col.as_ptr().add(4 * q) as *const __m256i);
+                }
+                let t0 = _mm256_unpacklo_epi32(r[0], r[1]);
+                let t1 = _mm256_unpackhi_epi32(r[0], r[1]);
+                let t2 = _mm256_unpacklo_epi32(r[2], r[3]);
+                let t3 = _mm256_unpackhi_epi32(r[2], r[3]);
+                let t4 = _mm256_unpacklo_epi32(r[4], r[5]);
+                let t5 = _mm256_unpackhi_epi32(r[4], r[5]);
+                let t6 = _mm256_unpacklo_epi32(r[6], r[7]);
+                let t7 = _mm256_unpackhi_epi32(r[6], r[7]);
+                // u_i: columns 0–3 (or 4–7) of quad rows i and i + 4.
+                let u = [
+                    _mm256_unpacklo_epi64(t0, t2),
+                    _mm256_unpackhi_epi64(t0, t2),
+                    _mm256_unpacklo_epi64(t1, t3),
+                    _mm256_unpackhi_epi64(t1, t3),
+                ];
+                let w = [
+                    _mm256_unpacklo_epi64(t4, t6),
+                    _mm256_unpackhi_epi64(t4, t6),
+                    _mm256_unpacklo_epi64(t5, t7),
+                    _mm256_unpackhi_epi64(t5, t7),
+                ];
+                let out = dst.as_mut_ptr().add(32 * q);
+                for i in 0..4 {
+                    let lo = _mm256_permute2x128_si256::<0x20>(u[i], w[i]);
+                    let hi = _mm256_permute2x128_si256::<0x31>(u[i], w[i]);
+                    _mm256_storeu_si256(
+                        out.add(32 * i) as *mut __m256i,
+                        _mm256_xor_si256(lo, bias),
+                    );
+                    _mm256_storeu_si256(
+                        out.add(32 * (i + 4)) as *mut __m256i,
+                        _mm256_xor_si256(hi, bias),
+                    );
+                }
+                q += 8;
+            }
+        }
+        done
+    }
+
+    /// Thirty-two columns at a time: the four rows' bytes interleave in
+    /// registers into 32 four-byte quads, four panels' worth.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; the rows share one length `n`, `at + 32 ≤ panel_bytes`, and
+    /// `dst` holds `⌈n / 8⌉` panels of `panel_bytes`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn pack_quad_avx2(
+        rows: &[&[i8]; super::QUAD],
+        dst: &mut [u8],
+        at: usize,
+        panel_bytes: usize,
+    ) -> usize {
+        let done = rows[0].len() / 32 * 32;
+        // SAFETY: columns `j..j + 32 ≤ n` lie inside every row, and
+        // panels `j / 8..j / 8 + 4` inside `dst`.
+        unsafe {
+            let bias = _mm256_set1_epi8(-128);
+            let mut j = 0;
+            while j < done {
+                let mut v = [_mm256_setzero_si256(); 4];
+                for (v, row) in v.iter_mut().zip(rows) {
+                    *v = _mm256_loadu_si256(row.as_ptr().add(j) as *const __m256i);
+                }
+                let [a, b, c, d] = v;
+                let ab_lo = _mm256_unpacklo_epi8(a, b);
+                let ab_hi = _mm256_unpackhi_epi8(a, b);
+                let cd_lo = _mm256_unpacklo_epi8(c, d);
+                let cd_hi = _mm256_unpackhi_epi8(c, d);
+                // Columns 0–3 | 16–19, 4–7 | 20–23, 8–11 | 24–27, 12–15 | 28–31.
+                let q0 = _mm256_unpacklo_epi16(ab_lo, cd_lo);
+                let q1 = _mm256_unpackhi_epi16(ab_lo, cd_lo);
+                let q2 = _mm256_unpacklo_epi16(ab_hi, cd_hi);
+                let q3 = _mm256_unpackhi_epi16(ab_hi, cd_hi);
+                let panels = [
+                    _mm256_permute2x128_si256::<0x20>(q0, q1),
+                    _mm256_permute2x128_si256::<0x20>(q2, q3),
+                    _mm256_permute2x128_si256::<0x31>(q0, q1),
+                    _mm256_permute2x128_si256::<0x31>(q2, q3),
+                ];
+                for (i, v) in panels.into_iter().enumerate() {
+                    let out = dst.as_mut_ptr().add((j / 8 + i) * panel_bytes + at);
+                    _mm256_storeu_si256(out as *mut __m256i, _mm256_xor_si256(v, bias));
+                }
+                j += 32;
+            }
+        }
+        done
     }
 
     /// SAS constants pre-broadcast into registers.
@@ -978,81 +1270,104 @@ mod arm {
         }
     }
 
-    /// Widen one 16-byte chunk of each operand and accumulate the exact
-    /// `i16` products into `acc`'s four `i32` lanes.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn mac16(acc: int32x4_t, a: int8x16_t, b: int8x16_t) -> int32x4_t {
-        let lo = vmull_s8(vget_low_s8(a), vget_low_s8(b));
-        let hi = vmull_s8(vget_high_s8(a), vget_high_s8(b));
-        vpadalq_s16(vpadalq_s16(acc, lo), hi)
+    /// Whether the CPU has the dot-product extension (`SDOT`), detected
+    /// once per process.
+    pub(super) fn has_dotprod() -> bool {
+        static DOTPROD: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *DOTPROD.get_or_init(|| std::arch::is_aarch64_feature_detected!("dotprod"))
     }
 
-    /// `C = A · Bᵀ` with four `b` rows per sweep, so each 16-wide `a`
-    /// chunk is loaded once per four outputs (mirrors the AVX2
-    /// micro-kernel). Exact integer sums — bit-identical to scalar at
-    /// any lane split.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn matmul_i8t_neon(
-        a: &[i8],
-        b: &[i8],
-        m: usize,
-        k: usize,
-        n: usize,
-        out: &mut [i32],
-    ) {
-        debug_assert_eq!(out.len(), m * n);
+    /// `acc[i] += Σ_t b[4i + t] · a[4i + t]` — one `SDOT`, written as
+    /// inline assembly so it needs no unstable intrinsic.
+    #[inline]
+    #[target_feature(enable = "neon,dotprod")]
+    unsafe fn sdot(acc: int32x4_t, b: int8x16_t, a: int8x16_t) -> int32x4_t {
+        let mut acc = acc;
+        // SAFETY: a register-only instruction; the caller guarantees the
+        // dot-product extension.
         unsafe {
-            for i in 0..m {
-                let arow = a.as_ptr().add(i * k);
-                let orow = out.as_mut_ptr().add(i * n);
-                let mut j = 0;
-                while j + 4 <= n {
-                    let b0 = b.as_ptr().add(j * k);
-                    let b1 = b.as_ptr().add((j + 1) * k);
-                    let b2 = b.as_ptr().add((j + 2) * k);
-                    let b3 = b.as_ptr().add((j + 3) * k);
-                    let mut acc0 = vdupq_n_s32(0);
-                    let mut acc1 = vdupq_n_s32(0);
-                    let mut acc2 = vdupq_n_s32(0);
-                    let mut acc3 = vdupq_n_s32(0);
-                    let mut t = 0;
-                    while t + 16 <= k {
-                        let va = vld1q_s8(arow.add(t));
-                        acc0 = mac16(acc0, va, vld1q_s8(b0.add(t)));
-                        acc1 = mac16(acc1, va, vld1q_s8(b1.add(t)));
-                        acc2 = mac16(acc2, va, vld1q_s8(b2.add(t)));
-                        acc3 = mac16(acc3, va, vld1q_s8(b3.add(t)));
-                        t += 16;
-                    }
-                    let mut sums = [
-                        vaddvq_s32(acc0),
-                        vaddvq_s32(acc1),
-                        vaddvq_s32(acc2),
-                        vaddvq_s32(acc3),
-                    ];
-                    while t < k {
-                        let av = *arow.add(t) as i32;
-                        sums[0] += av * *b0.add(t) as i32;
-                        sums[1] += av * *b1.add(t) as i32;
-                        sums[2] += av * *b2.add(t) as i32;
-                        sums[3] += av * *b3.add(t) as i32;
-                        t += 1;
-                    }
-                    *orow.add(j) = sums[0];
-                    *orow.add(j + 1) = sums[1];
-                    *orow.add(j + 2) = sums[2];
-                    *orow.add(j + 3) = sums[3];
-                    j += 4;
-                }
-                while j < n {
-                    let arow_s = std::slice::from_raw_parts(arow, k);
-                    let brow = std::slice::from_raw_parts(b.as_ptr().add(j * k), k);
-                    *orow.add(j) = dot_i8_neon(arow_s, brow);
-                    j += 1;
-                }
+            std::arch::asm!(
+                "sdot {acc:v}.4s, {b:v}.16b, {a:v}.16b",
+                acc = inout(vreg) acc,
+                b = in(vreg) b,
+                a = in(vreg) a,
+                options(pure, nomem, nostack),
+            );
+        }
+        acc
+    }
+
+    /// The NEON `SDOT` arm of the packed GEMM: the stored bias is undone
+    /// on load, and one `SDOT` per half-quad (four columns of four bytes)
+    /// adds four exact products into each output's lane.
+    struct Sdot;
+
+    impl super::PackedArm for Sdot {
+        type A = int8x16_t;
+        type B = (int8x16_t, int8x16_t);
+        type Acc = (int32x4_t, int32x4_t);
+        const BIASED: bool = false;
+
+        #[inline(always)]
+        unsafe fn zero() -> Self::Acc {
+            // SAFETY: the caller guarantees NEON.
+            unsafe { (vdupq_n_s32(0), vdupq_n_s32(0)) }
+        }
+
+        #[inline(always)]
+        unsafe fn load_b(p: *const u8) -> Self::B {
+            // SAFETY: the caller guarantees 32 readable bytes and NEON.
+            unsafe {
+                let bias = vdupq_n_u8(0x80);
+                (
+                    vreinterpretq_s8_u8(veorq_u8(vld1q_u8(p), bias)),
+                    vreinterpretq_s8_u8(veorq_u8(vld1q_u8(p.add(16)), bias)),
+                )
             }
         }
+
+        #[inline(always)]
+        unsafe fn bcast_a(quad: i32) -> Self::A {
+            // SAFETY: the caller guarantees NEON.
+            unsafe { vreinterpretq_s8_s32(vdupq_n_s32(quad)) }
+        }
+
+        #[inline(always)]
+        unsafe fn mac(acc: Self::Acc, b: Self::B, a: Self::A) -> Self::Acc {
+            // SAFETY: the caller guarantees NEON and the dot-product
+            // extension.
+            unsafe { (sdot(acc.0, b.0, a), sdot(acc.1, b.1, a)) }
+        }
+
+        #[inline(always)]
+        unsafe fn store(acc: Self::Acc, offset: i32, dst: *mut i32) {
+            debug_assert_eq!(offset, 0, "the SDOT arm is unbiased");
+            // SAFETY: the caller guarantees eight writable outputs and
+            // NEON.
+            unsafe {
+                vst1q_s32(dst, acc.0);
+                vst1q_s32(dst.add(4), acc.1);
+            }
+        }
+    }
+
+    /// The packed GEMM on the NEON `SDOT` arm: four rows by one panel, a
+    /// lone row by four panels (eight accumulators each).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have NEON and the dot-product extension; `a` must be
+    /// `m × b.k()` and `out` `m × b.n()`.
+    #[target_feature(enable = "neon,dotprod")]
+    pub(super) unsafe fn matmul_packed_sdot(
+        a: &[i8],
+        m: usize,
+        b: &crate::PackedB,
+        out: &mut [i32],
+    ) {
+        // SAFETY: the caller checked the shapes; NEON and the dot-product
+        // extension are enabled here.
+        unsafe { super::gemm_packed::<Sdot, 4, 1, 4>(a, m, b, out) }
     }
 
     /// SAS constants pre-broadcast into registers. The ≤8-entry `f32`
@@ -1282,14 +1597,26 @@ mod tests {
     }
 
     /// `(m, k, n)` shapes for the GEMM sweeps: every `m` in `1..=9` (the
-    /// two-row blocks and an odd last row), `k` around both step widths
-    /// (16 and 32 bytes) and `n` around the four-column blocks.
+    /// four-row blocks, the one-row path and every leftover count), `k`
+    /// around the four-byte quads and the 32-byte loads, and `n` around
+    /// the eight-column panels and the one-row path's eight-panel blocks.
     fn gemm_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
         (1..=9).flat_map(|m| {
-            [0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 128, 130]
+            [1, 3, 4, 5, 63, 64, 65, 128]
                 .into_iter()
-                .flat_map(move |k| [1, 2, 3, 4, 5, 7, 8, 13].map(|n| (m, k, n)))
+                .flat_map(move |k| [1, 7, 8, 15, 16, 17, 63, 64, 65].map(|n| (m, k, n)))
         })
+    }
+
+    /// The long-`k` shapes, at `k = DOT_I8_MAX_LEN`: one row, a four-row
+    /// block and a block plus a leftover row, against one partial panel,
+    /// one whole panel and two panels plus a partial one. The full
+    /// `m × n` sweep at this `k` would take minutes in a debug build.
+    fn long_gemm_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        let k = crate::matmul::DOT_I8_MAX_LEN;
+        [1, 4, 5]
+            .into_iter()
+            .flat_map(move |m| [1, 8, 17].map(|n| (m, k, n)))
     }
 
     /// Rows alternating between all −128 and all 127, starting at `first`.
@@ -1302,41 +1629,62 @@ mod tests {
     /// Operand pairs for one shape: wrapping patterns (which hit both −128
     /// and 127) and extreme rows, so every sign pairing of the extremes
     /// meets on both operands.
-    fn gemm_inputs(m: usize, k: usize, n: usize) -> [(Vec<i8>, Vec<i8>); 2] {
+    fn gemm_inputs(m: usize, k: usize, n: usize) -> [(Vec<i8>, Vec<i8>); 3] {
         [
             (pattern_i8(m * k, 37, 11), pattern_i8(n * k, 91, 3)),
             (extreme_rows(m, k, 0), extreme_rows(n, k, 1)),
+            (extreme_rows(m, k, 1), extreme_rows(n, k, 1)),
         ]
     }
 
-    /// Checks one GEMM arm against the scalar twin over [`gemm_shapes`],
-    /// and at `k = DOT_I8_MAX_LEN` with worst-case operands, where the
-    /// VNNI arm's biased sums wrap and only its offset makes them exact.
-    fn assert_gemm_matches_scalar(
-        arm: &str,
-        gemm: impl Fn(&[i8], &[i8], usize, usize, usize) -> Vec<i32>,
-    ) {
-        let long = (3, crate::matmul::DOT_I8_MAX_LEN, 5);
-        for (m, k, n) in gemm_shapes().chain([long]) {
+    /// `C = A · Bᵀ` by the definition: one left-to-right dot per output.
+    fn reference_gemm(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
+        let mut out = Vec::with_capacity(m * n);
+        for i in 0..m {
+            for j in 0..n {
+                out.push(dot_i8_scalar(
+                    &a[i * k..(i + 1) * k],
+                    &b[j * k..(j + 1) * k],
+                ));
+            }
+        }
+        out
+    }
+
+    /// Checks one packed-GEMM arm against the definition over
+    /// [`gemm_shapes`] and [`long_gemm_shapes`]. At `k = DOT_I8_MAX_LEN`
+    /// the worst-case operands make the biased arms' sums wrap, so only
+    /// their `128 · Σa` offset makes them exact.
+    fn assert_gemm_matches_scalar(arm: &str, gemm: impl Fn(&[i8], usize, &PackedB) -> Vec<i32>) {
+        for (m, k, n) in gemm_shapes().chain(long_gemm_shapes()) {
             for (a, b) in gemm_inputs(m, k, n) {
-                let mut scalar = Vec::new();
-                matmul_i8t_on(SimdLevel::Scalar, &a, &b, m, k, n, &mut scalar);
-                assert_eq!(scalar, gemm(&a, &b, m, k, n), "{arm} shape ({m},{k},{n})");
+                let packed = PackedB::from_rows(&b, n, k);
+                assert_eq!(
+                    reference_gemm(&a, &b, m, k, n),
+                    gemm(&a, m, &packed),
+                    "{arm} shape ({m},{k},{n})"
+                );
             }
         }
     }
 
     #[test]
     fn matmul_equivalence_at_ragged_shapes() {
-        let Some(arm) = simd_arm() else { return };
-        assert_gemm_matches_scalar("dispatched", |a, b, m, k, n| {
+        assert_gemm_matches_scalar("scalar", |a, m, b| {
             let mut out = Vec::new();
-            matmul_i8t_on(arm, a, b, m, k, n, &mut out);
+            matmul_i8_packed_on(SimdLevel::Scalar, a, m, b, &mut out);
+            out
+        });
+        let Some(arm) = simd_arm() else { return };
+        assert_gemm_matches_scalar("dispatched", |a, m, b| {
+            let mut out = Vec::new();
+            matmul_i8_packed_on(arm, a, m, b, &mut out);
             out
         });
     }
 
-    /// Both x86 GEMM arms called directly, whichever one dispatch picks.
+    /// Every x86 arm of the packed GEMM called directly, whichever one
+    /// dispatch picks.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn x86_gemm_arms_match_scalar() {
@@ -1344,22 +1692,104 @@ mod tests {
             eprintln!("x86_gemm_arms_match_scalar: no AVX2, both x86 arms skipped");
             return;
         }
-        assert_gemm_matches_scalar("avx2", |a, b, m, k, n| {
-            let mut out = vec![0; m * n];
+        assert_gemm_matches_scalar("avx2", |a, m, b| {
+            let mut out = vec![0; m * b.n()];
             // SAFETY: AVX2 checked above; the sweep builds consistent shapes.
-            unsafe { x86::matmul_i8t_avx2(a, b, m, k, n, &mut out) };
+            unsafe { x86::matmul_packed_avx2(a, m, b, &mut out) };
             out
         });
         if !x86::has_avx_vnni() {
             eprintln!("x86_gemm_arms_match_scalar: no AVX-VNNI, the VNNI arm skipped");
             return;
         }
-        assert_gemm_matches_scalar("vnni", |a, b, m, k, n| {
-            let mut out = vec![0; m * n];
+        assert_gemm_matches_scalar("vnni", |a, m, b| {
+            let mut out = vec![0; m * b.n()];
             // SAFETY: AVX2 and AVX-VNNI checked above; consistent shapes.
-            unsafe { x86::matmul_i8t_vnni(a, b, m, k, n, &mut out) };
+            unsafe { x86::matmul_packed_vnni(a, m, b, &mut out) };
             out
         });
+    }
+
+    /// The pack-then-multiply wrapper, on every arm the machine has, and
+    /// a packed operand reused across calls of different `m`.
+    #[test]
+    fn unpacked_wrapper_and_reuse_match_the_definition() {
+        let levels = [Some(SimdLevel::Scalar), simd_arm()];
+        for level in levels.into_iter().flatten() {
+            for (m, k, n) in [(3, 64, 17), (1, 5, 9), (8, 130, 64), (0, 4, 8), (2, 0, 3)] {
+                let a = pattern_i8(m * k, 29, 7);
+                let b = pattern_i8(n * k, 83, 1);
+                let mut out = vec![-1; 3];
+                matmul_i8t_on(level, &a, &b, m, k, n, &mut out);
+                assert_eq!(
+                    out,
+                    reference_gemm(&a, &b, m, k, n),
+                    "{level:?} ({m},{k},{n})"
+                );
+            }
+            let (k, n) = (40, 11);
+            let b = pattern_i8(n * k, 61, 2);
+            let packed = PackedB::from_rows(&b, n, k);
+            let mut out = Vec::new();
+            for m in [4, 1, 6] {
+                let a = pattern_i8(m * k, 17, m);
+                matmul_i8_packed_on(level, &a, m, &packed, &mut out);
+                assert_eq!(
+                    out,
+                    reference_gemm(&a, &b, m, k, n),
+                    "{level:?} reuse m {m}"
+                );
+            }
+        }
+    }
+
+    /// The vector pack kernels against the layout's definition, at
+    /// lengths around their 8-quad and 32-column steps; whatever a kernel
+    /// reports as done must be exactly the definition, and nothing past it
+    /// may be touched.
+    #[test]
+    fn pack_kernels_match_the_layout() {
+        let Some(arm) = simd_arm() else { return };
+        for quads in [0usize, 1, 7, 8, 9, 16, 17, 33] {
+            let cols: Vec<Vec<i8>> = (0..PANEL)
+                .map(|c| pattern_i8(QUAD * quads, 37 + c, c))
+                .collect();
+            let cols: [&[i8]; PANEL] = std::array::from_fn(|c| &cols[c][..]);
+            let mut dst = vec![0u8; QUAD_BYTES * quads];
+            let done = pack_panel_on(arm, &cols, quads, &mut dst);
+            assert!(
+                done <= quads && done.is_multiple_of(8),
+                "quads {quads}: done {done}"
+            );
+            for (at, &byte) in dst.iter().enumerate() {
+                let (q, c, t) = (at / QUAD_BYTES, at % QUAD_BYTES / QUAD, at % QUAD);
+                let want = if q < done {
+                    cols[c][QUAD * q + t] as u8 ^ 0x80
+                } else {
+                    0
+                };
+                assert_eq!(byte, want, "quads {quads}: byte {at}");
+            }
+        }
+        for n in [0usize, 1, 31, 32, 33, 64, 95, 130] {
+            let rows: Vec<Vec<i8>> = (0..QUAD).map(|t| pattern_i8(n, 53 + t, 3 * t)).collect();
+            let rows: [&[i8]; QUAD] = std::array::from_fn(|t| &rows[t][..]);
+            let (at, panel_bytes) = (2 * QUAD_BYTES, 4 * QUAD_BYTES);
+            let mut dst = vec![0u8; n.div_ceil(PANEL) * panel_bytes];
+            let done = pack_quad_on(arm, &rows, &mut dst, at, panel_bytes);
+            assert!(done <= n && done.is_multiple_of(32), "n {n}: done {done}");
+            for (i, &byte) in dst.iter().enumerate() {
+                let (p, off) = (i / panel_bytes, i % panel_bytes);
+                let j = p * PANEL + (off.wrapping_sub(at)) / QUAD;
+                let inside = (at..at + QUAD_BYTES).contains(&off) && j < done;
+                let want = if inside {
+                    rows[off % QUAD][j] as u8 ^ 0x80
+                } else {
+                    0
+                };
+                assert_eq!(byte, want, "n {n}: byte {i}");
+            }
+        }
     }
 
     #[test]

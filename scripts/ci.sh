@@ -24,11 +24,12 @@ cargo test --release -q -p turbo-tensor -p turbo-attention -p turbo-quant -p tur
 
 echo "==> kernel tests with SIMD force-disabled (scalar-fallback coverage)"
 # The equivalence tests pin every arm the machine has in-process (on
-# x86: scalar, the AVX2 GEMM and, where the CPU has it, the AVX-VNNI
-# GEMM), but the dispatched *call sites* (quant encode, SAS rows,
-# attention sweeps) only exercise the scalar fallback when detection
-# says so — force it.
-TURBO_SIMD=0 cargo test -q -p turbo-tensor -p turbo-softmax -p turbo-quant -p turbo-attention
+# x86: the scalar, AVX2 and, where the CPU has it, AVX-VNNI arms of the
+# packed GEMM), but the dispatched *call sites* (quant and decode-buffer
+# encode, the packs, SAS rows, attention sweeps, tile builds) only
+# exercise the scalar fallback when detection says so — force it.
+TURBO_SIMD=0 cargo test -q -p turbo-tensor -p turbo-softmax -p turbo-quant -p turbo-attention \
+  -p turbo-kvcache
 
 echo "==> chaos smoke (64 seeded episodes, 2 replicas)"
 TURBO_CHAOS_EPISODES=64 cargo test -q -p turbo-integration-tests --test chaos_soak
