@@ -513,6 +513,40 @@ mod tests {
         }
     }
 
+    /// Prefill hands decode its tiles: after the layer prefill every KV
+    /// head's tile cache holds one tile per resident block, and the first
+    /// decode step serves every block from the cache.
+    #[test]
+    fn prefill_warms_every_tile_so_the_first_decode_step_misses_none() {
+        let layout = GqaLayout::new(4, 2);
+        let mut rng = TensorRng::new(5);
+        // 200 tokens: three 64-token blocks and a ragged one of 8.
+        let (n, d) = (200usize, 32usize);
+        let qs: Vec<Matrix> = (0..4).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
+        let ks: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
+        let vs: Vec<Matrix> = (0..2).map(|_| rng.normal(n, d, 0.0, 1.0)).collect();
+        let engine = TurboAttention::default();
+        let rt = turbo_runtime::global();
+        // One INT2 head: both widths hand over their tiles.
+        let (_, mut cache) = engine.prefill_layer_gqa_on(rt, layout, &qs, &ks, &vs, 1);
+        for head in cache.iter() {
+            let s = head.tile_cache_stats();
+            assert_eq!(head.resident_blocks().len(), 4);
+            assert_eq!((s.entries, s.hits, s.misses), (4, 0, 0));
+        }
+        let q_rows: Vec<&[f32]> = qs.iter().map(|m| m.row(0)).collect();
+        let kv_rows: Vec<&[f32]> = ks.iter().map(|m| m.row(1)).collect();
+        engine.decode_layer_gqa_on(rt, layout, &q_rows, &kv_rows, &kv_rows, &mut cache);
+        for head in cache.iter() {
+            let s = head.tile_cache_stats();
+            assert_eq!(
+                (s.hits, s.misses),
+                (4, 0),
+                "the first decode step rebuilt a tile"
+            );
+        }
+    }
+
     #[test]
     fn gqa_mixed_precision_ranks_kv_heads() {
         let layout = GqaLayout::new(4, 2);

@@ -5,14 +5,16 @@
 //! (budget-0) twin through identical interleavings of token appends,
 //! explicit flushes, progressive middle evictions, and snapshot
 //! recoveries, checking after **every** mutation that both answer a
-//! decode query bit-for-bit identically. Any staleness bug — a tile
-//! surviving a flush, an eviction, or a recovery — shows up as a bitwise
-//! divergence.
+//! decode query bit-for-bit identically. Each episode opens with 0–3
+//! prefill blocks, whose tiles the cached twin receives warm from the
+//! prefill write. Any staleness bug — a tile surviving a flush, an
+//! eviction, or a recovery, or a warm prefill tile that differs from the
+//! one a miss builds — shows up as a bitwise divergence.
 
 use turbo_attention::turbo_attend_cache;
 use turbo_kvcache::persist::serialize_head_cache;
 use turbo_kvcache::{recover_head_cache, HeadKvCache, KvCacheConfig};
-use turbo_quant::BitWidth;
+use turbo_quant::{BitWidth, SymQuantized};
 use turbo_robust::FaultInjector;
 use turbo_softmax::Sas;
 use turbo_tensor::TensorRng;
@@ -44,6 +46,36 @@ fn episode(seed: u64) {
     let row = |rng: &mut TensorRng| -> Vec<f32> {
         (0..d).map(|_| rng.standard_normal()).collect()
     };
+
+    // The prompt: 0–3 prefill blocks of 1..=buffer_capacity tokens (so a
+    // sink block plus the buffer still fit the eviction budget below),
+    // drawn from their own generators so the ops below stay as they were.
+    let mut prompt = TensorRng::new(seed ^ 0x9E11_F111);
+    let mut heights = FaultInjector::new(seed ^ 0x9E11_F112);
+    let tiles: Vec<_> = (0..heights.pick(4))
+        .map(|_| {
+            let rows = 1 + heights.pick(buffer_capacity);
+            let k = SymQuantized::quantize(&prompt.normal(rows, d, 0.0, 1.0));
+            let v = SymQuantized::quantize(&prompt.normal(rows, d, 0.0, 1.0));
+            (k, v)
+        })
+        .collect();
+    cached.append_prefill_blocks(tiles.iter().map(|(k, v)| (k, v)));
+    uncached.append_prefill_blocks(tiles.iter().map(|(k, v)| (k, v)));
+    if !cached.is_empty() {
+        let q = row(&mut prompt);
+        let warm = turbo_attend_cache(&q, &cached, &sas);
+        assert_eq!(
+            cached.tile_cache_stats().misses,
+            0,
+            "seed {seed}: a prefill tile was cold"
+        );
+        let cold = turbo_attend_cache(&q, &uncached, &sas);
+        assert_eq!(
+            warm, cold,
+            "seed {seed}: warm prefill tiles diverged from uncached"
+        );
+    }
 
     for op in 0..OPS_PER_EPISODE {
         match chooser.pick(10) {

@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use turbo_attention::{turbo_attend_group_into, Scratch};
 use turbo_kvcache::{HeadKvCache, KvCacheConfig};
-use turbo_quant::BitWidth;
+use turbo_quant::{BitWidth, SymQuantized};
 use turbo_softmax::Sas;
 use turbo_tensor::TensorRng;
 
@@ -78,6 +78,52 @@ fn populated_cache(seed: u64, n: usize, d: usize, buffer_capacity: usize) -> Hea
         cache.try_append(k.row(t), v.row(t)).unwrap();
     }
     cache
+}
+
+/// The first decode step after a prefill: the prefill hands every
+/// block's tile to the tile cache as it writes the block, so with a
+/// presized arena the very first attend builds nothing and allocates
+/// nothing.
+#[test]
+fn first_attend_after_prefill_is_allocation_free() {
+    let d = 32;
+    let mut rng = TensorRng::new(41);
+    let mut cache = HeadKvCache::new(
+        d,
+        KvCacheConfig {
+            bits: BitWidth::Int4,
+            group_size: 32,
+            buffer_capacity: 64,
+        },
+    );
+    // 200 prompt tokens as prefill writes them: three 64-token blocks and
+    // a ragged one of 8.
+    let tiles: Vec<_> = [64, 64, 64, 8]
+        .into_iter()
+        .map(|rows| {
+            let k = SymQuantized::quantize(&rng.normal(rows, d, 0.0, 1.0));
+            let v = SymQuantized::quantize(&rng.normal(rows, d, 0.0, 1.0));
+            (k, v)
+        })
+        .collect();
+    cache.append_prefill_blocks(tiles.iter().map(|(k, v)| (k, v)));
+    let sas = Sas::paper_default();
+    let q: Vec<f32> = (0..d).map(|_| rng.standard_normal()).collect();
+    let mut scratch = Scratch::for_cache(&cache);
+    let mut out = Vec::with_capacity(d);
+
+    let before = allocations();
+    turbo_attend_group_into(&[&q], &cache, &sas, &mut scratch, &mut out);
+    let allocated = allocations() - before;
+    assert_eq!(out.len(), d);
+    #[cfg(debug_assertions)]
+    assert_eq!(
+        allocated, 0,
+        "the first attend after a prefill must not allocate ({allocated} allocations)"
+    );
+    #[cfg(not(debug_assertions))]
+    let _ = allocated;
+    assert_eq!(cache.tile_cache_stats().misses, 0);
 }
 
 /// Attend-only loop (read path of Algorithm 2): after one warmup call

@@ -217,6 +217,36 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
+/// The first decode step after a 1024-token prefill at d = 64: the
+/// step that used to rebuild every prompt block's tile. Each iteration
+/// steps a fresh copy of the just-prefilled cache (a clone carries the
+/// tile cache as the prefill left it), so only the step is timed: one
+/// append and one attend. Recorded, not gated.
+fn bench_first_step_after_prefill(c: &mut Criterion) {
+    const PROMPT: usize = 1024;
+    let mut rng = TensorRng::new(33);
+    let (q, k, v) = (
+        rng.normal(PROMPT, D, 0.0, 1.0),
+        rng.normal(PROMPT, D, 0.0, 1.0),
+        rng.normal(PROMPT, D, 0.0, 1.0),
+    );
+    let sas = Sas::paper_default();
+    let mut prefilled = HeadKvCache::new(D, KvCacheConfig::default());
+    turbo_prefill_head(&q, &k, &v, Masking::Causal, &sas, 64, 64, &mut prefilled);
+    let mut g = c.benchmark_group("attention/decode_first_step_after_prefill");
+    g.bench_function("1024x64", |b| {
+        b.iter_batched(
+            || prefilled.clone(),
+            |mut cache| {
+                cache.try_append(k.row(0), v.row(0)).expect("finite rows");
+                turbo_attend_cache(black_box(q.row(0)), &cache, &sas)
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    g.finish();
+}
+
 /// Integer micro-kernels, scalar arm vs the detected dispatch arm, on
 /// the shapes the fused sweeps actually run (64-wide dot for QK^T at
 /// d=64; a 64×64×64 tile GEMM; the grouped-decode GEMMs of G=4 query
@@ -638,6 +668,7 @@ criterion_group!(
     benches,
     bench_prefill,
     bench_decode,
+    bench_first_step_after_prefill,
     bench_i8_kernels,
     bench_block_sizes,
     bench_multilayer,

@@ -91,7 +91,7 @@ fn bench_prefill_block(c: &mut Criterion) {
         b.iter_batched(
             || HeadKvCache::new(D, KvCacheConfig::default()),
             |mut cache| {
-                cache.append_prefill_block(black_box(&k8), black_box(&k8));
+                cache.append_prefill_blocks([(black_box(&k8), black_box(&k8))]);
                 cache
             },
             BatchSize::SmallInput,

@@ -10,13 +10,19 @@
 //! and `SDOT` kernels read), so a warm decode step performs no
 //! dequantization, transposition or packing at all.
 //!
-//! A miss builds the tile in one pass per block
+//! A prefill block never misses:
+//! [`append_prefill_blocks`](crate::HeadKvCache::append_prefill_blocks)
+//! inserts each block's tile as it writes the blocks
+//! (`DequantTile::from_int8`), packed from the expansion the stage-2
+//! compress computes in the same pass, so the first decode step after a
+//! prefill builds nothing. Blocks made by a buffer
+//! flush, rebuilt by recovery or re-indexed by eviction build their tile
+//! on their first miss, in one pass per block
 //! ([`ProgressiveBlock::dequantize_channels`]): the packed codes are
 //! stored channel-major, and each expanded channel goes straight to its
 //! place in the packed operand — a value channel is one output column of
 //! `P·V`, four key channels are one quad of every token's column of
-//! `q·Kᵀ`. The first decode step after a prefill misses on every prefill
-//! block, so this build sets that step's latency.
+//! `q·Kᵀ`.
 //!
 //! Correctness does not depend on the cache: the expansion is a
 //! deterministic pure function of the block, so a cached tile is
@@ -37,7 +43,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use turbo_quant::ProgressiveBlock;
+use turbo_quant::{ProgressiveBlock, SymQuantized};
 use turbo_robust::{HealthEvent, HealthStats};
 use turbo_tensor::packed::{PANEL, QUAD};
 use turbo_tensor::PackedB;
@@ -111,6 +117,28 @@ impl DequantTile {
             k_scale: k.outer_scale(),
             v: vp,
             v_scale: v.outer_scale(),
+            rows,
+            d,
+        }
+    }
+
+    /// Packs a block pair's INT8 expansion — the
+    /// [`ProgressiveBlock::dequantize_to_int8`] codes, row-major, as
+    /// [`ProgressiveBlock::quantize_and_expand_from_int8`] hands them
+    /// over — as the tile: the same operands [`DequantTile::from_blocks`]
+    /// builds from the blocks, with nothing left to unpack or expand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two disagree in shape.
+    pub(crate) fn from_int8(k: &SymQuantized, v: &SymQuantized) -> Self {
+        let (rows, d) = (k.rows(), k.cols());
+        assert_eq!((v.rows(), v.cols()), (rows, d), "K/V shape mismatch");
+        Self {
+            k: PackedB::from_rows(k.codes(), rows, d),
+            k_scale: k.scale(),
+            v: PackedB::from_cols(v.codes(), rows, d),
+            v_scale: v.scale(),
             rows,
             d,
         }

@@ -275,33 +275,72 @@ impl HeadKvCache {
     }
 
     /// Prefill path: compresses the stage-1 INT8 K/V tiles the prefill
-    /// sweep already made into resident blocks (Algorithm 1 writes
-    /// `K^{q2}`/`V^{q2}` per `B_c` block), so each tile is quantized to
-    /// INT8 once. Given `SymQuantized::quantize(tile)`, the blocks are
-    /// bit-identical to [`ProgressiveBlock::quantize`] of the f32 tile.
+    /// sweep already made into resident blocks, in order (Algorithm 1
+    /// writes `K^{q2}`/`V^{q2}` per `B_c` block), so each tile is
+    /// quantized to INT8 once. Given `SymQuantized::quantize(tile)`, each
+    /// block is bit-identical to [`ProgressiveBlock::quantize`] of the f32
+    /// tile. Empty tiles add nothing.
+    ///
+    /// The same pass hands each block's decode tile to the tile cache
+    /// (`DequantTile::from_int8` of the expansion
+    /// [`ProgressiveBlock::quantize_and_expand_from_int8`] computes from
+    /// the codes in hand), bit-identical to the one
+    /// [`HeadKvCache::resident_tile`] would build on a miss, so the first
+    /// decode step after a prefill rebuilds nothing. With a tile-cache
+    /// budget of 0 no tile is built. The tiles are packed after all the
+    /// blocks, so the decode working set sits together in memory instead
+    /// of between the blocks: interleaved, the steady decode step of the
+    /// `prefill_burst` shape measured a few percent slower.
     ///
     /// # Panics
     ///
     /// Panics if shapes disagree or the buffer is non-empty (prefill must
     /// precede decode).
-    pub fn append_prefill_block(&mut self, k8: &SymQuantized, v8: &SymQuantized) {
-        assert_eq!(
-            (k8.rows(), k8.cols()),
-            (v8.rows(), v8.cols()),
-            "K/V shape mismatch"
-        );
-        assert_eq!(k8.cols(), self.d, "channel mismatch");
+    pub fn append_prefill_blocks<'a>(
+        &mut self,
+        tiles: impl IntoIterator<Item = (&'a SymQuantized, &'a SymQuantized)>,
+    ) {
         assert!(
             self.k_buf.is_empty(),
             "prefill blocks must be appended before decoding starts"
         );
-        if k8.rows() == 0 {
-            return;
-        }
         let (bits, group_size) = (self.config.bits, self.config.group_size);
-        self.k_blocks.push(ProgressiveBlock::quantize_from_int8(k8, bits, group_size));
-        self.v_blocks.push(ProgressiveBlock::quantize_from_int8(v8, bits, group_size));
-        self.resident_tokens += k8.rows();
+        let warm = self.tile_cache.with(|c| c.stats().budget_bytes) > 0;
+        let first = self.k_blocks.len();
+        let mut expanded = Vec::new();
+        for (k8, v8) in tiles {
+            assert_eq!(
+                (k8.rows(), k8.cols()),
+                (v8.rows(), v8.cols()),
+                "K/V shape mismatch"
+            );
+            assert_eq!(k8.cols(), self.d, "channel mismatch");
+            if k8.rows() == 0 {
+                continue;
+            }
+            if warm {
+                let (kb, k_exp) =
+                    ProgressiveBlock::quantize_and_expand_from_int8(k8, bits, group_size);
+                let (vb, v_exp) =
+                    ProgressiveBlock::quantize_and_expand_from_int8(v8, bits, group_size);
+                self.k_blocks.push(kb);
+                self.v_blocks.push(vb);
+                expanded.push((k_exp, v_exp));
+            } else {
+                self.k_blocks
+                    .push(ProgressiveBlock::quantize_from_int8(k8, bits, group_size));
+                self.v_blocks
+                    .push(ProgressiveBlock::quantize_from_int8(v8, bits, group_size));
+            }
+            self.resident_tokens += k8.rows();
+        }
+        // Every expansion stays alive until the last tile is packed, so no
+        // tile lands in a freed expansion's slot between two blocks.
+        let generation = self.generation;
+        for (b, (k, v)) in (first..).zip(&expanded) {
+            let tile = Arc::new(DequantTile::from_int8(k, v));
+            self.tile_cache.with(move |c| c.insert(b, generation, tile));
+        }
     }
 
     /// Forces the open buffer to compress into resident blocks even if it
@@ -402,7 +441,9 @@ impl HeadKvCache {
     }
 
     /// The memoized INT8 expansion of resident block `b`, building and
-    /// caching it on a miss.
+    /// caching it on a miss. Prefill blocks arrive cached
+    /// ([`HeadKvCache::append_prefill_blocks`]); flushed, recovered and
+    /// post-eviction blocks are built here on their first lookup.
     ///
     /// Output is bit-identical to calling `dequantize_to_int8()` on the
     /// K/V blocks directly (plus the V transpose): the tile is a pure
@@ -508,7 +549,8 @@ mod tests {
         let mut c = HeadKvCache::new(8, cfg(BitWidth::Int4, 16));
         let k0 = rng.normal(32, 8, 0.0, 1.0);
         let v0 = rng.normal(32, 8, 0.0, 1.0);
-        c.append_prefill_block(&SymQuantized::quantize(&k0), &SymQuantized::quantize(&v0));
+        let (k8, v8) = (SymQuantized::quantize(&k0), SymQuantized::quantize(&v0));
+        c.append_prefill_blocks([(&k8, &v8)]);
         let k1 = rng.normal(1, 8, 0.0, 1.0);
         c.try_append(k1.row(0), k1.row(0)).unwrap();
         let (k, _v) = c.dequantize_all();
@@ -747,7 +789,7 @@ mod tests {
         let data = rng.normal(64, 4, 0.0, 1.0);
         let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
         let first8 = SymQuantized::quantize(&data.row_block(0, 8));
-        c.append_prefill_block(&first8, &first8);
+        c.append_prefill_blocks([(&first8, &first8)]);
         let g0 = c.generation();
         let tile = c.resident_tile(0);
         // Further flushes push blocks without touching earlier indices.
@@ -763,10 +805,10 @@ mod tests {
         // So does a prefill block append (on a fresh cache: prefill
         // precedes decode).
         let mut p = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
-        p.append_prefill_block(&first8, &first8);
+        p.append_prefill_blocks([(&first8, &first8)]);
         let first = p.resident_tile(0);
         let next = SymQuantized::quantize(&data.row_block(8, 8));
-        p.append_prefill_block(&next, &next);
+        p.append_prefill_blocks([(&next, &next)]);
         assert_eq!(p.generation(), 0, "a prefill append must not bump");
         let kept = p.resident_tile(0);
         assert!(Arc::ptr_eq(&first, &kept), "tile must survive a prefill append");
@@ -819,7 +861,7 @@ mod tests {
             for (b, (r, k_blk)) in k.row_blocks(16).enumerate() {
                 let v_blk = v.row_block(r, k_blk.rows());
                 let (k8, v8) = (SymQuantized::quantize(&k_blk), SymQuantized::quantize(&v_blk));
-                c.append_prefill_block(&k8, &v8);
+                c.append_prefill_blocks([(&k8, &v8)]);
                 let (kb, vb) = (&c.resident_blocks()[b], &c.resident_value_blocks()[b]);
                 let k_ref = ProgressiveBlock::quantize(&k_blk, bits, 6);
                 let v_ref = ProgressiveBlock::quantize(&v_blk, bits, 6);
@@ -833,12 +875,77 @@ mod tests {
         }
     }
 
+    /// The tile a prefill block hands the tile cache equals the one a
+    /// decode-side miss builds from the block itself.
+    #[test]
+    fn prefill_tile_equals_the_tile_built_from_its_blocks() {
+        let mut state = 0u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        };
+        for bits in [BitWidth::Int2, BitWidth::Int3, BitWidth::Int4] {
+            for rows in 1..=70 {
+                for group_size in [1, 6, 16, 64, 100] {
+                    for d in [1, 3, 8, 64, 128] {
+                        let mut tile8 = |scale| {
+                            let codes = (0..rows * d).map(|_| next() as i8).collect();
+                            SymQuantized::from_parts(codes, scale, rows, d)
+                        };
+                        let (k8, v8) = (tile8(0.5), tile8(2.0));
+                        let config = KvCacheConfig {
+                            bits,
+                            group_size,
+                            buffer_capacity: 8,
+                        };
+                        let mut c = HeadKvCache::new(d, config);
+                        c.append_prefill_blocks([(&k8, &v8)]);
+                        assert_eq!(c.tile_cache_stats().entries, 1);
+                        let tile = c.resident_tile(0);
+                        assert_eq!(c.tile_cache_stats().misses, 0, "the tile must be warm");
+                        let built = DequantTile::from_blocks(
+                            &c.resident_blocks()[0],
+                            &c.resident_value_blocks()[0],
+                        );
+                        let what = format!("{bits:?} {rows}x{d} group {group_size}");
+                        assert_eq!(tile.keys().to_rows(), built.keys().to_rows(), "{what}: K");
+                        assert_eq!(
+                            tile.values().to_rows(),
+                            built.values().to_rows(),
+                            "{what}: V"
+                        );
+                        assert_eq!(
+                            (tile.k_scale(), tile.v_scale()),
+                            (built.k_scale(), built.v_scale()),
+                            "{what}: scales"
+                        );
+                        assert_eq!(tile.bytes(), built.bytes(), "{what}: bytes");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_budget_prefill_builds_no_tile() {
+        let mut c = HeadKvCache::new(4, cfg(BitWidth::Int4, 8));
+        c.set_tile_cache_budget(0);
+        let zeros = SymQuantized::quantize(&Matrix::zeros(8, 4));
+        c.append_prefill_blocks([(&zeros, &zeros)]);
+        let s = c.tile_cache_stats();
+        assert_eq!((s.entries, s.evictions), (0, 0), "no tile may be built");
+        c.resident_tile(0);
+        assert_eq!(c.tile_cache_stats().misses, 1);
+    }
+
     #[test]
     #[should_panic(expected = "before decoding")]
     fn prefill_after_decode_rejected() {
         let mut c = HeadKvCache::new(2, cfg(BitWidth::Int4, 8));
         c.try_append(&[1.0, 1.0], &[1.0, 1.0]).unwrap();
         let zeros = SymQuantized::quantize(&Matrix::zeros(4, 2));
-        c.append_prefill_block(&zeros, &zeros);
+        c.append_prefill_blocks([(&zeros, &zeros)]);
     }
 }

@@ -283,13 +283,17 @@ impl Backend for TurboBackend {
                         buffer_capacity: self.config.buffer_capacity,
                     },
                 );
-                for (start, k_blk) in k.row_blocks(self.config.block_c) {
-                    let v_blk = v.row_block(start, k_blk.rows());
-                    cache.append_prefill_block(
-                        &SymQuantized::quantize(&k_blk),
-                        &SymQuantized::quantize(&v_blk),
-                    );
-                }
+                let tiles: Vec<_> = k
+                    .row_blocks(self.config.block_c)
+                    .map(|(start, k_blk)| {
+                        let v_blk = v.row_block(start, k_blk.rows());
+                        (
+                            SymQuantized::quantize(&k_blk),
+                            SymQuantized::quantize(&v_blk),
+                        )
+                    })
+                    .collect();
+                cache.append_prefill_blocks(tiles.iter().map(|(k8, v8)| (k8, v8)));
                 cache
             })
             .collect();

@@ -21,14 +21,21 @@
 //! the FP16 dequantization of KIVI/GEAR: the result feeds the INT8 matmul
 //! directly and only the stage-1 f32 scale survives as a scalar correction.
 //!
-//! Both transforms walk the block in its packed order, channel by channel,
-//! so each (channel, group) is one contiguous run:
+//! The codes are stored channel by channel, so each (channel, group) is
+//! one contiguous run:
 //!
-//! * **Compress** ([`ProgressiveBlock::quantize_from_int8`]) transposes
-//!   the row-major INT8 tile once, takes each run's min/max, rounds every
+//! * **Compress** ([`ProgressiveBlock::quantize_from_int8`]) rounds every
 //!   code with a reciprocal multiply-shift instead of an integer division
-//!   (exact over every numerator and divisor stage 2 can produce), and
-//!   packs the codes a byte at a time.
+//!   (exact over every numerator and divisor stage 2 can produce). On
+//!   AVX2, a tile at least 16 channels wide is compressed in its own row
+//!   layout: per-channel min/max folds down each token group's rows, then
+//!   the rounding across whole rows in 16-bit lanes, with the codes
+//!   OR-ed into their packed bytes as they come out, so only the packed
+//!   bytes are transposed to channel order. The scalar arm, the
+//!   reference, transposes the INT8 tile once and walks the runs.
+//!   [`ProgressiveBlock::quantize_and_expand_from_int8`] also returns
+//!   the expansion `(q² + z)·s` from the same pass — how a prefill block
+//!   hands over its decode tile without an unpack.
 //! * **Expand** ([`ProgressiveBlock::dequantize_channel_major_into`])
 //!   unpacks the codes a byte at a time and evaluates each group's
 //!   `(q² + z)·s` in 16-bit lanes, channel by channel.
@@ -41,6 +48,10 @@
 use crate::bitwidth::BitWidth;
 use crate::packing::{pack_into, unpack_into, PackedCodes};
 use crate::symmetric::{SymQuantized, SYM_INT8_DIVISOR};
+use turbo_tensor::simd::{
+    col_min_max_i8_on, requantize_rows_on, simd_level, transpose_u8_on, CodeLayout, RequantLanes,
+    SimdLevel, REQUANT_LANES,
+};
 use turbo_tensor::{transpose_into, Matrix};
 
 /// `⌈2¹⁶ / s⌉` for every divisor `2 ≤ s ≤ 255` stage 2 can meet.
@@ -122,6 +133,130 @@ fn expand_channel(codes: &[u8], params: &[GroupParams], group_size: usize, out: 
 /// Groups per channel of a `rows`-token block (0 for an empty block).
 fn groups_per_channel(rows: usize, group_size: usize) -> usize {
     rows.div_ceil(group_size)
+}
+
+/// A channel's stage-2 divisor and zero point over a run whose codes
+/// span `lo..=hi`: `s = ⌈(hi − lo) / (2^bits − 1)⌉` (at least 1) and
+/// `z = round(lo / s)`.
+fn run_params(lo: i8, hi: i8, bits: BitWidth) -> (RoundDiv, GroupParams) {
+    let denom = bits.levels() - 1;
+    // Ceiling division: guarantees (max-min)/s ≤ levels-1 so codes cannot
+    // systematically overflow the range.
+    let gap = (i32::from(hi) - i32::from(lo)) as u32;
+    let s = (div_floor(gap + denom - 1, denom as usize) as i32).max(1);
+    let div = RoundDiv::new(s);
+    let params = GroupParams {
+        scale: s as i8,
+        zero: div.apply(lo.into()) as i8,
+    };
+    (div, params)
+}
+
+/// The channel-major reference compress: transposes the row-major INT8
+/// tile once, so each (channel, group) is one contiguous run; takes each
+/// run's min/max, rounds every code with its run's [`RoundDiv`], and
+/// packs the codes. Returns the packed bytes and the group parameters.
+fn compress_channels(
+    q1: &SymQuantized,
+    bits: BitWidth,
+    group_size: usize,
+    mut expanded: Option<&mut [i8]>,
+) -> (Vec<u8>, Vec<GroupParams>) {
+    let (rows, cols) = (q1.rows(), q1.cols());
+    let n = rows * cols;
+    let mut params = Vec::with_capacity(cols * groups_per_channel(rows, group_size));
+    let mut t = vec![0i8; n];
+    transpose_into(q1.codes(), rows, cols, &mut t);
+    let mut codes = vec![0u8; n];
+    let max_code = i16::from(bits.max_code());
+    // `max(1)`: an empty tile has no channels to walk, but
+    // `chunks_exact` rejects a zero length.
+    let channel_len = rows.max(1);
+    let channels = t
+        .chunks_exact(channel_len)
+        .zip(codes.chunks_exact_mut(channel_len));
+    for (c, (channel, out)) in channels.enumerate() {
+        let runs = channel.chunks(group_size).zip(out.chunks_mut(group_size));
+        for (g, (run, out)) in runs.enumerate() {
+            // Min and max as unsigned bytes (bias 0x80), which every SIMD
+            // level compares natively.
+            let (lo, hi) = run.iter().fold((u8::MAX, 0u8), |(lo, hi), &v| {
+                let u = v as u8 ^ 0x80;
+                (lo.min(u), hi.max(u))
+            });
+            let (div, p) = run_params((lo ^ 0x80) as i8, (hi ^ 0x80) as i8, bits);
+            params.push(p);
+            let z = i16::from(p.zero);
+            for (o, &v) in out.iter_mut().zip(run) {
+                *o = (div.apply(v.into()) - z).clamp(0, max_code) as u8;
+            }
+            if let Some(e) = expanded.as_deref_mut() {
+                let s = i16::from(p.scale);
+                for (r, &q2) in out.iter().enumerate() {
+                    let at = (g * group_size + r) * cols + c;
+                    e[at] = ((i16::from(q2) + z) * s).clamp(-127, 127) as i8;
+                }
+            }
+        }
+    }
+    let mut bytes = vec![0u8; bits.packed_bytes(n)];
+    pack_into(&codes, bits, &mut bytes);
+    (bytes, params)
+}
+
+/// The lane-parallel compress, in the INT8 tile's own row layout, one
+/// token group at a time: each channel's min and max over the group are
+/// folds down its rows ([`col_min_max_i8_on`]), each channel's `(s, z)`
+/// and [`RoundDiv`] constants follow from them, and every code is
+/// rounded across whole rows in 16-bit lanes ([`requantize_rows_on`]).
+/// Only the finished codes move to the packed channel-major order: when
+/// every channel's run fills whole bytes (`rows` a multiple of the codes
+/// per byte), the rounding pass already ORs each code into its packed
+/// byte, lane by lane, so the one transpose moves packed bytes; otherwise
+/// it moves one byte per code, which are then packed.
+fn compress_rows(
+    level: SimdLevel,
+    q1: &SymQuantized,
+    bits: BitWidth,
+    group_size: usize,
+    mut expanded: Option<&mut [i8]>,
+) -> (Vec<u8>, Vec<GroupParams>) {
+    let (rows, cols) = (q1.rows(), q1.cols());
+    let n = rows * cols;
+    let groups = groups_per_channel(rows, group_size);
+    let mut params = vec![GroupParams { scale: 0, zero: 0 }; cols * groups];
+    let per = bits.elems_per_byte();
+    let layout = CodeLayout {
+        bits: bits.bits(),
+        per: if rows.is_multiple_of(per) { per } else { 1 },
+    };
+    let mut codes = vec![0u8; n / layout.per];
+    let mut lanes = RequantLanes::new(cols);
+    let mut range = vec![0i8; 2 * cols];
+    let (lo, hi) = range.split_at_mut(cols);
+    let group_len = group_size * cols;
+    for (g, src) in q1.codes().chunks(group_len).enumerate() {
+        col_min_max_i8_on(level, src, cols, lo, hi);
+        let channels = params.iter_mut().skip(g).step_by(groups);
+        for (c, ((p, &lo), &hi)) in channels.zip(&*lo).zip(&*hi).enumerate() {
+            let (div, run) = run_params(lo, hi, bits);
+            *p = run;
+            let (z, s) = (i16::from(run.zero), i16::from(run.scale));
+            lanes.set(c, div.half, div.recip, div.pass, z, s);
+        }
+        let at = g * group_len;
+        let exp = expanded.as_deref_mut().map(|e| &mut e[at..at + src.len()]);
+        requantize_rows_on(level, src, g * group_size, &lanes, layout, &mut codes, exp);
+    }
+    let mut bytes = vec![0u8; bits.packed_bytes(n)];
+    if layout.per == per {
+        transpose_u8_on(level, &codes, rows / per, cols, &mut bytes);
+    } else {
+        let mut channel_major = vec![0u8; n];
+        transpose_u8_on(level, &codes, rows, cols, &mut channel_major);
+        pack_into(&channel_major, bits, &mut bytes);
+    }
+    (bytes, params)
 }
 
 /// Why checked progressive quantization refused an input.
@@ -209,60 +344,66 @@ impl ProgressiveBlock {
     ///
     /// Panics if `bits` is `Int8` or `group_size == 0`.
     pub fn quantize_from_int8(q1: &SymQuantized, bits: BitWidth, group_size: usize) -> Self {
+        Self::compress(simd_level(), q1, bits, group_size, None)
+    }
+
+    /// As [`ProgressiveBlock::quantize_from_int8`], also returning the
+    /// block's integer dequantization — equal to
+    /// [`ProgressiveBlock::dequantize_to_int8`] of the block — computed in
+    /// the same pass from the codes and parameters in hand, with no unpack.
+    /// The prefill write uses it to hand each block's decode tile over as
+    /// the block is made.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is `Int8` or `group_size == 0`.
+    pub fn quantize_and_expand_from_int8(
+        q1: &SymQuantized,
+        bits: BitWidth,
+        group_size: usize,
+    ) -> (Self, SymQuantized) {
+        let (rows, cols) = (q1.rows(), q1.cols());
+        let mut expanded = vec![0i8; rows * cols];
+        let block = Self::compress(simd_level(), q1, bits, group_size, Some(&mut expanded));
+        let expanded = SymQuantized::from_parts(expanded, q1.scale(), rows, cols);
+        (block, expanded)
+    }
+
+    /// The stage-2 compress on an explicit arm, writing the expansion
+    /// `clamp((q² + z)·s, −127, 127)` row-major into `expanded` when given.
+    ///
+    /// Tiles at least [`REQUANT_LANES`] channels wide go through the
+    /// lane-parallel row-layout pass ([`compress_rows`]) on AVX2; every
+    /// other tile, and every tile on the scalar arm, through the
+    /// channel-major reference ([`compress_channels`]). Both produce the
+    /// same bytes, parameters and expansion.
+    pub(crate) fn compress(
+        level: SimdLevel,
+        q1: &SymQuantized,
+        bits: BitWidth,
+        group_size: usize,
+        expanded: Option<&mut [i8]>,
+    ) -> Self {
         assert!(
             bits != BitWidth::Int8,
             "progressive second stage must be narrower than INT8"
         );
         assert!(group_size > 0, "group size must be positive");
         let (rows, cols) = (q1.rows(), q1.cols());
-        let n = rows * cols;
-        let mut params = Vec::with_capacity(cols * groups_per_channel(rows, group_size));
-        // Channel-major copy: each (channel, group) is one contiguous run,
-        // in the order the codes are packed.
-        let mut t = vec![0i8; n];
-        transpose_into(q1.codes(), rows, cols, &mut t);
-        let mut codes = vec![0u8; n];
-        let denom = bits.levels() as usize - 1;
-        let max_code = i16::from(bits.max_code());
-        // `max(1)`: an empty tile has no channels to walk, but
-        // `chunks_exact` rejects a zero length.
-        let channel_len = rows.max(1);
-        let channels = t
-            .chunks_exact(channel_len)
-            .zip(codes.chunks_exact_mut(channel_len));
-        for (channel, out) in channels {
-            for (run, out) in channel.chunks(group_size).zip(out.chunks_mut(group_size)) {
-                // Min and max as unsigned bytes (bias 0x80), which every
-                // SIMD level compares natively.
-                let (lo, hi) = run.iter().fold((u8::MAX, 0u8), |(lo, hi), &v| {
-                    let u = v as u8 ^ 0x80;
-                    (lo.min(u), hi.max(u))
-                });
-                let min = (lo ^ 0x80) as i8;
-                // Ceiling division: guarantees (max-min)/s ≤ levels-1 so
-                // codes cannot systematically overflow the range.
-                let gap = u32::from(hi - lo);
-                let s = (div_floor(gap + denom as u32 - 1, denom) as i32).max(1);
-                let div = RoundDiv::new(s);
-                let z = div.apply(min.into());
-                params.push(GroupParams {
-                    scale: s as i8,
-                    zero: z as i8,
-                });
-                for (o, &v) in out.iter_mut().zip(run) {
-                    *o = (div.apply(v.into()) - z).clamp(0, max_code) as u8;
-                }
-            }
+        if let Some(e) = &expanded {
+            assert_eq!(e.len(), rows * cols, "expanded output length mismatch");
         }
-        let mut bytes = vec![0u8; bits.packed_bytes(n)];
-        pack_into(&codes, bits, &mut bytes);
-
+        let (bytes, params) = if level == SimdLevel::Avx2 && cols >= REQUANT_LANES {
+            compress_rows(level, q1, bits, group_size, expanded)
+        } else {
+            compress_channels(q1, bits, group_size, expanded)
+        };
         ProgressiveBlock {
             rows,
             cols,
             bits,
             group_size,
-            packed: PackedCodes::from_bytes(bytes, n, bits),
+            packed: PackedCodes::from_bytes(bytes, rows * cols, bits),
             params,
             outer_scale: q1.scale(),
         }
@@ -612,6 +753,14 @@ mod tests {
 
     #[test]
     fn fused_compress_and_expand_match_the_per_element_formulas() {
+        // The scalar arm is the channel-major reference; on AVX2 tiles at
+        // least 16 channels wide take the lane-parallel row layout.
+        let mut arms = vec![SimdLevel::Scalar];
+        if SimdLevel::Avx2.available() {
+            arms.push(SimdLevel::Avx2);
+        } else {
+            eprintln!("no AVX2 on this machine: the lane-parallel stage 2 goes untested");
+        }
         let mut case = 0u64;
         for bits in WIDTHS {
             for rows in 1..=70usize {
@@ -640,6 +789,25 @@ mod tests {
                         assert_eq!(pq.packed().bytes(), &bytes[..], "{what}: packed bytes");
                         assert_eq!(pq.group_params(), &params[..], "{what}: params");
                         assert_expand_matches_reference(&pq, &what);
+                        // Both arms, directly, with the expansion the
+                        // prefill write hands to the tile cache.
+                        let expect = reference_expand(&pq);
+                        for &level in &arms {
+                            let mut expanded = vec![0i8; rows * d];
+                            let arm = ProgressiveBlock::compress(
+                                level,
+                                &q1,
+                                bits,
+                                group_size,
+                                Some(&mut expanded),
+                            );
+                            assert_eq!(arm, pq, "{what}: {level:?} block");
+                            assert_eq!(expanded, expect, "{what}: {level:?} expansion");
+                        }
+                        let (block, exp) =
+                            ProgressiveBlock::quantize_and_expand_from_int8(&q1, bits, group_size);
+                        assert_eq!(block, pq, "{what}: expanding block");
+                        assert_eq!(exp, pq.dequantize_to_int8(), "{what}: expansion");
                     }
                 }
             }

@@ -104,6 +104,10 @@ pub const DOT_I8_SIMD_LANES: usize = 32;
 /// `f32` lanes of the vectorized SAS / quantize kernels.
 pub const F32_SIMD_LANES: usize = 8;
 
+/// Channels one AVX2 step of [`requantize_rows_on`] covers (16-bit
+/// lanes): narrower rows run its scalar formula throughout.
+pub const REQUANT_LANES: usize = 16;
+
 #[inline]
 pub(crate) fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     a.iter().zip(b).map(|(&x, &y)| x as i32 * y as i32).sum()
@@ -733,6 +737,317 @@ pub fn quantize_i8_row_on(level: SimdLevel, x: &[f32], scale: f32, out: &mut [i8
     }
 }
 
+/// Per-channel constants of [`requantize_rows_on`]. Channel `c` divides
+/// by one fixed divisor `s` with the reciprocal multiply-shift
+/// `⌊(|a| + half) · recip / 2¹⁶⌋` (plus `|a| + half` itself where `pass`
+/// is all ones, the `s = 1` case), subtracts its zero point, and
+/// re-expands with its scale. Stored as five 16-bit rows of `d` lanes, the
+/// order the AVX2 arm loads them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RequantLanes {
+    d: usize,
+    /// `half`, `recip`, `pass`, `zero` and `scale`, `d` lanes each.
+    data: Vec<u16>,
+}
+
+impl RequantLanes {
+    /// Lanes for `d` channels, all zero.
+    pub fn new(d: usize) -> Self {
+        Self {
+            d,
+            data: vec![0; 5 * d],
+        }
+    }
+
+    /// Channels.
+    pub(crate) fn channels(&self) -> usize {
+        self.d
+    }
+
+    /// Sets channel `c`: rounding offset `half = ⌊s / 2⌋`, reciprocal
+    /// `recip = ⌈2¹⁶ / s⌉`, `pass` all ones to pass `|a| + half` through
+    /// (`s = 1`, `recip = 0`) or 0, and the zero point and scale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c ≥ d`.
+    pub fn set(&mut self, c: usize, half: u16, recip: u16, pass: u16, zero: i16, scale: i16) {
+        assert!(c < self.d, "channel {c} out of range");
+        let lane = self.data[c..].iter_mut().step_by(self.d);
+        for (x, v) in lane.zip([half, recip, pass, zero as u16, scale as u16]) {
+            *x = v;
+        }
+    }
+
+    /// Channel `c`'s five constants, in the order [`RequantLanes::set`]
+    /// takes them (zero point and scale as their 16-bit patterns).
+    #[cfg(test)]
+    fn lane(&self, c: usize) -> [u16; 5] {
+        std::array::from_fn(|i| self.data[i * self.d + c])
+    }
+
+    /// Row `i` of the five, `d` lanes.
+    #[inline]
+    fn row(&self, i: usize) -> &[u16] {
+        &self.data[i * self.d..(i + 1) * self.d]
+    }
+
+    /// Channels `from..` as `RequantLanes::lane` gives them.
+    #[inline]
+    fn lanes_from(&self, from: usize) -> impl Iterator<Item = [u16; 5]> + '_ {
+        let row = |i: usize| self.row(i)[from..].iter();
+        row(0)
+            .zip(row(1))
+            .zip(row(2))
+            .zip(row(3))
+            .zip(row(4))
+            .map(|((((&h, &r), &p), &z), &s)| [h, r, p, z, s])
+    }
+}
+
+/// One element of [`requantize_rows_on`], the scalar reference: code `a`
+/// of a channel with lanes `[half, recip, pass, zero, scale]` becomes
+/// `(q, e)` with `n = |a| + half`,
+/// `r = ±(⌊n · recip / 2¹⁶⌋ + (n & pass))` (the sign of `a`),
+/// `q = clamp(r − zero, 0, max_code)` and
+/// `e = clamp((q + zero) · scale, −127, 127)`. All arithmetic wraps in 16
+/// bits, so the result is defined for every input.
+#[inline]
+fn requantize_scalar(a: i8, lane: [u16; 5], max_code: i16) -> (u8, i8) {
+    let [half, recip, pass, zero, scale] = lane;
+    let (zero, scale) = (zero as i16, scale as i16);
+    let n = u16::from(a.unsigned_abs()).wrapping_add(half);
+    let hi = ((u32::from(n) * u32::from(recip)) >> 16) as u16;
+    let q = hi.wrapping_add(n & pass) as i16;
+    // Negate where `a < 0` without a branch: `m` is all ones there.
+    let m = i16::from(a) >> 15;
+    let r = (q ^ m).wrapping_sub(m);
+    let q2 = r.wrapping_sub(zero).clamp(0, max_code);
+    let e = q2.wrapping_add(zero).wrapping_mul(scale).clamp(-127, 127);
+    (q2 as u8, e as i8)
+}
+
+/// Where [`requantize_rows_on`] puts its codes: `per` consecutive rows
+/// share one row of bytes, and row `r`'s code sits at bit
+/// `(r % per) · bits` of byte row `r / per` — the sub-byte packing of
+/// each channel's run, laid out lane by lane. Codes are clamped to
+/// `0..2^bits`; `per = 1` writes one byte per code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CodeLayout {
+    /// Code width in bits, `1..=8`.
+    pub bits: u32,
+    /// Rows per byte row, with `per · bits ≤ 8`.
+    pub per: usize,
+}
+
+impl CodeLayout {
+    /// The largest code, `2^bits − 1`.
+    fn max_code(self) -> i16 {
+        (1i16 << self.bits) - 1
+    }
+
+    /// Byte row and bit shift of each row from `first` on, without a
+    /// division per row.
+    #[inline]
+    fn places(self, first: usize) -> impl Iterator<Item = (usize, u32)> {
+        let (mut at, mut k) = (first / self.per, first % self.per);
+        std::iter::from_fn(move || {
+            let place = (at, k as u32 * self.bits);
+            k += 1;
+            if k == self.per {
+                (at, k) = (at + 1, 0);
+            }
+            Some(place)
+        })
+    }
+}
+
+/// Lane-parallel integer requantization of row-major INT8 rows, one set
+/// of constants per channel (column). Source row `i` is row
+/// `r = first_row + i` of its block. Each of its codes `a` in channel `c`
+/// becomes `q = clamp(±(⌊n · recip / 2¹⁶⌋ + (n & pass)) − zero, 0, 2^bits − 1)`
+/// with `n = |a| + half` and the sign of `a`, and its expansion
+/// `e = clamp((q + zero) · scale, −127, 127)`, all in wrapping 16-bit
+/// arithmetic, with channel `c`'s [`RequantLanes`]. `q` is OR-ed into
+/// `codes` where `layout` places row `r` (so `codes` starts zeroed), and
+/// `e` goes to row `i` of `expanded` when given. This is the rounding
+/// pass of the BPQ stage-2 compress on one token group:
+/// `q² = round(q¹ / s) − z` and its expansion `(q² + z) · s`.
+///
+/// The AVX2 arm evaluates sixteen channels per step in 16-bit lanes
+/// (`vpmulhuw` for the reciprocal, `vpsignw` for the sign fix-up, min/max
+/// for both clamps) and finishes a row's last `d % 16` channels with the
+/// scalar formula, so it is bit-identical to the scalar arm for every
+/// input; every other level runs the scalar arm.
+///
+/// # Panics
+///
+/// Panics if `src` is not a whole number of `d`-channel rows, `codes` is
+/// too short for the last row's byte row, `expanded` is not as long as
+/// `src`, `layout` is invalid, or `level` is not available on this
+/// machine.
+pub fn requantize_rows_on(
+    level: SimdLevel,
+    src: &[i8],
+    first_row: usize,
+    lanes: &RequantLanes,
+    layout: CodeLayout,
+    codes: &mut [u8],
+    mut expanded: Option<&mut [i8]>,
+) {
+    let d = lanes.channels();
+    assert!(
+        (1..=8).contains(&layout.bits) && layout.per >= 1 && layout.per as u32 * layout.bits <= 8,
+        "invalid code layout {layout:?}"
+    );
+    if src.is_empty() {
+        return;
+    }
+    assert!(
+        d > 0 && src.len().is_multiple_of(d),
+        "source is not whole rows"
+    );
+    let last = (first_row + src.len() / d - 1) / layout.per;
+    assert!(codes.len() >= (last + 1) * d, "code output too short");
+    if let Some(e) = &expanded {
+        assert_eq!(e.len(), src.len(), "expanded output length mismatch");
+    }
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if d >= REQUANT_LANES => {
+            assert!(level.available(), "AVX2 not available on this machine");
+            // SAFETY: AVX2 verified above; the lengths were checked.
+            unsafe { x86::requantize_rows_avx2(src, first_row, lanes, layout, codes, expanded) }
+        }
+        _ => {
+            assert!(level.available(), "SIMD level {level:?} not available");
+            let rows = src.chunks_exact(d).zip(layout.places(first_row));
+            for (i, (row, place)) in rows.enumerate() {
+                let exp = expanded.as_deref_mut().map(|e| &mut e[i * d..(i + 1) * d]);
+                requantize_row_scalar(row, place, 0, lanes, layout, codes, exp);
+            }
+        }
+    }
+}
+
+/// The scalar arm of [`requantize_rows_on`] on channels `from..` of one
+/// row, whose codes go to byte row `at` at bit `shift`, with `expanded`
+/// that row's `d` outputs.
+fn requantize_row_scalar(
+    row: &[i8],
+    (at, shift): (usize, u32),
+    from: usize,
+    lanes: &RequantLanes,
+    layout: CodeLayout,
+    codes: &mut [u8],
+    expanded: Option<&mut [i8]>,
+) {
+    let d = lanes.channels();
+    let max_code = layout.max_code();
+    let out = codes[at * d + from..(at + 1) * d].iter_mut();
+    let elems = row[from..].iter().zip(out).zip(lanes.lanes_from(from));
+    match expanded {
+        Some(exp) => {
+            for (((&a, o), lane), x) in elems.zip(&mut exp[from..]) {
+                let (q, e) = requantize_scalar(a, lane, max_code);
+                *o |= q << shift;
+                *x = e;
+            }
+        }
+        None => {
+            for ((&a, o), lane) in elems {
+                *o |= requantize_scalar(a, lane, max_code).0 << shift;
+            }
+        }
+    }
+}
+
+/// Per-column minimum and maximum of the row-major `src` (`d` columns)
+/// on an explicit arm, into `lo` and `hi` — the stage-2 range of every
+/// channel of one token group. The AVX2 arm folds 32 columns per step;
+/// the result is the same on every arm. Columns of an empty `src` come
+/// out as `(127, −128)`.
+///
+/// # Panics
+///
+/// Panics if `lo` or `hi` is not `d` long, `src` is not whole rows, or
+/// `level` is not available on this machine.
+pub fn col_min_max_i8_on(level: SimdLevel, src: &[i8], d: usize, lo: &mut [i8], hi: &mut [i8]) {
+    assert_eq!(lo.len(), d, "min output length mismatch");
+    assert_eq!(hi.len(), d, "max output length mismatch");
+    assert!(
+        src.is_empty() || d > 0 && src.len().is_multiple_of(d),
+        "source is not whole rows"
+    );
+    lo.fill(i8::MAX);
+    hi.fill(i8::MIN);
+    if src.is_empty() {
+        return;
+    }
+    let done = match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => {
+            assert!(level.available(), "AVX2 not available on this machine");
+            // SAFETY: AVX2 verified above; the lengths were checked.
+            unsafe { x86::col_min_max_avx2(src, d, lo, hi) }
+        }
+        _ => {
+            assert!(level.available(), "SIMD level {level:?} not available");
+            0
+        }
+    };
+    for row in src.chunks_exact(d) {
+        let cols = lo[done..].iter_mut().zip(&mut hi[done..]).zip(&row[done..]);
+        for ((l, h), &v) in cols {
+            *l = (*l).min(v);
+            *h = (*h).max(v);
+        }
+    }
+}
+
+/// Transposes the `rows × cols` row-major byte matrix `src` into `dst`
+/// (`cols × rows`, row-major) on an explicit arm: [`crate::transpose_into`]
+/// on the scalar arm; on AVX2, sixteen rows by thirty-two columns at a
+/// time as two in-register 16 × 16 byte transposes (four rounds of
+/// unpacks), with the ragged edges done by the scalar loop.
+///
+/// # Panics
+///
+/// Panics if `src` or `dst` is not `rows · cols` long, or `level` is not
+/// available on this machine.
+pub fn transpose_u8_on(level: SimdLevel, src: &[u8], rows: usize, cols: usize, dst: &mut [u8]) {
+    assert_eq!(src.len(), rows * cols, "transpose source length mismatch");
+    assert_eq!(
+        dst.len(),
+        rows * cols,
+        "transpose destination length mismatch"
+    );
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if rows >= 16 && cols >= 32 => {
+            assert!(level.available(), "AVX2 not available on this machine");
+            // SAFETY: AVX2 verified above; the lengths were checked.
+            let (r, c) = unsafe { x86::transpose_u8_avx2(src, rows, cols, dst) };
+            transpose_rest(src, rows, cols, r, c, dst);
+        }
+        _ => {
+            assert!(level.available(), "SIMD level {level:?} not available");
+            crate::transpose_into(src, rows, cols, dst);
+        }
+    }
+}
+
+/// The scalar edges of a blocked transpose that covered rows `..r` of
+/// columns `..c`: every element outside that block.
+fn transpose_rest(src: &[u8], rows: usize, cols: usize, r: usize, c: usize, dst: &mut [u8]) {
+    for (i, row) in src.chunks_exact(cols).enumerate() {
+        let from = if i < r { c } else { 0 };
+        for (j, &x) in row.iter().enumerate().skip(from) {
+            dst[j * rows + i] = x;
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2 kernel arms. Every `unsafe` here is justified by the callers
@@ -1228,6 +1543,231 @@ mod x86 {
                 i += 1;
             }
         }
+    }
+
+    /// Sixteen channels' constants of a [`super::RequantLanes`] in
+    /// registers.
+    struct Lanes16 {
+        half: __m256i,
+        recip: __m256i,
+        pass: __m256i,
+        zero: __m256i,
+        scale: __m256i,
+    }
+
+    impl Lanes16 {
+        /// Channels `c..c + 16` of `lanes`.
+        ///
+        /// # Safety
+        ///
+        /// AVX2; `c + 16 ≤ lanes.channels()`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load(lanes: &super::RequantLanes, c: usize) -> Self {
+            // SAFETY: the caller guarantees sixteen lanes from `c`.
+            let load = |i: usize| unsafe {
+                _mm256_loadu_si256(lanes.row(i).as_ptr().add(c) as *const __m256i)
+            };
+            Self {
+                half: load(0),
+                recip: load(1),
+                pass: load(2),
+                zero: load(3),
+                scale: load(4),
+            }
+        }
+    }
+
+    /// Sixteen codes of [`super::requantize_scalar`] in 16-bit lanes:
+    /// returns `(q, e)` widened to `i16`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn requant16(src: *const i8, l: &Lanes16, max_code: __m256i) -> (__m256i, __m256i) {
+        // SAFETY: the caller guarantees sixteen readable codes at `src`.
+        let a = unsafe { _mm256_cvtepi8_epi16(_mm_loadu_si128(src as *const __m128i)) };
+        let n = _mm256_add_epi16(_mm256_abs_epi16(a), l.half);
+        let hi = _mm256_mulhi_epu16(n, l.recip);
+        let q = _mm256_add_epi16(hi, _mm256_and_si256(n, l.pass));
+        // `a | 1` has the sign of `a` and is never 0, so `vpsignw` negates
+        // exactly where `a < 0`, as the scalar twin does.
+        let r = _mm256_sign_epi16(q, _mm256_or_si256(a, _mm256_set1_epi16(1)));
+        let q2 = _mm256_sub_epi16(r, l.zero);
+        let q2 = _mm256_min_epi16(_mm256_max_epi16(q2, _mm256_setzero_si256()), max_code);
+        let e = _mm256_mullo_epi16(_mm256_add_epi16(q2, l.zero), l.scale);
+        let e = _mm256_max_epi16(
+            _mm256_min_epi16(e, _mm256_set1_epi16(127)),
+            _mm256_set1_epi16(-127),
+        );
+        (q2, e)
+    }
+
+    /// Sixteen `i16` lanes narrowed to sixteen bytes in order, with
+    /// signed or unsigned saturation (the values already fit).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn narrow16(v: __m256i, signed: bool) -> __m128i {
+        let (lo, hi) = (_mm256_castsi256_si128(v), _mm256_extracti128_si256::<1>(v));
+        if signed {
+            _mm_packs_epi16(lo, hi)
+        } else {
+            _mm_packus_epi16(lo, hi)
+        }
+    }
+
+    /// [`super::requantize_rows_on`]: sixteen channels per step, each
+    /// group of sixteen down every row with its constants held in
+    /// registers; the last `d % 16` channels of each row by the scalar
+    /// formula.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `d = lanes.channels() ≥ 16`, `src` whole rows, `codes` long
+    /// enough for the last row's byte row, `expanded` as long as `src`,
+    /// `layout` valid.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn requantize_rows_avx2(
+        src: &[i8],
+        first_row: usize,
+        lanes: &super::RequantLanes,
+        layout: super::CodeLayout,
+        codes: &mut [u8],
+        mut expanded: Option<&mut [i8]>,
+    ) {
+        let d = lanes.channels();
+        let whole = d / 16 * 16;
+        let vmax = _mm256_set1_epi16(layout.max_code());
+        for c in (0..whole).step_by(16) {
+            // SAFETY: channels `c..c + 16 ≤ d` lie inside the lanes, every
+            // row, its byte row of `codes` and its row of `expanded`.
+            unsafe {
+                let l = Lanes16::load(lanes, c);
+                let rows = src.chunks_exact(d).zip(layout.places(first_row));
+                for (i, (row, (at, shift))) in rows.enumerate() {
+                    let (q, e) = requant16(row.as_ptr().add(c), &l, vmax);
+                    // Shifted codes stay below 256: `packus` keeps them.
+                    let q = narrow16(_mm256_sll_epi16(q, _mm_cvtsi32_si128(shift as i32)), false);
+                    let out = codes.as_mut_ptr().add(at * d + c) as *mut __m128i;
+                    _mm_storeu_si128(out, _mm_or_si128(_mm_loadu_si128(out), q));
+                    if let Some(x) = expanded.as_deref_mut() {
+                        let out = x.as_mut_ptr().add(i * d + c) as *mut __m128i;
+                        _mm_storeu_si128(out, narrow16(e, true));
+                    }
+                }
+            }
+        }
+        if whole < d {
+            let rows = src.chunks_exact(d).zip(layout.places(first_row));
+            for (i, (row, place)) in rows.enumerate() {
+                let exp = expanded.as_deref_mut().map(|e| &mut e[i * d..(i + 1) * d]);
+                super::requantize_row_scalar(row, place, whole, lanes, layout, codes, exp);
+            }
+        }
+    }
+
+    /// [`super::col_min_max_i8_on`] on the first `d / 32 · 32` columns,
+    /// 32 per step; returns how many it covered. `lo` and `hi` come in
+    /// filled with `i8::MAX` and `i8::MIN`.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `src` whole rows of `d`, `lo` and `hi` `d` long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn col_min_max_avx2(
+        src: &[i8],
+        d: usize,
+        lo: &mut [i8],
+        hi: &mut [i8],
+    ) -> usize {
+        let done = d / 32 * 32;
+        for c in (0..done).step_by(32) {
+            // SAFETY: columns `c..c + 32 ≤ d` lie inside every row and
+            // both outputs.
+            unsafe {
+                let (mut l, mut h) = (_mm256_set1_epi8(i8::MAX), _mm256_set1_epi8(i8::MIN));
+                for row in src.chunks_exact(d) {
+                    let v = _mm256_loadu_si256(row.as_ptr().add(c) as *const __m256i);
+                    l = _mm256_min_epi8(l, v);
+                    h = _mm256_max_epi8(h, v);
+                }
+                _mm256_storeu_si256(lo.as_mut_ptr().add(c) as *mut __m256i, l);
+                _mm256_storeu_si256(hi.as_mut_ptr().add(c) as *mut __m256i, h);
+            }
+        }
+        done
+    }
+
+    /// [`super::transpose_u8_on`] on whole 16 × 32 blocks: each register
+    /// holds one source row's 32 columns, and four rounds of
+    /// `unpack{lo,hi}` at 8, 16, 32 and 64 bits transpose both 16 × 16
+    /// halves in their own 128-bit lanes. Returns the `(rows, cols)` the
+    /// blocks covered.
+    ///
+    /// # Safety
+    ///
+    /// AVX2; `src` and `dst` are `rows · cols` long.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn transpose_u8_avx2(
+        src: &[u8],
+        rows: usize,
+        cols: usize,
+        dst: &mut [u8],
+    ) -> (usize, usize) {
+        let (rb, cb) = (rows / 16 * 16, cols / 32 * 32);
+        for r0 in (0..rb).step_by(16) {
+            for c0 in (0..cb).step_by(32) {
+                // SAFETY: rows `r0..r0 + 16 ≤ rows` and columns
+                // `c0..c0 + 32 ≤ cols` lie inside both matrices.
+                unsafe {
+                    let mut v = [_mm256_setzero_si256(); 16];
+                    for (i, v) in v.iter_mut().enumerate() {
+                        let p = src.as_ptr().add((r0 + i) * cols + c0);
+                        *v = _mm256_loadu_si256(p as *const __m256i);
+                    }
+                    // Per 128-bit lane (16 columns), round 1 pairs rows:
+                    // `w[p]` holds rows 2p, 2p + 1 of columns 0–7 as
+                    // 16-bit words, `w[8 + p]` of columns 8–15.
+                    let mut w = [_mm256_setzero_si256(); 16];
+                    for p in 0..8 {
+                        w[p] = _mm256_unpacklo_epi8(v[2 * p], v[2 * p + 1]);
+                        w[8 + p] = _mm256_unpackhi_epi8(v[2 * p], v[2 * p + 1]);
+                    }
+                    // Round 2: `x[4b + q]` holds rows 4q..4q + 4 of the
+                    // four columns 4b..4b + 4 as 32-bit words.
+                    let mut x = [_mm256_setzero_si256(); 16];
+                    for h in 0..2 {
+                        for q in 0..4 {
+                            let (s, t) = (w[8 * h + 2 * q], w[8 * h + 2 * q + 1]);
+                            x[4 * (2 * h) + q] = _mm256_unpacklo_epi16(s, t);
+                            x[4 * (2 * h + 1) + q] = _mm256_unpackhi_epi16(s, t);
+                        }
+                    }
+                    // Round 3: `y[2p + o]` holds rows 8o..8o + 8 of the
+                    // two columns 2p, 2p + 1 as 64-bit words.
+                    let mut y = [_mm256_setzero_si256(); 16];
+                    for b in 0..4 {
+                        for o in 0..2 {
+                            let (s, t) = (x[4 * b + 2 * o], x[4 * b + 2 * o + 1]);
+                            y[2 * (2 * b) + o] = _mm256_unpacklo_epi32(s, t);
+                            y[2 * (2 * b + 1) + o] = _mm256_unpackhi_epi32(s, t);
+                        }
+                    }
+                    // Round 4: whole 16-row columns, column j of the block
+                    // in the low lane and column 16 + j in the high one.
+                    for p in 0..8 {
+                        let (s, t) = (y[2 * p], y[2 * p + 1]);
+                        let cols2 = [_mm256_unpacklo_epi64(s, t), _mm256_unpackhi_epi64(s, t)];
+                        for (m, col) in cols2.into_iter().enumerate() {
+                            let j = c0 + 2 * p + m;
+                            let lo = dst.as_mut_ptr().add(j * rows + r0) as *mut __m128i;
+                            let hi = dst.as_mut_ptr().add((j + 16) * rows + r0) as *mut __m128i;
+                            _mm_storeu_si128(lo, _mm256_castsi256_si128(col));
+                            _mm_storeu_si128(hi, _mm256_extracti128_si256::<1>(col));
+                        }
+                    }
+                }
+            }
+        }
+        (rb, cb)
     }
 }
 
@@ -1935,6 +2475,195 @@ mod tests {
             assert_eq!(simd[j], quantize_i8_scalar(v, 1.0), "midpoint {v}");
             let away = if v > 0.0 { v.ceil() } else { v.floor() };
             assert_eq!(simd[j] as f32, away, "midpoint {v} must round away");
+        }
+    }
+
+    /// Lanes for stage 2's divisors `1..=255`: the reciprocal
+    /// multiply-shift of each, a zero point in `−128..=127` and the
+    /// divisor as the scale.
+    fn divisor_lanes(
+        d: usize,
+        mut next: impl FnMut() -> u32,
+    ) -> (RequantLanes, Vec<i32>, Vec<i32>) {
+        let mut lanes = RequantLanes::new(d);
+        let (mut divisors, mut zeros) = (Vec::with_capacity(d), Vec::with_capacity(d));
+        for c in 0..d {
+            let s = 1 + next() % 255;
+            let (recip, pass) = if s == 1 {
+                (0, u16::MAX)
+            } else {
+                ((1u32 << 16).div_ceil(s) as u16, 0)
+            };
+            let zero = (next() % 256) as i16 - 128;
+            lanes.set(c, (s / 2) as u16, recip, pass, zero, s as i16);
+            zeros.push(i32::from(zero));
+            divisors.push(s as i32);
+        }
+        (lanes, divisors, zeros)
+    }
+
+    /// `requantize_rows_on`'s outputs on `level` for `src` starting at
+    /// row `first`, with and without the expansion.
+    fn requantize(
+        level: SimdLevel,
+        src: &[i8],
+        first: usize,
+        lanes: &RequantLanes,
+        layout: CodeLayout,
+    ) -> (Vec<u8>, Vec<i8>) {
+        let d = lanes.channels();
+        let byte_rows = (first + src.len() / d).div_ceil(layout.per);
+        let mut codes = vec![0u8; byte_rows * d];
+        let mut expanded = vec![0i8; src.len()];
+        requantize_rows_on(
+            level,
+            src,
+            first,
+            lanes,
+            layout,
+            &mut codes,
+            Some(&mut expanded),
+        );
+        let mut alone = vec![0u8; byte_rows * d];
+        requantize_rows_on(level, src, first, lanes, layout, &mut alone, None);
+        assert_eq!(alone, codes, "codes depend on the expansion");
+        (codes, expanded)
+    }
+
+    /// The layouts stage 2 packs with, and plain bytes.
+    const LAYOUTS: [CodeLayout; 6] = [
+        CodeLayout { bits: 1, per: 1 },
+        CodeLayout { bits: 4, per: 1 },
+        CodeLayout { bits: 8, per: 1 },
+        CodeLayout { bits: 4, per: 2 },
+        CodeLayout { bits: 3, per: 2 },
+        CodeLayout { bits: 2, per: 4 },
+    ];
+
+    /// The scalar formula against its definition for stage 2's
+    /// divisors: `round(a / s)` half away from zero, minus the zero
+    /// point, clamped, and its expansion.
+    #[test]
+    fn requantize_scalar_matches_round_half_away_division() {
+        let mut state = 7u64;
+        let next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let (lanes, divisors, zeros) = divisor_lanes(255, next);
+        for (c, (&s, &z)) in divisors.iter().zip(&zeros).enumerate() {
+            for a in -128..=127i8 {
+                let (q, e) = requantize_scalar(a, lanes.lane(c), 15);
+                let r = (f64::from(a) / f64::from(s)).round() as i32;
+                let want = (r - z).clamp(0, 15);
+                assert_eq!(i32::from(q), want, "a {a} s {s}");
+                let back = ((want + z) * s).clamp(-127, 127);
+                assert_eq!(i32::from(e), back, "a {a} s {s}");
+            }
+        }
+    }
+
+    /// The AVX2 arm of `requantize_rows_on` against the scalar arm at
+    /// widths around its 16-channel steps, for stage 2's divisors and for
+    /// arbitrary 16-bit lanes (where the wrapping arithmetic decides).
+    #[test]
+    fn requantize_arms_match_at_ragged_widths() {
+        let Some(arm) = simd_arm() else {
+            eprintln!("no SIMD arm on this machine: requantize equivalence skipped");
+            return;
+        };
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        for d in [1, 3, 15, 16, 17, 31, 32, 33, 64, 100, 128] {
+            for rows in [1, 2, 5] {
+                let mut src: Vec<i8> = (0..rows * d).map(|_| next() as i8).collect();
+                src[0] = -128;
+                src[rows * d - 1] = 127;
+                let (stage2, _, _) = divisor_lanes(d, &mut next);
+                let mut wild = RequantLanes::new(d);
+                for c in 0..d {
+                    let pass = [0, u16::MAX, next() as u16][c % 3];
+                    let (half, recip) = (next() as u16, next() as u16);
+                    wild.set(c, half, recip, pass, next() as i16, next() as i16);
+                }
+                for (lanes, what) in [(&stage2, "stage 2"), (&wild, "arbitrary")] {
+                    for layout in LAYOUTS {
+                        for first in [0, 1, 3] {
+                            assert_eq!(
+                                requantize(SimdLevel::Scalar, &src, first, lanes, layout),
+                                requantize(arm, &src, first, lanes, layout),
+                                "{what} lanes, {rows} x {d} from row {first}, {layout:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Packed rows hold each row's code at its place: the scalar arm
+    /// against a per-element placement.
+    #[test]
+    fn requantize_places_codes_as_the_layout_says() {
+        let d = 5;
+        let src: Vec<i8> = (0..7 * d).map(|i| (i * 29 % 256) as u8 as i8).collect();
+        let mut lanes = RequantLanes::new(d);
+        for c in 0..d {
+            lanes.set(c, 1, (1u32 << 16).div_ceil(3) as u16, 0, -40 + c as i16, 3);
+        }
+        for layout in LAYOUTS {
+            let (codes, _) = requantize(SimdLevel::Scalar, &src, 2, &lanes, layout);
+            let mut want = vec![0u8; codes.len()];
+            for (i, row) in src.chunks_exact(d).enumerate() {
+                let r = 2 + i;
+                for (c, &a) in row.iter().enumerate() {
+                    let (q, _) = requantize_scalar(a, lanes.lane(c), (1 << layout.bits) - 1);
+                    want[r / layout.per * d + c] |= q << ((r % layout.per) as u32 * layout.bits);
+                }
+            }
+            assert_eq!(codes, want, "{layout:?}");
+        }
+    }
+
+    #[test]
+    fn col_min_max_arms_match_the_definition() {
+        let levels = [Some(SimdLevel::Scalar), simd_arm()];
+        for d in [1, 3, 31, 32, 33, 64, 100] {
+            for rows in [0, 1, 2, 9] {
+                let src: Vec<i8> = (0..rows * d).map(|i| (i * 151 % 256) as u8 as i8).collect();
+                let col = |c: usize| src.iter().skip(c).step_by(d).copied();
+                let want_lo: Vec<i8> = (0..d).map(|c| col(c).min().unwrap_or(i8::MAX)).collect();
+                let want_hi: Vec<i8> = (0..d).map(|c| col(c).max().unwrap_or(i8::MIN)).collect();
+                for level in levels.into_iter().flatten() {
+                    let (mut lo, mut hi) = (vec![0i8; d], vec![0i8; d]);
+                    col_min_max_i8_on(level, &src, d, &mut lo, &mut hi);
+                    assert_eq!((&lo, &hi), (&want_lo, &want_hi), "{level:?} {rows} x {d}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_arms_match_at_ragged_shapes() {
+        let levels = [Some(SimdLevel::Scalar), simd_arm()];
+        for rows in [0, 1, 15, 16, 17, 31, 32, 33, 48, 64] {
+            for cols in [0, 1, 16, 31, 32, 33, 64, 65, 128] {
+                let src: Vec<u8> = (0..rows * cols).map(|i| (i * 37 % 251) as u8).collect();
+                let mut want = vec![0u8; rows * cols];
+                crate::transpose_into(&src, rows, cols, &mut want);
+                for level in levels.into_iter().flatten() {
+                    let mut got = vec![0xAAu8; rows * cols];
+                    transpose_u8_on(level, &src, rows, cols, &mut got);
+                    assert_eq!(got, want, "{level:?} {rows} x {cols}");
+                }
+            }
         }
     }
 

@@ -25,9 +25,13 @@ cargo test --release -q -p turbo-tensor -p turbo-attention -p turbo-quant -p tur
 echo "==> kernel tests with SIMD force-disabled (scalar-fallback coverage)"
 # The equivalence tests pin every arm the machine has in-process (on
 # x86: the scalar, AVX2 and, where the CPU has it, AVX-VNNI arms of the
-# packed GEMM), but the dispatched *call sites* (quant and decode-buffer
-# encode, the packs, SAS rows, attention sweeps, tile builds) only
-# exercise the scalar fallback when detection says so — force it.
+# packed GEMM; both arms of the BPQ stage-2 compress), but the
+# dispatched *call sites* (quant and decode-buffer encode, the stage-2
+# compress of prefill blocks, buffer flushes and WAL replay, the packs,
+# SAS rows, attention sweeps, tile builds) only exercise the scalar
+# fallback when detection says so — force it. `-p turbo-quant` runs the
+# stage-2 compress on its scalar arm directly, `-p turbo-kvcache` through
+# the prefill write, the flush and recovery.
 TURBO_SIMD=0 cargo test -q -p turbo-tensor -p turbo-softmax -p turbo-quant -p turbo-attention \
   -p turbo-kvcache
 

@@ -67,7 +67,8 @@ fn prefill_cache_equals_decode_built_cache_closely() {
         buffer_capacity: 64,
     };
     let mut prefill_cache = HeadKvCache::new(d, cfg);
-    prefill_cache.append_prefill_block(&SymQuantized::quantize(&k), &SymQuantized::quantize(&v));
+    let (k8, v8) = (SymQuantized::quantize(&k), SymQuantized::quantize(&v));
+    prefill_cache.append_prefill_blocks([(&k8, &v8)]);
     let mut decode_cache = HeadKvCache::new(d, cfg);
     for t in 0..64 {
         decode_cache.try_append(k.row(t), v.row(t)).unwrap();
