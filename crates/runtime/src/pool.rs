@@ -1,6 +1,7 @@
 //! The work-stealing thread pool and its deterministic batch APIs.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -15,13 +16,51 @@ use turbo_robust::{HealthEvent, HealthStats};
 pub const ENV_WORKERS: &str = "TURBO_RUNTIME_THREADS";
 
 /// How long an idle worker sleeps before re-scanning the queues. Purely a
-/// liveness backstop — submission always notifies under the sleep lock,
-/// so no wakeup can be lost.
+/// liveness backstop — submission notifies every counted sleeper under
+/// the sleep lock, so no wakeup can be lost.
 const IDLE_RESCAN: Duration = Duration::from_millis(20);
 
 /// How long a helping submitter waits on its batch latch between attempts
 /// to drain queued work.
 const HELP_POLL: Duration = Duration::from_micros(200);
+
+/// How long an idle executor spins before it parks. A condvar wake-up
+/// costs ~16–18 µs on a 2-vCPU KVM guest (2 × 60 µs tasks took 79.5 µs
+/// as a parked batch; 4 × 8 µs tasks took 35.7 µs, slower than their
+/// 32 µs serial time), and a decode step submits one batch per layer, so
+/// a window of a few wake-ups keeps executors hot between back-to-back
+/// batches while an idle pool still parks.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// Spin turns between clock reads; each read is followed by a
+/// `yield_now`, so a spinner never starves a runnable thread on its core.
+const SPIN_YIELD_EVERY: u32 = 32;
+
+thread_local! {
+    /// Pool tasks this thread is inside; a nested batch's helper makes
+    /// it exceed 1. Only the outermost task counts the thread as active.
+    static TASK_DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Spins until `ready()` holds or [`SPIN_WINDOW`] has passed since
+/// `since`; returns whether `ready()` held.
+fn spin_until(since: Instant, ready: impl Fn() -> bool) -> bool {
+    let mut turns = 0u32;
+    loop {
+        if ready() {
+            return true;
+        }
+        turns += 1;
+        if turns.is_multiple_of(SPIN_YIELD_EVERY) {
+            if since.elapsed() >= SPIN_WINDOW {
+                return false;
+            }
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
 
 /// One schedulable task: a pointer to its batch plus the item index it
 /// covers. The raw pointer is what lets persistent `'static` workers run
@@ -77,11 +116,23 @@ impl BatchCore {
 
 /// State shared between the pool's workers and every submitting thread.
 struct Shared {
-    /// One FIFO task queue per worker; submissions round-robin across
-    /// them and idle workers steal from their siblings.
+    /// One FIFO task queue per executor; submissions round-robin across
+    /// them and idle executors steal from their siblings. Spawned worker
+    /// `i` owns queue `i`; the last queue is the submitters' home.
     queues: Vec<Mutex<VecDeque<Unit>>>,
-    /// Sleep coordination: workers check all queues while holding this
-    /// lock before sleeping; submitters notify while holding it.
+    /// Units queued and not yet popped: what idle executors spin on and
+    /// what a parking worker re-checks. Raised before a unit is pushed
+    /// and lowered after it is popped, so it never reads below the queued
+    /// count. The queue mutexes publish the units themselves.
+    pending: AtomicUsize,
+    /// Workers between their final `pending` re-check and waking up.
+    /// `submit` skips the sleep lock and the notify syscall while this is
+    /// zero; a fine-grained pipeline spawns tens of thousands of tasks per
+    /// episode while its executors are hot.
+    sleepers: AtomicUsize,
+    /// Sleep coordination: a worker counts itself in `sleepers` and
+    /// re-checks `pending` while holding this lock before sleeping;
+    /// submitters notify while holding it.
     sleep: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
@@ -103,6 +154,8 @@ impl Shared {
     fn new(workers: usize, health: Arc<HealthStats>) -> Self {
         Self {
             queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            pending: AtomicUsize::new(0),
+            sleepers: AtomicUsize::new(0),
             sleep: Mutex::new(()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -119,51 +172,43 @@ impl Shared {
     }
 
     /// Pops a task for `home` (its own queue first, then stealing).
-    /// Returns the unit and whether it was stolen. `home` may be
-    /// `queues.len()` for helping submitters, who always "steal".
+    /// Returns the unit and whether it was stolen.
     fn grab(&self, home: usize) -> Option<(Unit, bool)> {
-        if home < self.queues.len() {
-            if let Some(u) = self.queues[home]
-                .lock()
-                .expect("queue poisoned")
-                .pop_front()
-            {
-                return Some((u, false));
-            }
-        }
         let n = self.queues.len();
         for off in 0..n {
-            let q = (home.wrapping_add(1).wrapping_add(off)) % n;
-            if q == home {
-                continue;
-            }
+            let q = (home + off) % n;
             if let Some(u) = self.queues[q].lock().expect("queue poisoned").pop_front() {
-                return Some((u, true));
+                self.pending.fetch_sub(1, Ordering::Relaxed);
+                return Some((u, off != 0));
             }
         }
         None
     }
 
-    fn any_queued(&self) -> bool {
-        self.queues
-            .iter()
-            .any(|q| !q.lock().expect("queue poisoned").is_empty())
-    }
-
-    /// Queues one unit on the round-robin cursor's next queue and wakes
-    /// sleeping workers. Used by dynamically-spawned (scope) tasks; batch
-    /// submission keeps its single post-loop notification instead.
-    fn push_unit(&self, unit: Unit) {
-        let q = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.queues.len();
-        let depth = {
-            let mut queue = self.queues[q].lock().expect("queue poisoned");
-            queue.push_back(unit);
-            queue.len()
-        };
-        Self::bump_max(&self.max_queue_depth, depth);
-        {
-            // Empty critical section orders the push before any worker's
-            // sleep decision, so the notification cannot be lost.
+    /// Queues `units` round-robin from the cursor's next queue and wakes
+    /// sleeping workers. The mapping of unit -> queue affects only
+    /// scheduling, never results.
+    fn submit(&self, units: impl ExactSizeIterator<Item = Unit>) {
+        let n = self.queues.len();
+        let start = self.next_queue.fetch_add(1, Ordering::Relaxed);
+        // `SeqCst` here and on the `sleepers` load below pairs with a
+        // parking worker's `sleepers` increment and `pending` re-check:
+        // either the worker sees this work and stays up, or the load sees
+        // the worker and notifies.
+        self.pending.fetch_add(units.len(), Ordering::SeqCst);
+        for (offset, unit) in units.enumerate() {
+            let depth = {
+                let mut queue = self.queues[(start + offset) % n]
+                    .lock()
+                    .expect("queue poisoned");
+                queue.push_back(unit);
+                queue.len()
+            };
+            Self::bump_max(&self.max_queue_depth, depth);
+        }
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
+            // A counted worker holds the sleep lock until it waits, so a
+            // notify under the lock cannot fall before its wait.
             let _guard = self.sleep.lock().expect("sleep lock poisoned");
             self.wake.notify_all();
         }
@@ -181,15 +226,25 @@ impl Shared {
 
     /// Runs one unit, recording wall time and health events. `stolen`
     /// counts a steal; `helper` marks execution by a submitting thread
-    /// rather than a pool worker.
+    /// rather than a pool worker. Both kinds count as active executors.
     fn execute(&self, unit: Unit, stolen: bool, helper: bool) {
         // SAFETY: the unit was queued by `run_batch`, whose submitter is
         // still blocked on the batch latch, so the core and everything
         // its closure borrows are alive.
         let core = unsafe { &*unit.batch };
+        let depth = TASK_DEPTH.get();
+        TASK_DEPTH.set(depth + 1);
+        if depth == 0 {
+            let active = self.active_workers.fetch_add(1, Ordering::Relaxed) + 1;
+            Self::bump_max(&self.max_active_workers, active);
+        }
         let t = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| (core.run)(unit.index)));
         let ns = t.elapsed().as_nanos() as u64;
+        if depth == 0 {
+            self.active_workers.fetch_sub(1, Ordering::Relaxed);
+        }
+        TASK_DEPTH.set(depth);
         self.total_task_ns.fetch_add(ns, Ordering::Relaxed);
         self.tasks_run.fetch_add(1, Ordering::Relaxed);
         self.health.record(HealthEvent::RuntimeTaskRun);
@@ -209,33 +264,47 @@ impl Shared {
 
     /// Persistent worker loop.
     fn worker_loop(&self, id: usize) {
+        let mut idle_since = None;
         loop {
             if self.shutdown.load(Ordering::Acquire) {
                 return;
             }
             if let Some((unit, stolen)) = self.grab(id) {
-                let active = self.active_workers.fetch_add(1, Ordering::Relaxed) + 1;
-                Self::bump_max(&self.max_active_workers, active);
                 self.execute(unit, stolen, false);
-                self.active_workers.fetch_sub(1, Ordering::Relaxed);
+                idle_since = None;
                 continue;
             }
-            // Nothing anywhere: sleep until a submitter notifies. The
-            // queue re-check under the sleep lock closes the race with a
-            // submitter that pushed between our scan and this lock.
+            // Nothing anywhere: spin a short window for the next batch,
+            // which is far cheaper to catch hot than to be woken for.
+            let since = *idle_since.get_or_insert_with(Instant::now);
+            if spin_until(since, || {
+                self.pending.load(Ordering::Relaxed) > 0 || self.shutdown.load(Ordering::Relaxed)
+            }) {
+                continue;
+            }
+            // Still nothing: sleep until a submitter notifies. Counting
+            // this worker in `sleepers` before re-checking `pending` closes
+            // the race with a submitter that pushed after our scan.
             let guard = self.sleep.lock().expect("sleep lock poisoned");
-            if self.shutdown.load(Ordering::Acquire) || self.any_queued() {
-                continue;
+            self.sleepers.fetch_add(1, Ordering::SeqCst);
+            if !self.shutdown.load(Ordering::SeqCst) && self.pending.load(Ordering::SeqCst) == 0 {
+                let _ = self
+                    .wake
+                    .wait_timeout(guard, IDLE_RESCAN)
+                    .expect("sleep lock poisoned");
             }
-            let _ = self
-                .wake
-                .wait_timeout(guard, IDLE_RESCAN)
-                .expect("sleep lock poisoned");
+            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+            idle_since = None;
         }
     }
 }
 
 /// A persistent work-stealing thread pool with deterministic batch APIs.
+///
+/// A pool of `n` executors is `n − 1` spawned threads plus whichever
+/// thread submits: a submitter drains queued work until its batch
+/// completes, so it is an executor, not a bystander. Idle executors spin
+/// for a short window (`SPIN_WINDOW`) before they park.
 ///
 /// Most code should use the process-wide [`global`] pool; tests construct
 /// private pools via [`Runtime::with_workers`] to pin behavior at fixed
@@ -247,14 +316,15 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Builds a pool with exactly `workers` persistent threads (clamped
-    /// to at least 1). Workers are spawned eagerly and recorded in the
-    /// health registry.
+    /// Builds a pool of `workers` executors (clamped to at least 1): the
+    /// submitting thread plus `workers − 1` persistent threads, spawned
+    /// eagerly and recorded in the health registry. `with_workers(1)`
+    /// spawns nothing and runs every task on its submitter.
     pub fn with_workers(workers: usize) -> Self {
         let workers = workers.max(1);
         let health = Arc::new(HealthStats::new());
         let shared = Arc::new(Shared::new(workers, health));
-        let handles = (0..workers)
+        let handles = (0..workers - 1)
             .map(|id| {
                 let s = Arc::clone(&shared);
                 s.health.record(HealthEvent::RuntimeWorkerSpawned);
@@ -271,7 +341,8 @@ impl Runtime {
         }
     }
 
-    /// Number of persistent pool workers.
+    /// Number of executors: the spawned threads plus the submitting
+    /// thread.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -317,30 +388,10 @@ impl Runtime {
             panic: Mutex::new(None),
         };
 
-        // Distribute units round-robin across worker queues. The mapping
-        // of index -> queue affects only scheduling, never results.
-        let n_queues = self.shared.queues.len();
-        let start = self.shared.next_queue.fetch_add(1, Ordering::Relaxed);
-        for index in 0..tasks {
-            let unit = Unit {
-                batch: &core as *const _,
-                index,
-            };
-            let q = (start + index) % n_queues;
-            let depth = {
-                let mut queue = self.shared.queues[q].lock().expect("queue poisoned");
-                queue.push_back(unit);
-                queue.len()
-            };
-            Shared::bump_max(&self.shared.max_queue_depth, depth);
-        }
-        {
-            // Empty critical section orders the pushes before any worker's
-            // sleep decision, so the notification cannot be lost.
-            let _guard = self.shared.sleep.lock().expect("sleep lock poisoned");
-            self.shared.wake.notify_all();
-        }
-
+        self.shared.submit((0..tasks).map(|index| Unit {
+            batch: &core as *const _,
+            index,
+        }));
         self.help_until_done(&core);
 
         let payload = core.panic.lock().expect("panic slot poisoned").take();
@@ -352,12 +403,28 @@ impl Runtime {
     /// Helps drain queued units (this batch's or any other's) until
     /// `core`'s completion latch drops.
     fn help_until_done(&self, core: &BatchCore) {
-        let n_queues = self.shared.queues.len();
+        let s = &*self.shared;
+        // Submitters pop first from the queue no spawned worker owns.
+        let home = s.queues.len() - 1;
+        let mut idle_since = None;
         loop {
-            if let Some((unit, _stolen)) = self.shared.grab(n_queues) {
-                self.shared.execute(unit, false, true);
+            if let Some((unit, _stolen)) = s.grab(home) {
+                s.execute(unit, false, true);
+                idle_since = None;
                 continue;
             }
+            // Other executors hold the rest: spin a short window for the
+            // last completion (or new work) before sleeping on the latch.
+            let since = *idle_since.get_or_insert_with(Instant::now);
+            if spin_until(since, || {
+                core.remaining.load(Ordering::Acquire) == 0 || s.pending.load(Ordering::Relaxed) > 0
+            }) && core.remaining.load(Ordering::Acquire) != 0
+            {
+                continue;
+            }
+            // `remaining` reading zero is not enough to return: the last
+            // completer still touches this stack-held latch until it has
+            // flipped `done` under the mutex.
             let guard = core.done.lock().expect("batch latch poisoned");
             if *guard {
                 break;
@@ -604,10 +671,10 @@ impl<'scope, 'env> Scope<'scope, 'env> {
             .lock()
             .expect("scope task queue poisoned")
             .push_back(boxed);
-        self.rt.shared.push_unit(Unit {
+        self.rt.shared.submit(std::iter::once(Unit {
             batch: self.core as *const _,
             index: 0,
-        });
+        }));
     }
 }
 
@@ -639,7 +706,7 @@ impl<T> Copy for SendPtr<T> {}
 /// Instrumentation snapshot of a [`Runtime`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuntimeSnapshot {
-    /// Configured persistent worker count.
+    /// Configured executor count: spawned threads plus the submitter.
     pub workers: usize,
     /// Tasks executed to completion (by workers and helpers).
     pub tasks_run: u64,
@@ -651,8 +718,9 @@ pub struct RuntimeSnapshot {
     pub total_task_ns: u64,
     /// Deepest any single queue has been.
     pub max_queue_depth: usize,
-    /// Most pool workers ever simultaneously inside a task body — the
-    /// oversubscription regression gauge (helpers excluded).
+    /// Most threads ever simultaneously inside a task body, helping
+    /// submitters included (a thread counts once, however deeply its
+    /// tasks nest) — the oversubscription regression gauge.
     pub max_active_workers: usize,
 }
 
@@ -670,8 +738,8 @@ pub fn worker_count_from(env_value: Option<&str>, fallback: usize) -> usize {
 static GLOBAL: OnceLock<Runtime> = OnceLock::new();
 
 /// The process-wide execution runtime, initialized on first use with
-/// `available_parallelism` workers (or the `TURBO_RUNTIME_THREADS`
-/// override).
+/// `available_parallelism` executors (or the `TURBO_RUNTIME_THREADS`
+/// override), the calling thread counted among them.
 pub fn global() -> &'static Runtime {
     GLOBAL.get_or_init(|| {
         let fallback = std::thread::available_parallelism()
@@ -757,9 +825,11 @@ mod tests {
             assert_eq!(out.len(), 64);
         }
         let snap = rt.snapshot();
+        // The submitter is the cap's last executor, so one fewer thread
+        // is spawned.
         assert_eq!(
             rt.health().count(HealthEvent::RuntimeWorkerSpawned),
-            cap as u64,
+            cap as u64 - 1,
             "workers are spawned once, not per call"
         );
         assert!(
@@ -772,6 +842,81 @@ mod tests {
             rt.health().count(HealthEvent::RuntimeTaskRun),
             snap.tasks_run
         );
+    }
+
+    #[test]
+    fn batches_complete_across_parks_from_two_submitters() {
+        // Short batches keep executors spinning; the sleeps between some
+        // of them outlast the spin window, so workers really park and the
+        // next batch must wake them or be drained by its submitter. Every
+        // batch must still complete and equal the serial map.
+        let serial: Vec<u64> = (0..24u64).map(|i| i * i + 3).collect();
+        for workers in [1usize, 2, 8] {
+            let rt = Runtime::with_workers(workers);
+            std::thread::scope(|s| {
+                for submitter in 0..2u64 {
+                    let (rt, serial) = (&rt, &serial);
+                    s.spawn(move || {
+                        for round in 0..120u64 {
+                            if round % 12 == submitter * 6 {
+                                std::thread::sleep(SPIN_WINDOW * 4);
+                            }
+                            let out = rt.par_map_indexed(24, |i| i as u64 * i as u64 + 3);
+                            assert_eq!(&out, serial, "workers = {workers}, round {round}");
+                        }
+                    });
+                }
+            });
+            assert_eq!(rt.snapshot().tasks_run, 2 * 120 * 24, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn caller_only_pool_spawns_no_thread_and_still_completes() {
+        let rt = Runtime::with_workers(1);
+        let caller = std::thread::current().id();
+        let on_caller = || assert_eq!(std::thread::current().id(), caller);
+        // A nested batch inside a task.
+        let out = rt.par_map_indexed(3, |outer| {
+            on_caller();
+            rt.par_map_indexed(3, |i| {
+                on_caller();
+                outer * 3 + i
+            })
+        });
+        assert_eq!(out, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]]);
+        // A scope whose tasks spawn more tasks.
+        let hits = AtomicUsize::new(0);
+        rt.scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    on_caller();
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    s.spawn(|| {
+                        on_caller();
+                        hits.fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+            }
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 8);
+        // A layer pipeline: a two-layer chain feeding one commit.
+        let order = Mutex::new(Vec::new());
+        let mut p = crate::LayerPipeline::new();
+        let push = |tag: &'static str| {
+            let order = &order;
+            move || {
+                on_caller();
+                order.lock().unwrap().push(tag);
+            }
+        };
+        let a = p.task(crate::WorkClass::PrefillChunk, 0, &[], push("a"));
+        let b = p.task(crate::WorkClass::PrefillChunk, 1, &[a], push("b"));
+        p.task(crate::WorkClass::WalCommit, 0, &[a, b], push("c"));
+        assert_eq!(p.run_on(&rt).tasks, 3);
+        assert_eq!(order.into_inner().unwrap(), vec!["a", "b", "c"]);
+        assert_eq!(rt.health().count(HealthEvent::RuntimeWorkerSpawned), 0);
+        assert_eq!(rt.snapshot().max_active_workers, 1);
     }
 
     #[test]

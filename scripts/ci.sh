@@ -19,6 +19,14 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> runtime tests under a 2-worker cap (contention path)"
 TURBO_RUNTIME_THREADS=2 cargo test -q -p turbo-runtime
 
+echo "==> runtime and pipeline tests on a caller-only pool (1 executor, no spawned thread)"
+# With one executor the submitting thread runs every task itself, so
+# every nested batch, scope and pipeline edge must complete without a
+# second thread.
+TURBO_RUNTIME_THREADS=1 cargo test -q -p turbo-runtime
+TURBO_RUNTIME_THREADS=1 cargo test -q -p turbo-attention multilayer
+TURBO_RUNTIME_THREADS=1 cargo test -q -p turbo-integration-tests --test crash_consistency pipelined
+
 echo "==> kernel tests in release (intrinsics arms and the BPQ stage-2 kernels at the benchmark's optimisation level)"
 cargo test --release -q -p turbo-tensor -p turbo-attention -p turbo-quant -p turbo-kvcache
 
