@@ -477,6 +477,59 @@ fn bench_multilayer(c: &mut Criterion) {
     g.finish();
 }
 
+/// Durability kernels: the CRC32 of one group-commit frame of the
+/// long-context GQA shape (4 layers × 4 KV heads × d = 128, 16 KiB of
+/// rows plus its kind and length), of a checkpoint-sized 1.4 MB blob, and
+/// one recovery of a 1536-token WAL of that shape onto an empty
+/// checkpoint (frame validation, then the cell-parallel replay). Recorded
+/// for the trend, not gated.
+fn bench_durability(c: &mut Criterion) {
+    use turbo_kvcache::{DurableLayerSet, NeverCheckpoint};
+    use turbo_robust::crc32;
+    const LAYERS: usize = 4;
+    const HEADS: usize = 4;
+    const WAL_D: usize = 128;
+    const TOKENS: usize = 1536;
+    let bytes = |n: usize| -> Vec<u8> { (0..n).map(|i| (i * 131 % 251) as u8).collect() };
+    let frame = bytes(5 + LAYERS * HEADS * 2 * WAL_D * 4);
+    let blob = bytes(1_400_000);
+
+    let cells = LAYERS * HEADS;
+    let config = KvCacheConfig::default();
+    let mut set =
+        DurableLayerSet::new(LAYERS, HEADS, WAL_D, config, Box::new(NeverCheckpoint));
+    let rows = TensorRng::new(59).normal(TOKENS, 2 * cells * WAL_D, 0.0, 1.0);
+    for t in 0..TOKENS {
+        let row = rows.row(t);
+        let ks: Vec<&[f32]> = (0..cells).map(|c| &row[c * WAL_D..(c + 1) * WAL_D]).collect();
+        let vs: Vec<&[f32]> = (cells..2 * cells).map(|c| &row[c * WAL_D..(c + 1) * WAL_D]).collect();
+        set.try_append_token(&ks, &vs, None).expect("finite rows");
+    }
+    let (ckpt, wal) = set.durable_state();
+    let rt = turbo_runtime::global();
+
+    let mut g = c.benchmark_group("durability");
+    g.bench_function("crc32_frame_16k", |b| b.iter(|| crc32(black_box(&frame))));
+    g.bench_function("crc32_blob_1400k", |b| b.iter(|| crc32(black_box(&blob))));
+    g.bench_function("recover_1536tok_4x4", |b| {
+        b.iter(|| {
+            DurableLayerSet::recover_on(
+                rt,
+                LAYERS,
+                HEADS,
+                WAL_D,
+                config,
+                Box::new(NeverCheckpoint),
+                black_box(&ckpt),
+                black_box(&wal),
+                None,
+            )
+            .expect("the checkpoint is intact")
+        })
+    });
+    g.finish();
+}
+
 /// Fleet control-plane throughput: one diurnal day (8 epochs × 12
 /// requests = 96 requests) served through the SLO-driven autoscaled
 /// fleet, with and without correlated chaos bursts. Each iteration runs
@@ -672,6 +725,7 @@ criterion_group!(
     bench_i8_kernels,
     bench_block_sizes,
     bench_multilayer,
+    bench_durability,
     bench_prefill_layer_32head,
     bench_fleet,
     bench_continuous_serving,

@@ -91,18 +91,22 @@ impl Int8Buffer {
             return Err(CacheError::NonFinite { channel });
         }
         let scale = *self.scale.get_or_insert_with(|| {
-            let abs_max = turbo_tensor::abs_max(row);
-            if abs_max == 0.0 {
-                1.0
+            // Divide before multiplying: `abs_max * headroom` overflows
+            // to Inf for abs_max within headroom× of f32::MAX, which
+            // would silently zero every code in the buffer. The cap
+            // keeps every reconstruction `code · scale` finite even
+            // when rounding pushes a code past abs_max / scale.
+            // /128 not /127: a power-of-two divide is exact in f32,
+            // so 127 · cap stays strictly below f32::MAX.
+            let scale = (turbo_tensor::abs_max(row) / SYM_INT8_DIVISOR * UNIVERSAL_SCALE_HEADROOM)
+                .min(f32::MAX / 128.0);
+            // An all-zero row, or one so small (subnormal) that its scale
+            // underflows to 0, opens the buffer at scale 1: a zero scale
+            // would make the buffer's flush panic.
+            if scale > 0.0 {
+                scale
             } else {
-                // Divide before multiplying: `abs_max * headroom` overflows
-                // to Inf for abs_max within headroom× of f32::MAX, which
-                // would silently zero every code in the buffer. The cap
-                // keeps every reconstruction `code · scale` finite even
-                // when rounding pushes a code past abs_max / scale.
-                // /128 not /127: a power-of-two divide is exact in f32,
-                // so 127 · cap stays strictly below f32::MAX.
-                (abs_max / SYM_INT8_DIVISOR * UNIVERSAL_SCALE_HEADROOM).min(f32::MAX / 128.0)
+                1.0
             }
         });
         let start = self.codes.len();
@@ -259,11 +263,17 @@ mod tests {
 
     #[test]
     fn zero_first_row_gets_unit_scale() {
-        let mut b = Int8Buffer::new(2);
-        b.try_append(&[0.0, 0.0]).unwrap();
-        assert_eq!(b.scale(), Some(1.0));
-        b.try_append(&[3.0, -3.0]).unwrap();
-        assert_eq!(b.codes()[2], 3);
+        // A subnormal row's scale underflows to 0 and is treated alike:
+        // the buffer must still hand its codes to the second stage.
+        let tiny = f32::from_bits(1);
+        for first in [[0.0, 0.0], [tiny, -tiny]] {
+            let mut b = Int8Buffer::new(2);
+            b.try_append(&first).unwrap();
+            assert_eq!(b.scale(), Some(1.0), "{first:?}");
+            b.try_append(&[3.0, -3.0]).unwrap();
+            assert_eq!(b.codes()[2], 3);
+            assert_eq!(b.as_sym_quantized().scale(), 1.0);
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::buffer::Int8Buffer;
 use crate::dequant_cache::{DequantCacheStats, DequantTile, TileCacheCell, DEFAULT_TILE_CACHE_BUDGET};
 use crate::error::CacheError;
 use crate::stats::MemoryStats;
-use turbo_quant::{BitWidth, ProgressiveBlock, SymQuantized};
+use turbo_quant::{BitWidth, ProgressiveBlock, QuantError, SymQuantized};
 use turbo_robust::HealthStats;
 use turbo_tensor::{Matrix, PackedB};
 
@@ -352,6 +352,13 @@ impl HeadKvCache {
     /// [`CacheError::ScaleOverflow`] if the second quantization stage
     /// cannot represent the buffer's scale.
     pub fn try_flush(&mut self) -> Result<(), CacheError> {
+        Ok(self.flush_buffer()?)
+    }
+
+    /// [`HeadKvCache::try_flush`] with its one failure in the type: only
+    /// the second stage's scale check can refuse a buffer, so callers that
+    /// must tell every outcome apart (WAL replay) match exhaustively.
+    pub(crate) fn flush_buffer(&mut self) -> Result<(), QuantError> {
         if self.k_buf.is_empty() {
             return Ok(());
         }

@@ -61,8 +61,9 @@
 
 use super::{deserialize_head_cache, serialize_head_cache, PersistError};
 use crate::error::CacheError;
-use crate::head::KvCacheConfig;
+use crate::head::{HeadKvCache, KvCacheConfig};
 use crate::layer::LayerKvCache;
+use turbo_quant::QuantError;
 use turbo_robust::{crc32, HealthEvent, HealthStats};
 
 const LAYER_WAL_MAGIC: &[u8; 4] = b"TLWL";
@@ -403,14 +404,68 @@ fn read_wal_header(bytes: &[u8]) -> Result<WalHeader, PersistError> {
     Ok(WalHeader { layers, heads, d })
 }
 
-/// Replays the longest valid record prefix of `bytes` onto `layers`.
+/// One record of a layer WAL's valid prefix, as replay applies it.
+#[derive(Clone, Copy)]
+enum ReplayOp {
+    /// A group append whose payload starts at this byte offset.
+    Append(usize),
+    /// A whole-set flush.
+    Flush,
+}
+
+/// The structurally sound, CRC-valid frame starting at `pos`:
+/// `(kind, payload_len, frame_end)`, or `None` for a torn or corrupt one.
+fn valid_frame(bytes: &[u8], pos: usize) -> Option<(u8, usize, usize)> {
+    if bytes.len() - pos < RECORD_OVERHEAD {
+        return None;
+    }
+    let kind = bytes[pos];
+    let len = u32::from_le_bytes([
+        bytes[pos + 1],
+        bytes[pos + 2],
+        bytes[pos + 3],
+        bytes[pos + 4],
+    ]) as usize;
+    let payload_end = pos.checked_add(5 + len)?;
+    let frame_end = payload_end.checked_add(4)?;
+    if frame_end > bytes.len() {
+        return None;
+    }
+    let stored = u32::from_le_bytes([
+        bytes[payload_end],
+        bytes[payload_end + 1],
+        bytes[payload_end + 2],
+        bytes[payload_end + 3],
+    ]);
+    (crc32(&bytes[pos..payload_end]) == stored).then_some((kind, len, frame_end))
+}
+
+/// Whether every little-endian `f32` in `payload` is finite. A fold
+/// rather than an early-exit scan, so the loop vectorizes.
+fn all_finite(payload: &[u8]) -> bool {
+    payload
+        .chunks_exact(4)
+        .fold(true, |ok, c| ok & f32::from_le_bytes([c[0], c[1], c[2], c[3]]).is_finite())
+}
+
+/// Replays the longest valid record prefix of `bytes` onto `layers`, with
+/// the cells in parallel on `rt` (pass [`turbo_runtime::global()`] for the
+/// default pool).
 ///
-/// Every `GroupAppend` applies to all cells or none: the frame's CRC and
-/// length are checked first, and after the per-head caches validated the
-/// rows at commit time, the only per-cell "error" replay can see is
-/// [`CacheError::ScaleOverflow`], which buffered the token exactly as at
-/// commit time. A torn or corrupt frame ends the replay; everything
-/// before it is applied, everything after is dropped and counted.
+/// Replay runs in two phases. The first walks the frames in order and
+/// validates each one: its CRC, its kind, its length and, for a group
+/// append, that every row is finite. The first frame that fails ends the
+/// valid prefix, so a torn, corrupt or CRC-colliding record that decodes
+/// to rows the caches would reject applies to no cell. The second phase
+/// applies that prefix: one task per cell replays every record in log
+/// order onto its own cache, decoding its K/V rows straight from the
+/// payload. Cells share no state, so each ends exactly as a record-major
+/// replay would leave it, for any worker count. After the rows were
+/// validated, the only per-cell "error" replay can see is
+/// [`CacheError::ScaleOverflow`] (an append's capacity flush or an
+/// explicit flush that left the buffer intact), identical to what
+/// happened at commit time.
+///
 /// Records [`HealthEvent::WalReplay`] once,
 /// [`HealthEvent::LayerWalReplayedRecords`] with the replay length, and
 /// [`HealthEvent::WalRecordDropped`] when a tail was dropped.
@@ -420,6 +475,7 @@ fn read_wal_header(bytes: &[u8]) -> Result<WalHeader, PersistError> {
 /// A [`PersistError`] only when the log *header* is unusable or does not
 /// match the set's geometry — nothing is applied then.
 pub fn replay_layer_wal(
+    rt: &turbo_runtime::Runtime,
     bytes: &[u8],
     layers: &mut [LayerKvCache],
     health: Option<&HealthStats>,
@@ -439,95 +495,64 @@ pub fn replay_layer_wal(
     let cells = h.layers * h.heads;
     let row_bytes = 4 * h.d;
 
-    let mut report = LayerWalReplayReport {
-        appends: 0,
-        flushes: 0,
-        dropped_bytes: 0,
-        valid_end: LAYER_WAL_HEADER_LEN,
-        complete: true,
-    };
-    // One decode buffer for every group record: cell `i`'s K row is
-    // `rows[2i·d..][..d]` and its V row follows it.
-    let mut rows: Vec<f32> = Vec::with_capacity(cells * 2 * h.d);
+    // Phase (a): validate, fixing the prefix and the report.
+    let mut ops = Vec::new();
     let mut pos = LAYER_WAL_HEADER_LEN;
-    'records: while pos < bytes.len() {
-        let ok_frame = (|| -> Option<(u8, usize, usize)> {
-            if bytes.len() - pos < RECORD_OVERHEAD {
-                return None;
+    while let Some((kind, len, frame_end)) = valid_frame(bytes, pos) {
+        let payload = pos + 5;
+        ops.push(match kind {
+            KIND_GROUP_APPEND
+                if len == cells * 2 * row_bytes && all_finite(&bytes[payload..payload + len]) =>
+            {
+                ReplayOp::Append(payload)
             }
-            let kind = bytes[pos];
-            let len = u32::from_le_bytes([
-                bytes[pos + 1],
-                bytes[pos + 2],
-                bytes[pos + 3],
-                bytes[pos + 4],
-            ]) as usize;
-            let payload_end = pos.checked_add(5 + len)?;
-            let frame_end = payload_end.checked_add(4)?;
-            if frame_end > bytes.len() {
-                return None;
-            }
-            let stored = u32::from_le_bytes([
-                bytes[payload_end],
-                bytes[payload_end + 1],
-                bytes[payload_end + 2],
-                bytes[payload_end + 3],
-            ]);
-            if crc32(&bytes[pos..payload_end]) != stored {
-                return None;
-            }
-            Some((kind, len, frame_end))
-        })();
-        let Some((kind, len, frame_end)) = ok_frame else {
-            break 'records;
-        };
-        let payload = &bytes[pos + 5..pos + 5 + len];
-        match kind {
-            KIND_GROUP_APPEND if len == cells * 2 * row_bytes => {
-                // Decode and sanity-check the whole group before touching
-                // any cache, so a CRC-colliding corruption that decodes to
-                // a row the caches would reject cannot half-apply.
-                rows.clear();
-                rows.extend(
-                    payload
-                        .chunks_exact(4)
-                        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-                );
-                if rows.iter().any(|x| !x.is_finite()) {
-                    break 'records;
-                }
-                for (cell, kv) in rows.chunks_exact(2 * h.d).enumerate() {
+            KIND_GROUP_FLUSH if len == 0 => ReplayOp::Flush,
+            _ => break,
+        });
+        pos = frame_end;
+    }
+    let appends = ops.iter().filter(|op| matches!(op, ReplayOp::Append(_))).count();
+    let report = LayerWalReplayReport {
+        appends,
+        flushes: ops.len() - appends,
+        dropped_bytes: bytes.len() - pos,
+        valid_end: pos,
+        complete: pos == bytes.len(),
+    };
+
+    // Phase (b): apply the prefix, one task per cell.
+    let mut cell_caches: Vec<(usize, &mut HeadKvCache)> = layers
+        .iter_mut()
+        .flat_map(LayerKvCache::iter_mut)
+        .enumerate()
+        .collect();
+    rt.par_map_mut(&mut cell_caches, |(cell, cache)| {
+        let mut kv = vec![0f32; 2 * h.d];
+        for op in &ops {
+            match *op {
+                ReplayOp::Append(payload) => {
+                    let at = payload + *cell * 2 * row_bytes;
+                    let rows = bytes[at..at + 2 * row_bytes].chunks_exact(4);
+                    for (x, c) in kv.iter_mut().zip(rows) {
+                        *x = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+                    }
                     let (k, v) = kv.split_at(h.d);
-                    let cache = layers[cell / h.heads].head_mut(cell % h.heads);
                     match cache.try_append(k, v) {
                         // ScaleOverflow buffered the token — identical to
                         // what happened at commit time.
                         Ok(()) | Err(CacheError::ScaleOverflow) => {}
-                        Err(_) => unreachable!("rows validated before apply"),
+                        Err(e) => unreachable!("rows validated before apply: {e}"),
                     }
                 }
-                report.appends += 1;
+                // An overflowed flush left the buffer intact at commit
+                // time too; state stays identical.
+                ReplayOp::Flush => match cache.flush_buffer() {
+                    Ok(()) | Err(QuantError::ScaleOverflow) => {}
+                },
             }
-            KIND_GROUP_FLUSH if len == 0 => {
-                for layer in layers.iter_mut() {
-                    for cache in layer.iter_mut() {
-                        match cache.try_flush() {
-                            // An overflowed flush left the buffer intact at
-                            // commit time too; state stays identical.
-                            Ok(()) | Err(CacheError::ScaleOverflow) => {}
-                            Err(_) => break 'records,
-                        }
-                    }
-                }
-                report.flushes += 1;
-            }
-            _ => break 'records,
         }
-        pos = frame_end;
-    }
-    report.valid_end = pos;
-    report.dropped_bytes = bytes.len() - pos;
-    report.complete = report.dropped_bytes == 0;
+    });
+
     if let Some(hs) = health {
         hs.record(HealthEvent::WalReplay);
         hs.record_n(
@@ -992,10 +1017,9 @@ impl DurableLayerSet {
         let mut overflowed = false;
         for layer in &mut self.layers {
             for cache in layer.iter_mut() {
-                match cache.try_flush() {
+                match cache.flush_buffer() {
                     Ok(()) => {}
-                    Err(CacheError::ScaleOverflow) => overflowed = true,
-                    Err(e) => return Err(e),
+                    Err(QuantError::ScaleOverflow) => overflowed = true,
                 }
             }
         }
@@ -1196,7 +1220,17 @@ impl DurableLayerSet {
         health: Option<&HealthStats>,
     ) -> Result<(Self, LayerRecoverOutcome), PersistError> {
         let mut caches = Self::decode_checkpoint(checkpoint, layers, heads, d)?;
-        let wal_report = match replay_layer_wal(wal_bytes, &mut caches, health) {
+        // Keep the surviving valid WAL prefix live instead of folding it
+        // into a fresh snapshot: repeated recoveries then cost replay, not
+        // serialization, and the policy bounds how long that replay can be.
+        // The log is copied on the pool while the cells replay, and cut to
+        // the valid prefix once replay has found it.
+        let mut wal_copy = Vec::new();
+        let replayed = rt.scope(|s| {
+            s.spawn(|| wal_copy.extend_from_slice(wal_bytes));
+            replay_layer_wal(rt, wal_bytes, &mut caches, health)
+        });
+        let wal_report = match replayed {
             Ok(r) => Some(r),
             // Unreadable WAL header: the checkpoint alone is still a
             // valid common prefix.
@@ -1207,13 +1241,10 @@ impl DurableLayerSet {
                 None
             }
         };
-        // Keep the surviving valid WAL prefix live instead of folding it
-        // into a fresh snapshot: repeated recoveries then cost replay, not
-        // serialization, and the policy bounds how long that replay can be.
         let mut wal = LayerWriteAheadLog::new(layers, heads, d);
         if let Some(r) = wal_report {
-            wal.bytes.clear();
-            wal.bytes.extend_from_slice(&wal_bytes[..r.valid_end]);
+            wal_copy.truncate(r.valid_end);
+            wal.bytes = wal_copy;
             wal.appends = r.appends;
             wal.flushes = r.flushes;
         }
@@ -1306,7 +1337,7 @@ impl DurableLayerSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::head::HeadKvCache;
+    use crate::buffer::Int8Buffer;
     use turbo_quant::BitWidth;
     use turbo_runtime::global;
     use turbo_tensor::{Matrix, TensorRng};
@@ -1515,6 +1546,181 @@ mod tests {
         assert_matches_reference(&back, &reference_cells(&data, 4, 0, 0));
     }
 
+    /// The record-major, single-threaded replay that the two-phase replay
+    /// replaced, kept as the oracle: it decodes each group record whole,
+    /// checks it, and applies it to every cell before the next record.
+    fn serial_replay(
+        bytes: &[u8],
+        layers: &mut [LayerKvCache],
+    ) -> Result<LayerWalReplayReport, PersistError> {
+        let h = read_wal_header(bytes)?;
+        assert_eq!(h.layers, layers.len(), "oracle runs on matching geometry only");
+        let cells = h.layers * h.heads;
+        let mut report = LayerWalReplayReport {
+            appends: 0,
+            flushes: 0,
+            dropped_bytes: 0,
+            valid_end: LAYER_WAL_HEADER_LEN,
+            complete: true,
+        };
+        let mut rows: Vec<f32> = Vec::new();
+        let mut pos = LAYER_WAL_HEADER_LEN;
+        'records: while pos < bytes.len() {
+            let Some((kind, len, frame_end)) = valid_frame(bytes, pos) else {
+                break;
+            };
+            let payload = &bytes[pos + 5..pos + 5 + len];
+            match kind {
+                KIND_GROUP_APPEND if len == cells * 2 * 4 * h.d => {
+                    rows.clear();
+                    rows.extend(
+                        payload
+                            .chunks_exact(4)
+                            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                    );
+                    if rows.iter().any(|x| !x.is_finite()) {
+                        break 'records;
+                    }
+                    for (cell, kv) in rows.chunks_exact(2 * h.d).enumerate() {
+                        let (k, v) = kv.split_at(h.d);
+                        let cache = layers[cell / h.heads].head_mut(cell % h.heads);
+                        match cache.try_append(k, v) {
+                            Ok(()) | Err(CacheError::ScaleOverflow) => {}
+                            Err(_) => unreachable!("rows validated before apply"),
+                        }
+                    }
+                    report.appends += 1;
+                }
+                KIND_GROUP_FLUSH if len == 0 => {
+                    for layer in layers.iter_mut() {
+                        for cache in layer.iter_mut() {
+                            match cache.try_flush() {
+                                Ok(()) | Err(CacheError::ScaleOverflow) => {}
+                                Err(_) => break 'records,
+                            }
+                        }
+                    }
+                    report.flushes += 1;
+                }
+                _ => break 'records,
+            }
+            pos = frame_end;
+        }
+        report.valid_end = pos;
+        report.dropped_bytes = bytes.len() - pos;
+        report.complete = report.dropped_bytes == 0;
+        Ok(report)
+    }
+
+    /// A WAL of one group append per row of `k`/`v` (cell `c` takes
+    /// columns `c·D..(c+1)·D`), with a group flush after every
+    /// `flush_every` appends (none for 0).
+    fn logged(k: &Matrix, v: &Matrix, flush_every: usize) -> Vec<u8> {
+        let mut wal = LayerWriteAheadLog::new(LAYERS, HEADS, D);
+        for t in 0..k.rows() {
+            wal.log_group_append(&cell_rows(k, t), &cell_rows(v, t));
+            if flush_every > 0 && (t + 1) % flush_every == 0 {
+                wal.log_group_flush();
+            }
+        }
+        wal.as_bytes().to_vec()
+    }
+
+    /// Replays `wal` onto a copy of `base` on each runtime and checks the
+    /// report and every cell's bytes against the serial oracle's.
+    fn assert_replay_matches_serial(
+        runtimes: &[turbo_runtime::Runtime],
+        base: &[LayerKvCache],
+        wal: &[u8],
+        what: &str,
+    ) {
+        let cell_bytes = |layers: &[LayerKvCache]| -> Vec<Vec<u8>> {
+            layers.iter().flat_map(|l| l.iter().map(serialize_head_cache)).collect()
+        };
+        let mut want = base.to_vec();
+        let want_report = serial_replay(wal, &mut want);
+        let want_cells = cell_bytes(&want);
+        for rt in runtimes {
+            let mut got = base.to_vec();
+            let report = replay_layer_wal(rt, wal, &mut got, None);
+            let workers = rt.workers();
+            assert_eq!(report, want_report, "{what}: report on {workers} workers");
+            assert!(cell_bytes(&got) == want_cells, "{what}: cells on {workers} workers");
+        }
+    }
+
+    fn replay_runtimes() -> Vec<turbo_runtime::Runtime> {
+        [1, 2, 8].map(turbo_runtime::Runtime::with_workers).into()
+    }
+
+    fn empty_layers() -> Vec<LayerKvCache> {
+        (0..LAYERS)
+            .map(|_| LayerKvCache::uniform(HEADS, D, cfg().bits, cfg().group_size, cfg().buffer_capacity))
+            .collect()
+    }
+
+    #[test]
+    fn parallel_replay_matches_serial_replay_at_every_cut() {
+        // Explicit group flushes every 5 appends on top of the capacity
+        // flushes every 8, so cuts land on both kinds of record.
+        let mut rng = TensorRng::new(21);
+        let k = rng.normal(20, D * CELLS, 0.0, 1.0);
+        let v = rng.normal(20, D * CELLS, 0.0, 1.0);
+        let wal = logged(&k, &v, 5);
+        let (runtimes, base) = (replay_runtimes(), empty_layers());
+        for cut in 0..=wal.len() {
+            assert_replay_matches_serial(&runtimes, &base, &wal[..cut], &format!("cut {cut}"));
+        }
+    }
+
+    #[test]
+    fn parallel_replay_matches_serial_replay_on_bad_records() {
+        let mut rng = TensorRng::new(22);
+        let k = rng.normal(24, D * CELLS, 0.0, 1.0);
+        let v = rng.normal(24, D * CELLS, 0.0, 1.0);
+        let (runtimes, base) = (replay_runtimes(), empty_layers());
+
+        // A CRC-corrupt record mid-log.
+        let clean = logged(&k, &v, 6);
+        let boundaries = LayerWriteAheadLog::record_boundaries(&clean);
+        let mut corrupt = clean.clone();
+        corrupt[(boundaries[9] + boundaries[10]) / 2] ^= 0x40;
+        assert_replay_matches_serial(&runtimes, &base, &corrupt, "CRC-corrupt record");
+
+        // A validly framed record with a non-finite row in its last cell.
+        let mut poisoned = v.clone();
+        poisoned.set(13, D * CELLS - 1, f32::NAN);
+        let wal = logged(&k, &poisoned, 6);
+        assert_replay_matches_serial(&runtimes, &base, &wal, "non-finite row");
+    }
+
+    #[test]
+    fn parallel_replay_matches_serial_replay_through_scale_overflow() {
+        // An appended row cannot overflow the second stage (the buffer
+        // caps its scale below the limit), but a buffer restored from a
+        // checkpoint keeps whatever finite scale was stored. Cell 1 holds
+        // one token under an out-of-range K scale, so every capacity and
+        // explicit flush of it is a ScaleOverflow that keeps the buffer.
+        let mut rng = TensorRng::new(23);
+        let k = rng.normal(25, D * CELLS, 0.0, 1.0);
+        let v = rng.normal(25, D * CELLS, 0.0, 1.0);
+        let mut base = empty_layers();
+        for (cell, cache) in base.iter_mut().flat_map(LayerKvCache::iter_mut).enumerate() {
+            let rows = &k.row(0)[cell * D..(cell + 1) * D];
+            cache.try_append(rows, rows).unwrap();
+        }
+        let keep = base[0].head(1).value_buffer().clone();
+        let huge = Int8Buffer::from_parts(vec![1; D], 1, D, Some(f32::MAX / 64.0), 0);
+        *base[0].head_mut(1) = HeadKvCache::from_parts(D, cfg(), vec![], vec![], huge, keep);
+        let wal = logged(&k.row_block(1, 24), &v.row_block(1, 24), 6);
+
+        let mut want = base.clone();
+        serial_replay(&wal, &mut want).expect("header is valid");
+        assert_eq!(want[0].head(1).buffer_len(), 25, "the overflowing cell never flushed");
+        assert_eq!(want[0].head(0).buffer_len(), 0, "the other cells flushed");
+        assert_replay_matches_serial(&replay_runtimes(), &base, &wal, "scale overflow");
+    }
+
     #[test]
     fn record_budget_policy_fires_and_bounds_replay() {
         let data = TensorRng::new(6).normal(40, D * CELLS, 0.0, 1.0);
@@ -1662,11 +1868,11 @@ mod tests {
     fn replay_rejects_mismatched_geometry() {
         let wal = LayerWriteAheadLog::new(2, 3, D);
         let mut wrong_layers = vec![LayerKvCache::uniform(3, D, BitWidth::Int4, 8, 8)];
-        assert!(replay_layer_wal(wal.as_bytes(), &mut wrong_layers, None).is_err());
+        assert!(replay_layer_wal(global(), wal.as_bytes(), &mut wrong_layers, None).is_err());
         let mut wrong_heads: Vec<LayerKvCache> = (0..2)
             .map(|_| LayerKvCache::uniform(2, D, BitWidth::Int4, 8, 8))
             .collect();
-        assert!(replay_layer_wal(wal.as_bytes(), &mut wrong_heads, None).is_err());
+        assert!(replay_layer_wal(global(), wal.as_bytes(), &mut wrong_heads, None).is_err());
     }
 
     /// Seals arbitrary head snapshots into a checkpoint blob with an

@@ -13,7 +13,12 @@
 //!   observed-fault counts can be checked against injected-fault counts.
 //! * [`crc32`] / [`Crc32`] — hand-rolled IEEE CRC32 (no external
 //!   crates) backing per-block checksums in the persisted-cache format,
-//!   page scrubbing in the paged pool, and WAL record framing.
+//!   page scrubbing in the paged pool, and WAL record framing. On x86-64
+//!   with AVX2 and PCLMULQDQ the 16-byte-multiple body of an input of at
+//!   least 64 bytes is folded by carry-less multiplication
+//!   (`turbo_tensor::simd::crc32_fold_on`); slicing-by-8 tables finish
+//!   the tail and are the scalar arm (`TURBO_SIMD=0`, aarch64). Both
+//!   arms give the same value for every input.
 //! * [`ChaosPlan`] — seeded, time-ordered scripts of kills, WAL
 //!   truncations, fault injections, pressure spikes, and *correlated*
 //!   failure bursts (simultaneous multi-replica kills, zone faults,

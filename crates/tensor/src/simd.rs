@@ -1048,6 +1048,42 @@ fn transpose_rest(src: &[u8], rows: usize, cols: usize, r: usize, c: usize, dst:
     }
 }
 
+/// Shortest input [`crc32_fold_on`] folds: one 64-byte block seeds its
+/// four lanes.
+pub const CRC32_FOLD_MIN_LEN: usize = 64;
+
+/// Advances a raw (pre-inverted) reflected IEEE CRC32 state (polynomial
+/// `0xEDB88320`) over the longest 16-byte-multiple prefix of `data` on an
+/// explicit arm, returning the new state and the bytes it consumed; the
+/// caller finishes the tail. On AVX2 with PCLMULQDQ (detected once, like
+/// AVX-VNNI) it folds four 128-bit lanes by carry-less multiplication,
+/// then reduces 128 → 64 → 32 bits with a Barrett step (Intel, "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction"). The
+/// scalar twin is the table-driven CRC in `turbo-robust`: every other
+/// arm, and inputs shorter than [`CRC32_FOLD_MIN_LEN`], consume nothing
+/// and return `(crc, 0)`. The state after the consumed prefix is the same
+/// on every arm.
+///
+/// # Panics
+///
+/// Panics if `level` is not available on this machine.
+pub fn crc32_fold_on(level: SimdLevel, crc: u32, data: &[u8]) -> (u32, usize) {
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 if data.len() >= CRC32_FOLD_MIN_LEN && x86::has_pclmulqdq() => {
+            assert!(level.available(), "AVX2 not available on this machine");
+            let body = data.len() & !15;
+            // SAFETY: AVX2 and PCLMULQDQ verified above; `body` is a
+            // multiple of 16 and at least 64, within `data`.
+            (unsafe { x86::crc32_fold_clmul(crc, &data[..body]) }, body)
+        }
+        _ => {
+            assert!(level.available(), "SIMD level {level:?} not available");
+            (crc, 0)
+        }
+    }
+}
+
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2 kernel arms. Every `unsafe` here is justified by the callers
@@ -1112,6 +1148,81 @@ mod x86 {
     pub(super) fn has_avx_vnni() -> bool {
         static VNNI: OnceLock<bool> = OnceLock::new();
         *VNNI.get_or_init(|| is_x86_feature_detected!("avxvnni"))
+    }
+
+    /// Whether the CPU has PCLMULQDQ (carry-less multiply), detected once
+    /// per process and cached like [`has_avx_vnni`].
+    pub(super) fn has_pclmulqdq() -> bool {
+        static CLMUL: OnceLock<bool> = OnceLock::new();
+        *CLMUL.get_or_init(|| is_x86_feature_detected!("pclmulqdq"))
+    }
+
+    /// Multiplies the low and the high 64 bits of `x` by the low and the
+    /// high fold constant of `k`, and folds the sum into `next`: `x`
+    /// carried 128 bits (or 512, with the four-lane constants) further
+    /// along the message.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq")]
+    unsafe fn clmul_fold(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128::<0x00>(x, k);
+        let hi = _mm_clmulepi64_si128::<0x11>(x, k);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// The PCLMULQDQ arm of [`super::crc32_fold_on`]: `crc` is the raw
+    /// reflected state before `data`, and the raw state after it comes
+    /// back. Constants are `x^n mod P` for the reflected IEEE polynomial
+    /// (shifted one bit, as the reflected domain needs): k1/k2 fold over
+    /// 512 bits, k3/k4 over 128, k5 from 96 to 64; `P'` and `μ` drive the
+    /// Barrett reduction.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must have AVX2 and PCLMULQDQ, and `data.len()` must be a
+    /// multiple of 16 and at least 64.
+    #[target_feature(enable = "avx2,pclmulqdq")]
+    pub(super) unsafe fn crc32_fold_clmul(crc: u32, data: &[u8]) -> u32 {
+        debug_assert!(data.len() >= 64 && data.len().is_multiple_of(16));
+        let k1k2 = _mm_set_epi64x(0x01_c6e4_1596, 0x01_5444_2bd4);
+        let k3k4 = _mm_set_epi64x(0x00_ccaa_009e, 0x01_7519_97d0);
+        let k5 = _mm_set_epi64x(0, 0x01_63cd_6124);
+        let poly_mu = _mm_set_epi64x(0x01_f701_1641, 0x01_db71_0641);
+        let low32 = _mm_setr_epi32(-1, 0, -1, 0);
+        let n = data.len();
+        let p = data.as_ptr();
+        // SAFETY: every load reads 16 bytes at an offset `i` with
+        // `i + 16 <= n` (the loop conditions and the length contract).
+        unsafe {
+            let load = |i: usize| _mm_loadu_si128(p.add(i) as *const __m128i);
+            let mut x0 = _mm_xor_si128(load(0), _mm_cvtsi32_si128(crc as i32));
+            let mut x1 = load(16);
+            let mut x2 = load(32);
+            let mut x3 = load(48);
+            let mut i = 64;
+            while i + 64 <= n {
+                x0 = clmul_fold(x0, k1k2, load(i));
+                x1 = clmul_fold(x1, k1k2, load(i + 16));
+                x2 = clmul_fold(x2, k1k2, load(i + 32));
+                x3 = clmul_fold(x3, k1k2, load(i + 48));
+                i += 64;
+            }
+            let mut x = clmul_fold(x0, k3k4, x1);
+            x = clmul_fold(x, k3k4, x2);
+            x = clmul_fold(x, k3k4, x3);
+            while i < n {
+                x = clmul_fold(x, k3k4, load(i));
+                i += 16;
+            }
+            // 128 → 64 bits: the low half times k4 into the high half,
+            // then the low 32 bits of that times k5 into the rest.
+            x = _mm_xor_si128(_mm_srli_si128::<8>(x), _mm_clmulepi64_si128::<0x10>(x, k3k4));
+            let rest = _mm_srli_si128::<4>(x);
+            x = _mm_xor_si128(_mm_clmulepi64_si128::<0x00>(_mm_and_si128(x, low32), k5), rest);
+            // Barrett reduction to 32 bits.
+            let mut t = _mm_clmulepi64_si128::<0x10>(_mm_and_si128(x, low32), poly_mu);
+            t = _mm_clmulepi64_si128::<0x00>(_mm_and_si128(t, low32), poly_mu);
+            _mm_extract_epi32::<1>(_mm_xor_si128(x, t)) as u32
+        }
     }
 
     /// The AVX2 arm of the packed GEMM: each half-quad (four columns of
@@ -2662,6 +2773,42 @@ mod tests {
                     let mut got = vec![0xAAu8; rows * cols];
                     transpose_u8_on(level, &src, rows, cols, &mut got);
                     assert_eq!(got, want, "{level:?} {rows} x {cols}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_fold_matches_bitwise_crc_over_the_prefix_it_consumes() {
+        // Bit-at-a-time reflected CRC32 update: the definition the
+        // table arm in `turbo-robust` and the fold both implement.
+        fn bitwise(mut crc: u32, data: &[u8]) -> u32 {
+            for &b in data {
+                crc ^= b as u32;
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            crc
+        }
+        let data: Vec<u8> = (0..1216u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
+        let levels = [Some(SimdLevel::Scalar), simd_arm()];
+        for len in (0..=200).chain([255, 256, 257, 1023, 1024, 1199]) {
+            for start in [0, 1, 7] {
+                for crc in [0xFFFF_FFFF, 0x1234_5678] {
+                    let data = &data[start..start + len];
+                    for level in levels.into_iter().flatten() {
+                        let (got, done) = crc32_fold_on(level, crc, data);
+                        assert!(done <= len && done.is_multiple_of(16), "{level:?} {len}");
+                        if len < CRC32_FOLD_MIN_LEN {
+                            assert_eq!(done, 0, "{level:?} folded a short input");
+                        }
+                        #[cfg(target_arch = "x86_64")]
+                        if level == SimdLevel::Avx2 && x86::has_pclmulqdq() && len >= 64 {
+                            assert_eq!(done, len & !15, "the fold left a whole 16-byte block");
+                        }
+                        assert_eq!(got, bitwise(crc, &data[..done]), "{level:?} {len} @{start}");
+                    }
                 }
             }
         }

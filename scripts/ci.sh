@@ -27,8 +27,9 @@ TURBO_RUNTIME_THREADS=1 cargo test -q -p turbo-runtime
 TURBO_RUNTIME_THREADS=1 cargo test -q -p turbo-attention multilayer
 TURBO_RUNTIME_THREADS=1 cargo test -q -p turbo-integration-tests --test crash_consistency pipelined
 
-echo "==> kernel tests in release (intrinsics arms and the BPQ stage-2 kernels at the benchmark's optimisation level)"
-cargo test --release -q -p turbo-tensor -p turbo-attention -p turbo-quant -p turbo-kvcache
+echo "==> kernel tests in release (intrinsics arms, the BPQ stage-2 kernels and the CRC32 fold at the benchmark's optimisation level)"
+cargo test --release -q -p turbo-tensor -p turbo-attention -p turbo-quant -p turbo-kvcache \
+  -p turbo-robust
 
 echo "==> kernel tests with SIMD force-disabled (scalar-fallback coverage)"
 # The equivalence tests pin every arm the machine has in-process (on
@@ -39,9 +40,10 @@ echo "==> kernel tests with SIMD force-disabled (scalar-fallback coverage)"
 # SAS rows, attention sweeps, tile builds) only exercise the scalar
 # fallback when detection says so — force it. `-p turbo-quant` runs the
 # stage-2 compress on its scalar arm directly, `-p turbo-kvcache` through
-# the prefill write, the flush and recovery.
+# the prefill write, the flush and recovery, and `-p turbo-robust` runs
+# `crc32` on its table arm alone.
 TURBO_SIMD=0 cargo test -q -p turbo-tensor -p turbo-softmax -p turbo-quant -p turbo-attention \
-  -p turbo-kvcache
+  -p turbo-kvcache -p turbo-robust
 
 echo "==> chaos smoke (64 seeded episodes, 2 replicas)"
 TURBO_CHAOS_EPISODES=64 cargo test -q -p turbo-integration-tests --test chaos_soak
